@@ -69,7 +69,7 @@ bench-ingest:
 	scripts/bench.sh -check ingest
 
 # The million-flow end-to-end scale run (stream from disk, decode,
-# solve with the parallel lazy greedy) without any benchmarking.
+# solve with the lazy greedy) without any benchmarking.
 scale:
 	TDMD_SCALE=1 go test -run TestScaleMillionFlows -count=1 -v .
 

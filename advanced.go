@@ -12,33 +12,8 @@ import (
 	"tdmd/internal/traffic"
 )
 
-// Advanced API: parallel solvers, the rate-scaled approximate DP, the
-// discrete-event dynamic simulator, and trace ingestion.
-
-// ParallelOpts bounds the worker pool of the parallel solvers; the
-// zero value uses GOMAXPROCS workers.
-type ParallelOpts = placement.ParallelOpts
-
-// parallelTwin maps an algorithm to its registered parallel solver.
-var parallelTwin = map[Algorithm]string{
-	AlgGTPLazy:    "gtp-parallel",
-	AlgDP:         "dp-parallel",
-	AlgExhaustive: "exhaustive-parallel",
-}
-
-// SolveParallel runs the parallel twin of an algorithm through the
-// solver registry. Supported: AlgGTPLazy (parallel unbudgeted GTP),
-// AlgDP, AlgExhaustive. The plans are identical to the serial
-// solvers'. As with Solve, k = 0 means "no budget" (required for
-// AlgGTPLazy, which does not consume one).
-func (p *Problem) SolveParallel(ctx context.Context, alg Algorithm, k int, opts ParallelOpts) (Result, error) {
-	name, ok := parallelTwin[alg]
-	if !ok {
-		return Result{}, errNoParallel(alg)
-	}
-	extra := []SolveOption{placement.WithWorkers(opts.Workers)}
-	return placement.Solve(ctx, name, p.inst, p.options(k, extra))
-}
+// Advanced API: the rate-scaled approximate DP, the discrete-event
+// dynamic simulator, and trace ingestion.
 
 // ScaledDPOpts configures SolveScaledDP; see the placement package for
 // the error analysis.
@@ -117,10 +92,6 @@ func WriteTrace(w io.Writer, g *Graph, flows []Flow) error { return traffic.Writ
 
 func errNeedsTree(alg Algorithm) error {
 	return &apiError{"tdmd: " + string(alg) + " requires WithTree"}
-}
-
-func errNoParallel(alg Algorithm) error {
-	return &apiError{"tdmd: no parallel variant for " + string(alg)}
 }
 
 type apiError struct{ msg string }

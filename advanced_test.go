@@ -9,49 +9,6 @@ import (
 	"tdmd/internal/paperfix"
 )
 
-func TestSolveParallelMatchesSerial(t *testing.T) {
-	p := fig5Problem(t)
-	serialDP, err := p.Solve(context.Background(), AlgDP, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parDP, err := p.SolveParallel(context.Background(), AlgDP, 3, ParallelOpts{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parDP.Bandwidth != serialDP.Bandwidth {
-		t.Fatalf("parallel DP %v != serial %v", parDP.Bandwidth, serialDP.Bandwidth)
-	}
-	serialG, err := p.Solve(context.Background(), AlgGTPLazy, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parG, err := p.SolveParallel(context.Background(), AlgGTPLazy, 0, ParallelOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parG.Plan.String() != serialG.Plan.String() {
-		t.Fatalf("parallel GTP plan %v != serial %v", parG.Plan, serialG.Plan)
-	}
-	parEx, err := p.SolveParallel(context.Background(), AlgExhaustive, 3, ParallelOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parEx.Bandwidth != 13.5 {
-		t.Fatalf("parallel exhaustive = %v, want 13.5", parEx.Bandwidth)
-	}
-}
-
-func TestSolveParallelErrors(t *testing.T) {
-	p := fig1Problem(t)
-	if _, err := p.SolveParallel(context.Background(), AlgDP, 3, ParallelOpts{}); err == nil {
-		t.Fatal("parallel DP without tree accepted")
-	}
-	if _, err := p.SolveParallel(context.Background(), AlgHAT, 3, ParallelOpts{}); err == nil {
-		t.Fatal("unsupported parallel algorithm accepted")
-	}
-}
-
 func TestSolveScaledDP(t *testing.T) {
 	p := fig5Problem(t)
 	res, scale, err := p.SolveScaledDP(context.Background(), 3, ScaledDPOpts{Scale: 1})

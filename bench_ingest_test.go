@@ -186,7 +186,7 @@ func BenchmarkIngestStreamMillion(b *testing.B) {
 
 // TestScaleMillionFlows is the end-to-end scale acceptance run: a
 // million-flow problem is streamed to disk, ingested back through the
-// streaming decoder, and solved with the parallel lazy-greedy solver.
+// streaming decoder, and solved with the lazy-greedy solver.
 // It is opt-in (TDMD_SCALE=1) because it allocates hundreds of
 // megabytes and runs for tens of seconds under -race; scripts/bench.sh
 // ingest runs it before the benchmark suite.
@@ -255,7 +255,7 @@ func TestScaleMillionFlows(t *testing.T) {
 		t.Errorf("decode allocated %d bytes, budget %d (4x instance footprint)", allocated, budget)
 	}
 
-	res, err := p.SolveParallel(context.Background(), AlgGTPLazy, 0, ParallelOpts{})
+	res, err := p.Solve(context.Background(), AlgGTPLazy, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,14 +47,10 @@ import (
 	"strings"
 )
 
-// Suite is one `go test -bench` invocation to harvest. A non-empty
-// Cpu is passed as -cpu and keeps the testing package's "-N" name
-// suffix in the recorded entries, so each GOMAXPROCS level is its own
-// snapshot row (the parallel-scan suites record -cpu 1,4 pairs).
+// Suite is one `go test -bench` invocation to harvest.
 type Suite struct {
 	Pkg     string `json:"pkg"`
 	Pattern string `json:"pattern"`
-	Cpu     string `json:"cpu,omitempty"`
 }
 
 // suiteSet names one snapshot file and the benchmark set that fills
@@ -75,7 +71,6 @@ var suiteSets = map[string]suiteSet{
 		{Pkg: ".", Pattern: "BenchmarkFullVsIncremental"},
 		{Pkg: "./internal/netsim", Pattern: "BenchmarkSnapState"},
 		{Pkg: "./internal/netsim", Pattern: "BenchmarkNewInstance"},
-		{Pkg: "./internal/netsim", Pattern: "BenchmarkScanScores", Cpu: "1,4"},
 	}},
 	"ingest": {file: "BENCH_ingest.json", suites: []Suite{
 		{Pkg: ".", Pattern: "BenchmarkIngest"},
@@ -183,9 +178,6 @@ func collect(suites []Suite, benchtime string, stderr io.Writer) (Snapshot, erro
 		if benchtime != "" {
 			args = append(args, "-benchtime", benchtime)
 		}
-		if s.Cpu != "" {
-			args = append(args, "-cpu", s.Cpu)
-		}
 		args = append(args, s.Pkg)
 		cmd := exec.Command("go", args...)
 		var out bytes.Buffer
@@ -194,7 +186,7 @@ func collect(suites []Suite, benchtime string, stderr io.Writer) (Snapshot, erro
 		if err := cmd.Run(); err != nil {
 			return Snapshot{}, fmt.Errorf("go test -bench %s %s: %v", s.Pattern, s.Pkg, err)
 		}
-		entries, err := parseBench(s.Pkg, s.Cpu == "", out.String())
+		entries, err := parseBench(s.Pkg, out.String())
 		if err != nil {
 			return Snapshot{}, err
 		}
@@ -208,17 +200,14 @@ func collect(suites []Suite, benchtime string, stderr io.Writer) (Snapshot, erro
 }
 
 // gomaxprocsSuffix is the "-8" the testing package appends to
-// benchmark names; it varies with the machine and is stripped —
-// except for suites run with an explicit -cpu list, where the suffix
-// IS the row identity ("-1" vs "-4") and must be kept.
+// benchmark names; it varies with the machine and is stripped.
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
 // parseBench extracts the metric pairs from `go test -bench` output:
 // each benchmark line is name, iteration count, then (value, unit)
-// pairs. Units not in the snapshot schema are ignored. stripSuffix
-// controls whether the machine-dependent GOMAXPROCS name suffix is
-// removed (see gomaxprocsSuffix).
-func parseBench(pkg string, stripSuffix bool, output string) ([]Entry, error) {
+// pairs. Units not in the snapshot schema are ignored, and the
+// machine-dependent GOMAXPROCS name suffix is removed.
+func parseBench(pkg, output string) ([]Entry, error) {
 	var out []Entry
 	for _, line := range strings.Split(output, "\n") {
 		if !strings.HasPrefix(line, "Benchmark") {
@@ -228,10 +217,7 @@ func parseBench(pkg string, stripSuffix bool, output string) ([]Entry, error) {
 		if len(fields) < 4 || len(fields)%2 != 0 {
 			continue
 		}
-		name := fields[0]
-		if stripSuffix {
-			name = gomaxprocsSuffix.ReplaceAllString(name, "")
-		}
+		name := gomaxprocsSuffix.ReplaceAllString(fields[0], "")
 		e := Entry{Pkg: pkg, Name: name}
 		for i := 2; i+1 < len(fields); i += 2 {
 			val, err := strconv.ParseFloat(fields[i], 64)

@@ -19,7 +19,7 @@ ok  	tdmd	7.358s
 `
 
 func TestParseBench(t *testing.T) {
-	got, err := parseBench(".", true, sampleBenchOutput)
+	got, err := parseBench(".", sampleBenchOutput)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,24 +38,6 @@ func TestParseBench(t *testing.T) {
 	}
 	if got[2].NsOp != 3.065 {
 		t.Fatalf("fractional ns/op lost: %v", got[2].NsOp)
-	}
-}
-
-// Suites run with an explicit -cpu list keep the "-N" suffix: it is
-// the row identity ("-1" vs "-4"), not machine noise.
-func TestParseBenchKeepsCpuSuffix(t *testing.T) {
-	const out = `BenchmarkScanScores     	   54331	     22791 ns/op	       0 B/op	       0 allocs/op
-BenchmarkScanScores-4   	   41652	     28691 ns/op	     176 B/op	       6 allocs/op
-`
-	got, err := parseBench("./internal/netsim", false, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("parsed %d entries, want 2: %v", len(got), got)
-	}
-	if got[0].Name != "BenchmarkScanScores" || got[1].Name != "BenchmarkScanScores-4" {
-		t.Fatalf("cpu suffix handling wrong: %q, %q", got[0].Name, got[1].Name)
 	}
 }
 
@@ -202,7 +184,7 @@ func TestRunRejectsUnknownSuite(t *testing.T) {
 func TestParseBenchBytesFlow(t *testing.T) {
 	const out = `BenchmarkIngestStream-8   	      42	  26913475 ns/op	        32.60 bytes/flow	 6460968 B/op	    3905 allocs/op
 `
-	got, err := parseBench(".", true, out)
+	got, err := parseBench(".", out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +198,7 @@ func TestParseBenchBytesFlow(t *testing.T) {
 func TestParseBenchServeMetrics(t *testing.T) {
 	const out = `BenchmarkServeLoad-8   	     266	   4164962 ns/op	         4.100 p50_ms	        12.70 p99_ms	         0.1950 reject_rate	  105619 B/op	     690 allocs/op
 `
-	got, err := parseBench("./cmd/tdmdload", true, out)
+	got, err := parseBench("./cmd/tdmdload", out)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,8 +144,8 @@ func (t *Tree) IsAncestor(a, v NodeID) bool {
 }
 
 // NaiveLCA computes the lowest common ancestor by walking parents.
-// O(depth); package lca provides faster oracles, and tests compare
-// them against this reference.
+// O(depth); package lca provides an O(1)-query oracle, and its tests
+// compare it against this reference.
 func (t *Tree) NaiveLCA(a, b NodeID) NodeID {
 	for t.depth[a] > t.depth[b] {
 		a = t.parent[a]

@@ -1,96 +1,13 @@
-// Package lca provides lowest-common-ancestor oracles over rooted
+// Package lca provides a lowest-common-ancestor oracle over rooted
 // trees. The paper's HAT heuristic (Alg. 2) performs O(|V|) LCA
 // queries per merge round and cites Schieber–Vishkin [29] for fast
-// queries; this package supplies two interchangeable oracles:
-//
-//   - Lifting: binary lifting, O(n log n) preprocessing, O(log n) query.
-//   - Sparse: Euler tour + sparse-table range-minimum, O(n log n)
-//     preprocessing, O(1) query (the classical reduction equivalent in
-//     power to Schieber–Vishkin on a RAM).
-//
-// Both are verified against each other and against the naive
-// parent-walk in the tests.
+// queries; Sparse answers them with an Euler tour plus a sparse-table
+// range-minimum: O(n log n) preprocessing, O(1) query (the classical
+// reduction equivalent in power to Schieber–Vishkin on a RAM). The
+// tests verify it against the naive parent-walk graph.Tree.NaiveLCA.
 package lca
 
-import (
-	"math/bits"
-
-	"tdmd/internal/graph"
-)
-
-// Oracle answers lowest-common-ancestor queries on a fixed tree.
-type Oracle interface {
-	// LCA returns the lowest common ancestor of a and b. Every vertex
-	// is an ancestor of itself.
-	LCA(a, b graph.NodeID) graph.NodeID
-}
-
-// Lifting is a binary-lifting LCA oracle.
-type Lifting struct {
-	depth []int
-	up    [][]graph.NodeID // up[j][v] = 2^j-th ancestor of v (Invalid past root)
-}
-
-// NewLifting preprocesses t for O(log n) LCA queries.
-func NewLifting(t *graph.Tree) *Lifting {
-	n := t.G.NumNodes()
-	levels := 1
-	for 1<<levels < n {
-		levels++
-	}
-	l := &Lifting{
-		depth: make([]int, n),
-		up:    make([][]graph.NodeID, levels+1),
-	}
-	l.up[0] = make([]graph.NodeID, n)
-	for v := 0; v < n; v++ {
-		l.depth[v] = t.Depth(graph.NodeID(v))
-		l.up[0][v] = t.Parent(graph.NodeID(v))
-	}
-	for j := 1; j <= levels; j++ {
-		l.up[j] = make([]graph.NodeID, n)
-		for v := 0; v < n; v++ {
-			mid := l.up[j-1][v]
-			if mid == graph.Invalid {
-				l.up[j][v] = graph.Invalid
-			} else {
-				l.up[j][v] = l.up[j-1][mid]
-			}
-		}
-	}
-	return l
-}
-
-// Ancestor returns the k-th ancestor of v (0th is v itself), or
-// Invalid if v is fewer than k edges below the root.
-func (l *Lifting) Ancestor(v graph.NodeID, k int) graph.NodeID {
-	for j := 0; k > 0 && v != graph.Invalid; j, k = j+1, k>>1 {
-		if k&1 == 1 {
-			v = l.up[j][v]
-		}
-	}
-	return v
-}
-
-// Depth returns the depth of v recorded at preprocessing time.
-func (l *Lifting) Depth(v graph.NodeID) int { return l.depth[v] }
-
-// LCA implements Oracle.
-func (l *Lifting) LCA(a, b graph.NodeID) graph.NodeID {
-	if l.depth[a] < l.depth[b] {
-		a, b = b, a
-	}
-	a = l.Ancestor(a, l.depth[a]-l.depth[b])
-	if a == b {
-		return a
-	}
-	for j := len(l.up) - 1; j >= 0; j-- {
-		if l.up[j][a] != l.up[j][b] {
-			a, b = l.up[j][a], l.up[j][b]
-		}
-	}
-	return l.up[0][a]
-}
+import "tdmd/internal/graph"
 
 // Sparse is an Euler-tour sparse-table LCA oracle with O(1) queries.
 type Sparse struct {
@@ -163,7 +80,8 @@ func NewSparse(t *graph.Tree) *Sparse {
 	return s
 }
 
-// LCA implements Oracle.
+// LCA returns the lowest common ancestor of a and b. Every vertex is
+// an ancestor of itself.
 func (s *Sparse) LCA(a, b graph.NodeID) graph.NodeID {
 	i, j := s.first[a], s.first[b]
 	if i > j {
@@ -176,19 +94,4 @@ func (s *Sparse) LCA(a, b graph.NodeID) graph.NodeID {
 		return s.euler[x]
 	}
 	return s.euler[y]
-}
-
-// Dist returns the tree distance (number of edges) between a and b
-// using the oracle o and the depths of t.
-func Dist(t *graph.Tree, o Oracle, a, b graph.NodeID) int {
-	l := o.LCA(a, b)
-	return t.Depth(a) + t.Depth(b) - 2*t.Depth(l)
-}
-
-// Log2Ceil returns ceil(log2(n)) for n >= 1; used by sizing helpers.
-func Log2Ceil(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return bits.Len(uint(n - 1))
 }

@@ -49,19 +49,6 @@ func fig5(t *testing.T) *graph.Tree {
 	return tr
 }
 
-func TestLiftingPaperExamples(t *testing.T) {
-	tr := fig5(t)
-	o := NewLifting(tr)
-	cases := []struct{ a, b, want graph.NodeID }{
-		{3, 4, 1}, {0, 5, 0}, {6, 7, 5}, {3, 6, 0}, {5, 5, 5}, {2, 7, 2},
-	}
-	for _, c := range cases {
-		if got := o.LCA(c.a, c.b); got != c.want {
-			t.Fatalf("Lifting LCA(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestSparsePaperExamples(t *testing.T) {
 	tr := fig5(t)
 	o := NewSparse(tr)
@@ -73,22 +60,13 @@ func TestSparsePaperExamples(t *testing.T) {
 			t.Fatalf("Sparse LCA(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
-}
-
-func TestAncestor(t *testing.T) {
-	tr := pathTree(10)
-	o := NewLifting(tr)
-	if got := o.Ancestor(9, 0); got != 9 {
-		t.Fatalf("Ancestor(9,0) = %d", got)
-	}
-	if got := o.Ancestor(9, 4); got != 5 {
-		t.Fatalf("Ancestor(9,4) = %d, want 5", got)
-	}
-	if got := o.Ancestor(9, 9); got != 0 {
-		t.Fatalf("Ancestor(9,9) = %d, want 0", got)
-	}
-	if got := o.Ancestor(3, 7); got != graph.Invalid {
-		t.Fatalf("Ancestor past root = %d, want Invalid", got)
+	n := tr.G.NumNodes()
+	for a := graph.NodeID(0); int(a) < n; a++ {
+		for b := graph.NodeID(0); int(b) < n; b++ {
+			if got, want := o.LCA(a, b), tr.NaiveLCA(a, b); got != want {
+				t.Fatalf("Sparse LCA(%d,%d) = %d, naive %d", a, b, got, want)
+			}
+		}
 	}
 }
 
@@ -97,14 +75,10 @@ func TestOraclesAgreeOnRandomTrees(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 1 + rng.Intn(120)
 		tr := randomTree(n, rng)
-		lift := NewLifting(tr)
 		sparse := NewSparse(tr)
 		for q := 0; q < 200; q++ {
 			a, b := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
 			want := tr.NaiveLCA(a, b)
-			if got := lift.LCA(a, b); got != want {
-				t.Fatalf("n=%d Lifting LCA(%d,%d) = %d, want %d", n, a, b, got, want)
-			}
 			if got := sparse.LCA(a, b); got != want {
 				t.Fatalf("n=%d Sparse LCA(%d,%d) = %d, want %d", n, a, b, got, want)
 			}
@@ -114,32 +88,17 @@ func TestOraclesAgreeOnRandomTrees(t *testing.T) {
 
 func TestOraclesOnPathTree(t *testing.T) {
 	tr := pathTree(64)
-	lift := NewLifting(tr)
 	sparse := NewSparse(tr)
 	for a := 0; a < 64; a += 7 {
 		for b := 0; b < 64; b += 5 {
 			want := graph.NodeID(min(a, b))
-			if got := lift.LCA(graph.NodeID(a), graph.NodeID(b)); got != want {
-				t.Fatalf("Lifting path LCA(%d,%d) = %d", a, b, got)
+			if naive := tr.NaiveLCA(graph.NodeID(a), graph.NodeID(b)); naive != want {
+				t.Fatalf("naive path LCA(%d,%d) = %d", a, b, naive)
 			}
 			if got := sparse.LCA(graph.NodeID(a), graph.NodeID(b)); got != want {
 				t.Fatalf("Sparse path LCA(%d,%d) = %d", a, b, got)
 			}
 		}
-	}
-}
-
-func TestDist(t *testing.T) {
-	tr := fig5(t)
-	o := NewSparse(tr)
-	if got := Dist(tr, o, 3, 4); got != 2 {
-		t.Fatalf("Dist(v4,v5) = %d, want 2", got)
-	}
-	if got := Dist(tr, o, 3, 6); got != 5 {
-		t.Fatalf("Dist(v4,v7) = %d, want 5", got)
-	}
-	if got := Dist(tr, o, 5, 5); got != 0 {
-		t.Fatalf("Dist(v6,v6) = %d, want 0", got)
 	}
 }
 
@@ -150,29 +109,8 @@ func TestSingleVertexTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range []Oracle{NewLifting(tr), NewSparse(tr)} {
-		if got := o.LCA(0, 0); got != 0 {
-			t.Fatalf("LCA on singleton = %d", got)
-		}
-	}
-}
-
-func TestLog2Ceil(t *testing.T) {
-	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 1024: 10, 1025: 11}
-	for n, want := range cases {
-		if got := Log2Ceil(n); got != want {
-			t.Fatalf("Log2Ceil(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
-func BenchmarkLiftingLCA(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	tr := randomTree(4096, rng)
-	o := NewLifting(tr)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.LCA(graph.NodeID(i%4096), graph.NodeID((i*31)%4096))
+	if got := NewSparse(tr).LCA(0, 0); got != tr.NaiveLCA(0, 0) {
+		t.Fatalf("LCA on singleton = %d", got)
 	}
 }
 

@@ -7,15 +7,15 @@ import (
 	"tdmd/internal/lint/flow"
 )
 
-// AnalyzerGoLeak enforces goroutine lifecycle hygiene in the places
-// the runtime actually spawns: internal/placement (the parallel
-// portfolio and exhaustive solvers) and cmd/tdmdserve. Every `go`
-// statement must carry a completion signal — a channel send or close,
-// or a WaitGroup.Done — that the spawning frame (or a goroutine it
-// provably joins, e.g. a collector) waits for, and a blocking signal
-// must still be consumed on the cancellation branch: a select clause
-// that returns on <-ctx.Done() while the only receive for a worker's
-// unbuffered send sits in a sibling clause leaks that worker forever.
+// AnalyzerGoLeak enforces goroutine lifecycle hygiene in the packages
+// on the service's solve path: internal/placement, internal/serve (the
+// worker pool) and cmd/tdmdserve. Every `go` statement must carry a
+// completion signal — a channel send or close, or a WaitGroup.Done —
+// that the spawning frame (or a goroutine it provably joins, e.g. a
+// collector) waits for, and a blocking signal must still be consumed
+// on the cancellation branch: a select clause that returns on
+// <-ctx.Done() while the only receive for a worker's unbuffered send
+// sits in a sibling clause leaks that worker forever.
 //
 // Signals on parameters are the caller's responsibility (the caller
 // sees the channel and owns the join). Close, WaitGroup.Done and

@@ -12,8 +12,8 @@ import (
 // reachable from a registered solver's entry point may mutate the
 // shared *netsim.Instance or package-level mutable state. The
 // incremental netsim.State engine, the golden/metamorphic suites and
-// the parallel portfolio all assume solvers are pure functions of
-// (instance, options).
+// the service's concurrent solves on one shared instance all assume
+// solvers are pure functions of (instance, options).
 //
 // Entry points are the solver function literals registered in
 // internal/placement (any function-typed value whose signature takes

@@ -37,10 +37,7 @@ import (
 //
 // Concurrency contract: the owning Instance stays read-only and may be
 // shared freely, but a State is single-goroutine for mutations — each
-// concurrent solver (e.g. each portfolio worker) builds its own.
-// Between mutations, the read-only VertexScore is safe to call from
-// many goroutines at once (the parallel greedy's candidate fan-out
-// does exactly that).
+// concurrent solve (e.g. each service pool worker) builds its own.
 //
 // With invariants enabled (see internal/invariant) every mutation
 // cross-checks the incremental state against the full Allocate /
@@ -333,8 +330,7 @@ func (s *State) rescore(v graph.NodeID) {
 // VertexScore computes v's greedy keys — marginal decrement and
 // unserved flows covered — directly from the maintained serving state,
 // bypassing and leaving untouched the per-vertex cache. It performs no
-// writes, so concurrent calls are safe while no mutation is in flight;
-// the parallel greedy fans its candidate scan out over this.
+// writes, so concurrent calls are safe while no mutation is in flight.
 //
 //tdmd:hot
 func (s *State) VertexScore(v graph.NodeID) (gain float64, covered int) {

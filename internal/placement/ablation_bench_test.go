@@ -14,8 +14,8 @@ import (
 
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 // lazy vs. plain greedy evaluation, heap-based vs. brute-force HAT
-// pair selection, serial vs. parallel candidate scans, and the
-// same-source flow merge the paper applies before the DP.
+// pair selection, and the same-source flow merge the paper applies
+// before the DP.
 
 func benchGeneralInstance(b *testing.B, n, flows int) *netsim.Instance {
 	b.Helper()
@@ -41,11 +41,6 @@ func BenchmarkAblationGTPLazyVsPlain(b *testing.B) {
 		b.Run(fmt.Sprintf("lazy/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				GTPLazy(context.Background(), in)
-			}
-		})
-		b.Run(fmt.Sprintf("parallel/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				GTPParallel(context.Background(), in, ParallelOpts{})
 			}
 		})
 	}

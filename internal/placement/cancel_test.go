@@ -240,10 +240,11 @@ func TestCancelOnlineAddFlowLeavesControllerUnchanged(t *testing.T) {
 	}
 }
 
-// TestCancelParallelHammer drives the parallel solvers while another
-// goroutine cancels at staggered points; run under -race (the tier-1
-// gate runs it with -count=5) it shakes out worker/cancel data races.
-func TestCancelParallelHammer(t *testing.T) {
+// TestCancelSolverHammer runs concurrent solves on shared instances
+// while other goroutines cancel them at staggered points; run under
+// -race (the tier-1 gate runs it with -count=5) it shakes out
+// solve/cancel data races.
+func TestCancelSolverHammer(t *testing.T) {
 	in := denseInstance(t, 24, 11)
 	tree := func() *graph.Tree {
 		g := topology.RandomTree(24, 0, 13)
@@ -264,25 +265,25 @@ func TestCancelParallelHammer(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() { time.Sleep(d); cancel() }()
-			r := GTPParallel(ctx, in, ParallelOpts{Workers: 4})
+			r := GTPLazy(ctx, in)
 			if r.Interrupted == nil && !r.Feasible {
-				t.Errorf("hammer %d: uninterrupted GTPParallel infeasible", i)
+				t.Errorf("hammer %d: uninterrupted GTPLazy infeasible", i)
 			}
 			ctx2, cancel2 := context.WithCancel(context.Background())
 			go func() { time.Sleep(d); cancel2() }()
-			if r, err := ExhaustiveParallel(ctx2, in, 4, ParallelOpts{Workers: 4}); err == nil {
+			if r, err := Exhaustive(ctx2, in, 4); err == nil {
 				if r.Interrupted != nil && r.Optimal {
-					t.Errorf("hammer %d: interrupted ExhaustiveParallel claims optimality", i)
+					t.Errorf("hammer %d: interrupted Exhaustive claims optimality", i)
 				}
 			}
 			ctx3, cancel3 := context.WithCancel(context.Background())
 			go func() { time.Sleep(d); cancel3() }()
-			if r, err := TreeDPParallel(ctx3, treeIn, tree, 6, ParallelOpts{Workers: 4}); err == nil {
+			if r, err := TreeDP(ctx3, treeIn, tree, 6); err == nil {
 				if !r.Feasible {
-					t.Errorf("hammer %d: completed TreeDPParallel infeasible", i)
+					t.Errorf("hammer %d: completed TreeDP infeasible", i)
 				}
 			} else if !errors.Is(err, context.Canceled) && !errors.Is(err, ErrInfeasible) {
-				t.Errorf("hammer %d: TreeDPParallel unexpected error %v", i, err)
+				t.Errorf("hammer %d: TreeDP unexpected error %v", i, err)
 			}
 		}(i, d)
 	}
@@ -299,39 +300,4 @@ func fig1Tree(t *testing.T) *graph.Tree {
 		t.Skipf("fig1 graph is not a tree from vertex 0: %v", err)
 	}
 	return tr
-}
-
-// Regression for a send-on-closed-channel panic in solveTreeParallel:
-// a worker that observed cancellation closed the ready queue via
-// abort() while a sibling was still inside solveNode; the sibling's
-// finish() then sent the parent vertex to the closed channel. finish
-// must check the abort flag under the same mutex before sending.
-func TestCancelTreeDPParallelAbortFinishRace(t *testing.T) {
-	g := topology.RandomTree(48, 0, 29)
-	tr, err := graph.NewTree(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flows := traffic.MergeSameSource(traffic.TreeFlows(tr, traffic.GenConfig{
-		Density: 0.6, LinkCapacity: 40, Seed: 5}))
-	in := netsim.MustNew(tr.G, flows, 0.5)
-	// Measure an uncancelled solve, then sweep the cancellation time
-	// across that window so some worker is mid-solveNode when a
-	// sibling observes the cancel — the racy interleaving.
-	start := time.Now()
-	if _, err := TreeDPParallel(context.Background(), in, tr, 24, ParallelOpts{Workers: 8}); err != nil &&
-		!errors.Is(err, ErrInfeasible) {
-		t.Fatal(err)
-	}
-	full := time.Since(start)
-	const sweeps = 24
-	for i := 0; i < sweeps; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		go func(d time.Duration) { time.Sleep(d); cancel() }(full * time.Duration(i) / sweeps)
-		if _, err := TreeDPParallel(ctx, in, tr, 24, ParallelOpts{Workers: 8}); err != nil &&
-			!errors.Is(err, context.Canceled) && !errors.Is(err, ErrInfeasible) {
-			t.Fatalf("iteration %d: unexpected error %v", i, err)
-		}
-		cancel()
-	}
 }

@@ -27,6 +27,7 @@ func TestConcurrentSolversShareInstance(t *testing.T) {
 	in := netsim.MustNew(g, flows, 0.5)
 
 	serialGTP := GTP(context.Background(), in)
+	serialLazy := GTPLazy(context.Background(), in)
 	serialBudget, budgetErr := GTPBudget(context.Background(), in, 4)
 
 	rounds := 4
@@ -46,9 +47,9 @@ func TestConcurrentSolversShareInstance(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			r := GTPParallel(context.Background(), in, ParallelOpts{Workers: 3})
-			if r.Plan.String() != serialGTP.Plan.String() {
-				t.Errorf("concurrent GTPParallel diverged: %v vs %v", r.Plan, serialGTP.Plan)
+			r := GTPLazy(context.Background(), in)
+			if r.Plan.String() != serialLazy.Plan.String() {
+				t.Errorf("concurrent GTPLazy diverged: %v vs %v", r.Plan, serialLazy.Plan)
 			}
 		}()
 		go func() {
@@ -64,10 +65,10 @@ func TestConcurrentSolversShareInstance(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			if _, err := ExhaustiveParallel(context.Background(), in, 3, ParallelOpts{Workers: 3}); err != nil {
+			if _, err := Exhaustive(context.Background(), in, 3); err != nil {
 				// Infeasibility is a legitimate instance property; data
 				// races are what this test exists to surface.
-				t.Logf("ExhaustiveParallel: %v", err)
+				t.Logf("Exhaustive: %v", err)
 			}
 		}()
 	}
@@ -87,13 +88,13 @@ func TestConcurrentTreeDPShareInstance(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := TreeDPParallel(context.Background(), in, tree, 2, ParallelOpts{Workers: 2})
+			r, err := TreeDP(context.Background(), in, tree, 2)
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			if r.Bandwidth != serial.Bandwidth {
-				t.Errorf("concurrent TreeDPParallel bandwidth %v, want %v", r.Bandwidth, serial.Bandwidth)
+				t.Errorf("concurrent TreeDP bandwidth %v, want %v", r.Bandwidth, serial.Bandwidth)
 			}
 		}()
 	}

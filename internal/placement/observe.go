@@ -24,8 +24,8 @@ import (
 // allocation- and atomic-free. See DESIGN.md "Observability".
 
 // SolveObserver receives solver lifecycle events. Implementations must
-// be safe for concurrent use: parallel solvers and concurrent HTTP
-// requests emit from many goroutines.
+// be safe for concurrent use: concurrent solves and HTTP requests
+// emit from many goroutines.
 type SolveObserver interface {
 	// SolveStart fires when dispatch begins for the named solver.
 	SolveStart(solver string)

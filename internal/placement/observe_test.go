@@ -13,7 +13,7 @@ import (
 )
 
 // recordingObserver captures every event for assertions. Thread-safe:
-// parallel solvers emit from worker goroutines.
+// one observer may be shared by concurrent solves.
 type recordingObserver struct {
 	mu       sync.Mutex
 	starts   []string
@@ -107,22 +107,18 @@ func TestObserverIdentityAcrossAllSolvers(t *testing.T) {
 		opts []Option
 	}
 	optsFor := map[string]fixture{
-		"gtp":                 {general, []Option{WithK(3)}},
-		"gtp-lazy":            {general, nil},
-		"gtp-ls":              {general, []Option{WithK(3)}},
-		"dp":                  {treeIn, []Option{WithK(3), WithTree(tr)}},
-		"hat":                 {treeIn, []Option{WithK(3), WithTree(tr)}},
-		"random":              {general, []Option{WithK(3), WithSeed(42)}},
-		"best-effort":         {general, []Option{WithK(3)}},
-		"exhaustive":          {general, []Option{WithK(3)}},
-		"min-boxes":           {general, nil},
-		"bnb":                 {general, []Option{WithK(3)}},
-		"capacitated":         {general, []Option{WithK(3), WithCapacity(100)}},
-		"multistart-ls":       {general, []Option{WithK(3), WithSeed(7), WithStarts(2)}},
-		"gtp-parallel":        {general, []Option{WithWorkers(2)}},
-		"gtp-lazy-parallel":   {general, []Option{WithWorkers(2)}},
-		"dp-parallel":         {treeIn, []Option{WithK(3), WithTree(tr), WithWorkers(2)}},
-		"exhaustive-parallel": {general, []Option{WithK(3), WithWorkers(2)}},
+		"gtp":           {general, []Option{WithK(3)}},
+		"gtp-lazy":      {general, nil},
+		"gtp-ls":        {general, []Option{WithK(3)}},
+		"dp":            {treeIn, []Option{WithK(3), WithTree(tr)}},
+		"hat":           {treeIn, []Option{WithK(3), WithTree(tr)}},
+		"random":        {general, []Option{WithK(3), WithSeed(42)}},
+		"best-effort":   {general, []Option{WithK(3)}},
+		"exhaustive":    {general, []Option{WithK(3)}},
+		"min-boxes":     {general, nil},
+		"bnb":           {general, []Option{WithK(3)}},
+		"capacitated":   {general, []Option{WithK(3), WithCapacity(100)}},
+		"multistart-ls": {general, []Option{WithK(3), WithSeed(7), WithStarts(2)}},
 	}
 	for _, name := range Names() {
 		fx, ok := optsFor[name]

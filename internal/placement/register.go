@@ -121,42 +121,6 @@ func init() {
 			return MultiStartLocalSearch(ctx, in, o.K, o.Starts, rngFromSeed(o.Seed))
 		},
 	})
-	Register(funcSolver{
-		traits: Traits{
-			Name: "gtp-parallel", Doc: "unbudgeted greedy with parallel candidate scans",
-			Consumes: OptWorkers, Anytime: true,
-		},
-		fn: func(ctx context.Context, in *netsim.Instance, o Options) (Result, error) {
-			return requireFeasible(ctx, GTPParallel(ctx, in, ParallelOpts{Workers: o.Workers}))
-		},
-	})
-	Register(funcSolver{
-		traits: Traits{
-			Name: "gtp-lazy-parallel", Doc: "lazy greedy with heap refreshes batched across workers",
-			Consumes: OptWorkers, Anytime: true,
-		},
-		fn: func(ctx context.Context, in *netsim.Instance, o Options) (Result, error) {
-			return requireFeasible(ctx, GTPLazyParallel(ctx, in, ParallelOpts{Workers: o.Workers}))
-		},
-	})
-	Register(funcSolver{
-		traits: Traits{
-			Name: "dp-parallel", Doc: "tree DP with independent subtrees solved concurrently",
-			Consumes: OptK | OptTree | OptWorkers, Requires: OptK | OptTree, Exact: true,
-		},
-		fn: func(ctx context.Context, in *netsim.Instance, o Options) (Result, error) {
-			return TreeDPParallel(ctx, in, o.Tree, o.K, ParallelOpts{Workers: o.Workers})
-		},
-	})
-	Register(funcSolver{
-		traits: Traits{
-			Name: "exhaustive-parallel", Doc: "subset enumeration striped across workers",
-			Consumes: OptK | OptWorkers, Requires: OptK, Anytime: true, Exact: true,
-		},
-		fn: func(ctx context.Context, in *netsim.Instance, o Options) (Result, error) {
-			return ExhaustiveParallel(ctx, in, o.K, ParallelOpts{Workers: o.Workers})
-		},
-	})
 }
 
 // requireFeasible converts the bare-Result greedy solvers' outcome to

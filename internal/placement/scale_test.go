@@ -64,7 +64,7 @@ func TestTreeDPScale300Vertices(t *testing.T) {
 		Density: 0.3, LinkCapacity: 10, Dist: dist, Seed: 4}))
 	in := netsim.MustNew(g, flows, 0.5)
 	start := time.Now()
-	r, err := TreeDPParallel(context.Background(), in, tree, 12, ParallelOpts{})
+	r, err := TreeDP(context.Background(), in, tree, 12)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestTreeDPScale300Vertices(t *testing.T) {
 		t.Fatal("infeasible at scale")
 	}
 	if elapsed > scaleBudget(60*time.Second) {
-		t.Fatalf("parallel DP took %v on a 300-vertex tree", elapsed)
+		t.Fatalf("DP took %v on a 300-vertex tree", elapsed)
 	}
 	// The heuristics must agree with optimality ordering at scale too.
 	h, err := HAT(context.Background(), in, tree, 12)

@@ -48,8 +48,6 @@ const (
 	OptRounds
 	// OptStarts is the multi-start restart count.
 	OptStarts
-	// OptWorkers bounds parallel solvers' worker pools.
-	OptWorkers
 	// OptNodeLimit caps branch-and-bound node expansions.
 	OptNodeLimit
 	// OptCapacity is the per-middlebox processing capacity.
@@ -67,7 +65,6 @@ var optionNames = []struct {
 	{OptTree, "tree"},
 	{OptRounds, "rounds"},
 	{OptStarts, "starts"},
-	{OptWorkers, "workers"},
 	{OptNodeLimit, "node-limit"},
 	{OptCapacity, "capacity"},
 }
@@ -98,8 +95,6 @@ type Options struct {
 	Rounds int
 	// Starts is the multi-start restart count.
 	Starts int
-	// Workers bounds parallel worker pools (0 = GOMAXPROCS).
-	Workers int
 	// NodeLimit caps branch-and-bound node expansions (0 = default).
 	NodeLimit int
 	// Capacity is the per-box processing capacity (0 = unlimited).
@@ -162,11 +157,6 @@ func WithRounds(n int) Option {
 // WithStarts sets the multi-start restart count.
 func WithStarts(n int) Option {
 	return func(o *Options) { o.Starts = n; o.mark(OptStarts) }
-}
-
-// WithWorkers bounds parallel solvers' worker pools.
-func WithWorkers(n int) Option {
-	return func(o *Options) { o.Workers = n; o.mark(OptWorkers) }
 }
 
 // WithNodeLimit caps branch-and-bound node expansions.

@@ -15,10 +15,8 @@ import (
 
 // allSolverNames is the full registry wired by register.go, sorted.
 var allSolverNames = []string{
-	"best-effort", "bnb", "capacitated", "dp", "dp-parallel",
-	"exhaustive", "exhaustive-parallel", "gtp", "gtp-lazy",
-	"gtp-lazy-parallel", "gtp-ls", "gtp-parallel", "hat", "min-boxes",
-	"multistart-ls", "random",
+	"best-effort", "bnb", "capacitated", "dp", "exhaustive", "gtp",
+	"gtp-lazy", "gtp-ls", "hat", "min-boxes", "multistart-ls", "random",
 }
 
 func TestRegistryNamesCompleteAndSorted(t *testing.T) {
@@ -155,11 +153,11 @@ func TestFallbackOptionsSatisfyWithoutRejecting(t *testing.T) {
 }
 
 func TestOptionMasksAndNames(t *testing.T) {
-	o := NewOptions(WithK(3), WithWorkers(2), FallbackSeed(9))
-	if o.Explicit() != OptK|OptWorkers {
+	o := NewOptions(WithK(3), WithRounds(2), FallbackSeed(9))
+	if o.Explicit() != OptK|OptRounds {
 		t.Fatalf("explicit mask %v", o.Explicit().Names())
 	}
-	if o.Provided() != OptK|OptWorkers|OptSeed {
+	if o.Provided() != OptK|OptRounds|OptSeed {
 		t.Fatalf("provided mask %v", o.Provided().Names())
 	}
 	names := (OptK | OptSeed | OptCapacity).Names()

@@ -239,8 +239,7 @@ func (d *dpRun) solveCtx(ctx context.Context, v graph.NodeID) (*dpTable, error) 
 }
 
 // solveNode computes the table of a single vertex whose children are
-// already solved. TreeDPParallel schedules it over the tree's
-// dependency DAG; the serial path drives it in post-order.
+// already solved; TreeDP drives it in post-order.
 func (d *dpRun) solveNode(v graph.NodeID) *dpTable {
 	children := d.t.Children(v)
 	// Children accumulator: acc[k][b] = min cost of the already-merged

@@ -484,6 +484,25 @@ func TestServeJobStreamNDJSON(t *testing.T) {
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad k status = %d, want 400", bad.StatusCode)
 	}
+
+	// An unregistered algorithm is a 400 naming it, before the body is
+	// decoded or a pool solve is spent.
+	solves := solvesTotal.Value()
+	unknown, err := http.Post(srv.URL+"/v1/jobs?algorithm=gtp-paralel", "application/x-ndjson", bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env errorEnvelope
+	if err := json.NewDecoder(unknown.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	unknown.Body.Close()
+	if unknown.StatusCode != http.StatusBadRequest || !strings.Contains(env.Error, "gtp-paralel") {
+		t.Fatalf("unknown algorithm: status = %d, error %q", unknown.StatusCode, env.Error)
+	}
+	if got := solvesTotal.Value(); got != solves {
+		t.Fatalf("unknown algorithm reached the pool: solves %d -> %d", solves, got)
+	}
 }
 
 // TestServeDrainWithInflightJobs: Close stops admission immediately

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"tdmd"
+	"tdmd/internal/placement"
 )
 
 // maxRequestBytes bounds every JSON POST body; problem specs at the
@@ -357,17 +358,31 @@ func makeSolveResponse(res tdmd.Result, problem *tdmd.Problem, elapsed float64) 
 	return resp
 }
 
+// resolveAlgorithm applies the default algorithm and rejects a name
+// the solver registry does not know. Callers resolve it before
+// building the problem (and, for streams, before decoding the body),
+// so an unknown name costs no build and no pool solve.
+func resolveAlgorithm(name string) (tdmd.Algorithm, error) {
+	if name == "" {
+		return tdmd.AlgGTP, nil
+	}
+	if _, ok := placement.Lookup(name); !ok {
+		return "", fmt.Errorf("unknown algorithm %q", name)
+	}
+	return tdmd.Algorithm(name), nil
+}
+
 // buildSubmission turns a decoded solveRequest into an engine
 // submission, applying the default algorithm and the tree
 // requirement check. On error the int is the HTTP status.
 func buildSubmission(req solveRequest) (Submission, int, error) {
+	alg, err := resolveAlgorithm(req.Algorithm)
+	if err != nil {
+		return Submission{}, http.StatusBadRequest, err
+	}
 	problem, err := req.Spec.Build()
 	if err != nil {
 		return Submission{}, http.StatusBadRequest, fmt.Errorf("building problem: %v", err)
-	}
-	alg := tdmd.Algorithm(req.Algorithm)
-	if alg == "" {
-		alg = tdmd.AlgGTP
 	}
 	if alg.NeedsTree() && problem.Tree() == nil {
 		return Submission{}, http.StatusBadRequest, fmt.Errorf("algorithm %s needs a spec with a root", alg)
@@ -603,6 +618,11 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 // streamSubmission builds a Submission from an NDJSON flow stream
 // plus query parameters. On error the int is the HTTP status.
 func (s *Server) streamSubmission(w http.ResponseWriter, r *http.Request) (Submission, int, error) {
+	q := r.URL.Query()
+	alg, err := resolveAlgorithm(q.Get("algorithm"))
+	if err != nil {
+		return Submission{}, http.StatusBadRequest, err
+	}
 	problem, err := tdmd.DecodeStream(http.MaxBytesReader(w, r.Body, s.cfg.MaxStreamBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
@@ -611,11 +631,6 @@ func (s *Server) streamSubmission(w http.ResponseWriter, r *http.Request) (Submi
 				fmt.Errorf("stream body exceeds %d bytes", tooLarge.Limit)
 		}
 		return Submission{}, http.StatusBadRequest, fmt.Errorf("decoding %s stream: %v", tdmd.StreamFormat, err)
-	}
-	q := r.URL.Query()
-	alg := tdmd.Algorithm(q.Get("algorithm"))
-	if alg == "" {
-		alg = tdmd.AlgGTP
 	}
 	if alg.NeedsTree() && problem.Tree() == nil {
 		return Submission{}, http.StatusBadRequest, fmt.Errorf("algorithm %s needs a stream with a root", alg)

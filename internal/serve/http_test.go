@@ -123,6 +123,20 @@ func TestServeSolveDefaultsAndErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("dp-without-root status = %d", resp.StatusCode)
 	}
+	// Unregistered algorithm -> 400 naming it, before any build or solve.
+	solves := solvesTotal.Value()
+	resp = post(t, srv, "/api/solve", solveRequest{Spec: fig1Spec(t), Algorithm: "gtp-paralel", K: 3})
+	var env errorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(env.Error, "gtp-paralel") {
+		t.Fatalf("unknown algorithm: status = %d, error %q", resp.StatusCode, env.Error)
+	}
+	if got := solvesTotal.Value(); got != solves {
+		t.Fatalf("unknown algorithm reached the pool: solves %d -> %d", solves, got)
+	}
 	// Malformed JSON -> 400.
 	r := postRaw(t, srv, "/api/solve", []byte("{nope"))
 	r.Body.Close()

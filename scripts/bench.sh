@@ -5,10 +5,9 @@
 #
 #   solver  BENCH_solver.json  ns/op, B/op and allocs/op for the paired
 #           solver benchmarks — the root package's FullVsIncremental
-#           pair, the netsim SnapState primitives, instance
-#           construction (BenchmarkNewInstance), and the parallel
-#           marginal scan (BenchmarkScanScores, -cpu 1 and 4 as
-#           separate rows) — all at |V|=200 / |F|≈1500.
+#           pair, the netsim SnapState primitives and instance
+#           construction (BenchmarkNewInstance) — all at
+#           |V|=200 / |F|≈1500.
 #   ingest  BENCH_ingest.json  the streaming-ingestion benchmarks
 #           (BenchmarkIngest*), including the million-flow scale row;
 #           bytes/flow (the wire format's per-flow cost) is gated

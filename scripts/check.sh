@@ -41,10 +41,11 @@ go test -tags tdmdinvariant ./internal/invariant/ ./internal/netsim/ ./internal/
 echo "==> cancellation hammer (race, 5 repetitions)"
 go test -tags tdmdinvariant -run Cancel -race -count=5 ./internal/placement/
 
-echo "==> parallel-scan race hammer (race, 5 repetitions)"
-# The parallel marginal scan and every *Parallel solver must stay
-# deterministic and data-race-free under repeated scheduling shuffles.
-go test -race -run 'Parallel|Scan' -count=5 ./internal/netsim/ ./internal/placement/
+echo "==> shared-instance race hammer (race, 5 repetitions)"
+# Concurrent solves on one read-only *netsim.Instance (the service's
+# pool does this on every shared problem) must stay deterministic and
+# data-race-free under repeated scheduling shuffles.
+go test -race -run Concurrent -count=5 ./internal/placement/
 
 echo "==> serve hammer (race, 5 repetitions)"
 # The service's admission paths — saturation rejection, request
