@@ -36,12 +36,14 @@ const (
 	SourceCache Source = "cache"
 )
 
-// Outcome is a finished submission: the solve's result or error, and
-// how it was obtained.
+// Outcome is a finished submission: the solve's result or error, how
+// it was obtained, and when it settled — when the solve returned, or
+// when a cache replay was issued.
 type Outcome struct {
-	Result tdmd.Result
-	Err    error
-	Source Source
+	Result   tdmd.Result
+	Err      error
+	Source   Source
+	Finished time.Time
 }
 
 // Incumbent is a best-so-far feasible plan snapshot captured from a
@@ -116,9 +118,9 @@ func NewEngine(cfg EngineConfig) *Engine {
 }
 
 // flight is one running (or queued) solve plus everything its waiters
-// share. res/err are written once before done closes; readers go
-// through the channel, so no lock guards them. waiters is guarded by
-// the engine mutex.
+// share. res/err/finished are written once before done closes; readers
+// go through the channel, so no lock guards them. waiters is guarded
+// by the engine mutex.
 type flight struct {
 	eng       *Engine
 	fp        Fingerprint
@@ -128,6 +130,7 @@ type flight struct {
 	done      chan struct{}
 	res       tdmd.Result
 	err       error
+	finished  time.Time
 	running   atomic.Bool
 	incumbent atomic.Pointer[Incumbent]
 	waiters   int
@@ -145,7 +148,7 @@ func (e *Engine) Submit(sub Submission) (*Ticket, error) {
 	}
 	if res, ok := e.cache.get(fp); ok {
 		cacheHitsTotal.Inc()
-		return &Ticket{outcome: &Outcome{Result: res, Source: SourceCache}}, nil
+		return &Ticket{outcome: &Outcome{Result: res, Source: SourceCache, Finished: time.Now()}}, nil
 	}
 	if fl := e.inflight[fp]; fl != nil {
 		fl.waiters++
@@ -201,6 +204,11 @@ func (fl *flight) run() {
 // cache complete solves, then release the waiters. Interrupted
 // results are never cached — a best-so-far plan under one budget must
 // not masquerade as the full answer to a later identical request.
+//
+// A finished flight stays reachable from every unreleased Ticket (an
+// async job holds one until eviction), so it keeps only the answer:
+// the problem, the incumbent snapshot and the context's registration
+// with the engine's base context are all dropped before done closes.
 func (fl *flight) finish(res tdmd.Result, err error) {
 	e := fl.eng
 	e.mu.Lock()
@@ -211,8 +219,17 @@ func (fl *flight) finish(res tdmd.Result, err error) {
 		e.cache.put(fl.fp, res)
 	}
 	e.mu.Unlock()
-	fl.res, fl.err = res, err
+	fl.res, fl.err, fl.finished = res, err, time.Now()
+	fl.sub = Submission{}
+	fl.incumbent.Store(nil)
+	fl.cancel()
 	close(fl.done)
+}
+
+// outcome packages the published result; only valid once done is
+// closed.
+func (fl *flight) outcome(src Source) Outcome {
+	return Outcome{Result: fl.res, Err: fl.err, Source: src, Finished: fl.finished}
 }
 
 // Ticket is one waiter's handle on a submission. Wait blocks for the
@@ -243,7 +260,7 @@ func (t *Ticket) Wait(ctx context.Context) (Outcome, error) {
 	}
 	select {
 	case <-t.fl.done:
-		return Outcome{Result: t.fl.res, Err: t.fl.err, Source: t.source}, nil
+		return t.fl.outcome(t.source), nil
 	case <-ctx.Done():
 		return Outcome{}, ctx.Err()
 	}
@@ -257,7 +274,7 @@ func (t *Ticket) Outcome() (Outcome, bool) {
 	}
 	select {
 	case <-t.fl.done:
-		return Outcome{Result: t.fl.res, Err: t.fl.err, Source: t.source}, true
+		return t.fl.outcome(t.source), true
 	default:
 		return Outcome{}, false
 	}
@@ -279,7 +296,7 @@ func (t *Ticket) Running() bool {
 
 // Incumbent returns the latest best-so-far snapshot from the running
 // solve, or nil when the solver has not reported one (cache hits,
-// queued flights, non-anytime algorithms).
+// queued or finished flights, non-anytime algorithms).
 func (t *Ticket) Incumbent() *Incumbent {
 	if t.fl == nil {
 		return nil

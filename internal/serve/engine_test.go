@@ -717,8 +717,25 @@ func (lockProbeSolver) Solve(ctx context.Context, _ *netsim.Instance, _ placemen
 	placement.EmitIncumbent(ctx, netsim.NewPlan(0), 7)
 	if e := lockProbeEng.Load(); e != nil {
 		_ = e.CacheLen()
+		lockProbeSaw.Store(inflightIncumbent(e))
 	}
 	return placement.Result{Plan: netsim.NewPlan(0), Bandwidth: 7, Feasible: true}, nil
+}
+
+// lockProbeSaw is the incumbent the lock-probe solver found on its
+// in-flight flight right after emitting: the snapshot is only kept
+// while the solve runs, so it is read from inside the solve.
+var lockProbeSaw atomic.Pointer[Incumbent]
+
+// inflightIncumbent returns the incumbent of the engine's single
+// in-flight flight, or nil.
+func inflightIncumbent(e *Engine) *Incumbent {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, fl := range e.inflight {
+		return fl.incumbent.Load()
+	}
+	return nil
 }
 
 func init() { placement.Register(lockProbeSolver{}) }
@@ -822,6 +839,7 @@ func TestServeNoLockHeldAcrossEmitIncumbent(t *testing.T) {
 	e := testEngine(t, EngineConfig{Workers: 1, Queue: 2})
 	lockProbeEng.Store(e)
 	defer lockProbeEng.Store(nil)
+	lockProbeSaw.Store(nil)
 
 	p, err := lineSpec(31).Build()
 	if err != nil {
@@ -841,7 +859,7 @@ func TestServeNoLockHeldAcrossEmitIncumbent(t *testing.T) {
 	if out.Err != nil {
 		t.Fatalf("solve: %v", out.Err)
 	}
-	if inc := tk.Incumbent(); inc == nil || inc.Bandwidth != 7 {
+	if inc := lockProbeSaw.Load(); inc == nil || inc.Bandwidth != 7 {
 		t.Fatalf("incumbent after emit = %+v", inc)
 	}
 }

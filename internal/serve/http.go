@@ -340,14 +340,14 @@ type solveResponse struct {
 	Interrupted bool `json:"interrupted,omitempty"`
 }
 
-func makeSolveResponse(res tdmd.Result, problem *tdmd.Problem, elapsed float64) solveResponse {
+func makeSolveResponse(res tdmd.Result, rawDemand, elapsed float64) solveResponse {
 	resp := solveResponse{
 		// An explicit empty slice: "no boxes deployed" marshals as [],
 		// never null, so clients can range without a nil check.
 		Plan:        []int{},
 		Bandwidth:   res.Bandwidth,
 		Feasible:    res.Feasible,
-		RawDemand:   problem.Instance().RawDemand(),
+		RawDemand:   rawDemand,
 		ElapsedMS:   elapsed,
 		Optimal:     res.Optimal,
 		Interrupted: res.Interrupted != nil,
@@ -450,7 +450,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	rec.interrupted = out.Result.Interrupted != nil
 	w.Header().Set("X-Tdmd-Solve", string(out.Source))
-	writeJSON(w, makeSolveResponse(out.Result, sub.Problem, sc.elapsedMS()))
+	writeJSON(w, makeSolveResponse(out.Result, sub.Problem.Instance().RawDemand(), sc.elapsedMS()))
 }
 
 // evaluateRequest is the /api/evaluate payload.
@@ -531,22 +531,31 @@ type jobResponse struct {
 	Error     string         `json:"error,omitempty"`
 }
 
+// jobJSON renders a job. elapsed_ms runs from creation to the
+// outcome once the solve has settled, so every poll of a finished job
+// returns the same body.
 func (s *Server) jobJSON(j *Job) jobResponse {
+	// State first: once it reads done or failed, the outcome below is
+	// settled too.
+	state := j.State()
+	out, settled := j.Ticket.Outcome()
+	end := time.Now()
+	if settled {
+		end = out.Finished
+	}
 	resp := jobResponse{
 		ID:        j.ID,
-		State:     j.State(),
-		Algorithm: string(j.Sub.Algorithm),
-		K:         j.Sub.K,
-		ElapsedMS: elapsedMS(j.Created),
+		State:     state,
+		Algorithm: string(j.Algorithm),
+		K:         j.K,
+		ElapsedMS: float64(end.Sub(j.Created).Microseconds()) / 1000,
 	}
 	switch resp.State {
 	case JobDone:
-		out, _ := j.Ticket.Outcome()
 		resp.Source = out.Source
-		res := makeSolveResponse(out.Result, j.Sub.Problem, resp.ElapsedMS)
+		res := makeSolveResponse(out.Result, j.RawDemand, resp.ElapsedMS)
 		resp.Result = &res
 	case JobFailed:
-		out, _ := j.Ticket.Outcome()
 		resp.Source = out.Source
 		resp.Error = out.Err.Error()
 	case JobRunning:
@@ -597,11 +606,12 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	rec.algorithm, rec.k = string(sub.Algorithm), sub.K
 
+	created := time.Now()
 	ticket := s.submit(w, sc, sub)
 	if ticket == nil {
 		return
 	}
-	job := &Job{ID: newJobID(), Sub: sub, Ticket: ticket, Created: time.Now()}
+	job := newJob(sub, ticket, created)
 	if err := s.jobs.Add(job); err != nil {
 		ticket.Release()
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
@@ -662,7 +672,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec := record(r.Context())
-	rec.algorithm, rec.k = string(job.Sub.Algorithm), job.Sub.K
+	rec.algorithm, rec.k = string(job.Algorithm), job.K
 	writeJSON(w, s.jobJSON(job))
 }
 

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"tdmd"
 )
 
 // ErrJobsFull is returned when the job store is at capacity and every
@@ -27,16 +29,33 @@ const (
 	JobCanceled JobState = "canceled"
 )
 
-// Job is one async solve: a ticket on the engine plus the submission
-// context needed to render responses. Jobs hold no goroutines and no
-// timers — state is derived on demand from the flight, so a store
-// full of finished jobs costs only memory.
+// Job is one async solve: a ticket on the engine plus the labels its
+// responses render, read from the submission once at creation. A job
+// never holds the problem, so a finished job costs its answer, not its
+// flow set. Jobs hold no goroutines and no timers — state is derived
+// on demand from the flight.
 type Job struct {
-	ID       string
-	Sub      Submission
-	Ticket   *Ticket
-	Created  time.Time
-	canceled atomic.Bool
+	ID        string
+	Algorithm tdmd.Algorithm
+	K         int
+	RawDemand float64
+	Ticket    *Ticket
+	Created   time.Time
+	canceled  atomic.Bool
+}
+
+// newJob wraps an admitted submission's ticket. created is taken
+// before admission, so a cache replay never settles before its job
+// was created.
+func newJob(sub Submission, ticket *Ticket, created time.Time) *Job {
+	return &Job{
+		ID:        newJobID(),
+		Algorithm: sub.Algorithm,
+		K:         sub.K,
+		RawDemand: sub.Problem.Instance().RawDemand(),
+		Ticket:    ticket,
+		Created:   created,
+	}
 }
 
 // State derives the job's lifecycle phase from its flight.

@@ -2,10 +2,11 @@
 # check.sh — the repository's single verification entry point.
 #
 # Runs the full tier-1 gate: formatting, go vet, build, tests with the
-# race detector, the invariant-tagged test builds, a repeated
-# race-enabled run of the solver-cancellation tests, a short fuzz
-# smoke on every fuzz target, and the project-specific static
-# analyzers (cmd/tdmdlint). Exits non-zero on the first failure.
+# race detector, the perfbench module's unit tests, the invariant-tagged
+# test builds, a repeated race-enabled run of the solver-cancellation
+# tests, a short fuzz smoke on every fuzz target, and the
+# project-specific static analyzers (cmd/tdmdlint). Exits non-zero on
+# the first failure.
 #
 # The script is offline and idempotent: it needs only the go toolchain
 # and the module's own source (the module has no external
@@ -34,6 +35,12 @@ go build ./...
 
 echo "==> go test -race"
 go test -race ./...
+
+echo "==> perfbench unit tests"
+# perfbench is a nested module, so the root ./... above never reaches
+# it; its tests (percentiles, rate windows, the answer checker) are
+# offline and take seconds.
+go -C perfbench test ./...
 
 echo "==> invariant-tagged tests"
 go test -tags tdmdinvariant ./internal/invariant/ ./internal/netsim/ ./internal/placement/
