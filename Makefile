@@ -54,9 +54,10 @@ bench:
 # Benchmark snapshots (BENCH_solver.json + BENCH_ingest.json +
 # BENCH_serve.json): bench-snap rewrites all three from a fresh run,
 # bench-check gates allocs/op — and, for the ingest suite, bytes/flow —
-# against them; the serve suite's latency quantiles and rejection rate
-# are recorded informationally (DESIGN.md "Allocation discipline",
-# "Streaming ingestion" and "Service architecture").
+# against them. The serve suite is two single-request rows (a plan-cache
+# hit and a fresh solve) and also runs in scripts/check.sh (DESIGN.md
+# "Allocation discipline", "Streaming ingestion" and "Service
+# architecture").
 bench-snap:
 	scripts/bench.sh -update all
 

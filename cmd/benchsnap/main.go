@@ -4,12 +4,11 @@
 // FullVsIncremental pair and the netsim SnapState primitives, all at
 // |V|=200 / |F|≈1500 — "ingest" (BENCH_ingest.json) runs the
 // streaming-ingestion benchmarks including the million-flow scale
-// row, and "serve" (BENCH_serve.json) drives an in-process placement
-// service through the full HTTP stack (cmd/tdmdload's
-// BenchmarkServeLoad) and records its latency quantiles and rejection
-// rate. Each suite goes through `go test -bench` and its ns/op, B/op,
-// allocs/op and any custom metrics (bytes/flow, p50_ms/p99_ms/
-// reject_rate) are parsed out.
+// row, and "serve" (BENCH_serve.json) sends single /api/solve requests
+// through the placement service's HTTP handler (internal/serve's
+// BenchmarkServeSolve: one cache hit, one fresh solve). Each suite
+// goes through `go test -bench` and its ns/op, B/op, allocs/op and
+// the custom bytes/flow metric are parsed out.
 //
 //	benchsnap -update                 rewrite the snapshot from a fresh run
 //	benchsnap -check                  compare a fresh run against the snapshot
@@ -20,9 +19,7 @@
 // lost preallocation) shows up as a count increase far above the
 // tolerance (default 25% + 3 allocs, for b.N-amortized setup noise),
 // and bytes/flow is a property of the wire format, not the machine.
-// ns/op depends on the machine and is reported for information only,
-// as are the serve suite's latency quantiles and rejection rate —
-// wall-clock service latency on a shared box is too noisy to gate.
+// ns/op depends on the machine and is reported for information only.
 // A benchmark missing from either side fails the check: the snapshot
 // is regenerated deliberately with -update, reviewed like any other
 // checked-in change (the same policy as the lint and escape
@@ -64,8 +61,8 @@ type suiteSet struct {
 // historical solver-core set; "ingest" is the streaming-ingestion set
 // (BenchmarkIngest* in the root package, including the million-flow
 // scale row), whose bytes/flow metric is gated alongside allocs/op;
-// "serve" is the end-to-end service load benchmark, whose latency
-// quantiles and rejection rate are recorded informationally.
+// "serve" is the single-request service path, cache hit and fresh
+// solve.
 var suiteSets = map[string]suiteSet{
 	"solver": {file: "BENCH_solver.json", suites: []Suite{
 		{Pkg: ".", Pattern: "BenchmarkFullVsIncremental"},
@@ -76,26 +73,20 @@ var suiteSets = map[string]suiteSet{
 		{Pkg: ".", Pattern: "BenchmarkIngest"},
 	}},
 	"serve": {file: "BENCH_serve.json", suites: []Suite{
-		{Pkg: "./cmd/tdmdload", Pattern: "BenchmarkServeLoad"},
+		{Pkg: "./internal/serve", Pattern: "BenchmarkServeSolve"},
 	}},
 }
 
 // Entry is one benchmark's recorded metrics. BytesFlow is the custom
 // bytes/flow metric the ingestion benchmarks report (on-disk bytes per
-// encoded flow); P50MS/P99MS/RejectRate are the serve load suite's
-// latency quantiles and 429 rate (informational, never gated — see the
-// package comment); all custom metrics are zero for benchmarks that
-// don't emit them.
+// encoded flow); it is zero for benchmarks that don't emit it.
 type Entry struct {
-	Pkg        string  `json:"pkg"`
-	Name       string  `json:"name"`
-	NsOp       float64 `json:"ns_op"`
-	BOp        float64 `json:"b_op"`
-	AllocsOp   float64 `json:"allocs_op"`
-	BytesFlow  float64 `json:"bytes_flow,omitempty"`
-	P50MS      float64 `json:"p50_ms,omitempty"`
-	P99MS      float64 `json:"p99_ms,omitempty"`
-	RejectRate float64 `json:"reject_rate,omitempty"`
+	Pkg       string  `json:"pkg"`
+	Name      string  `json:"name"`
+	NsOp      float64 `json:"ns_op"`
+	BOp       float64 `json:"b_op"`
+	AllocsOp  float64 `json:"allocs_op"`
+	BytesFlow float64 `json:"bytes_flow,omitempty"`
 }
 
 // Snapshot is the BENCH_solver.json document.
@@ -233,12 +224,6 @@ func parseBench(pkg, output string) ([]Entry, error) {
 				e.AllocsOp = val
 			case "bytes/flow":
 				e.BytesFlow = val
-			case "p50_ms":
-				e.P50MS = val
-			case "p99_ms":
-				e.P99MS = val
-			case "reject_rate":
-				e.RejectRate = val
 			}
 		}
 		out = append(out, e)
@@ -288,12 +273,6 @@ func compare(w io.Writer, cur, snap Snapshot, tolRel, tolAbs float64) int {
 			status, got.Name, want.AllocsOp, got.AllocsOp, limit, want.NsOp, got.NsOp)
 		if want.BytesFlow > 0 || got.BytesFlow > 0 {
 			fmt.Fprintf(w, "   bytes/flow %6.1f -> %6.1f", want.BytesFlow, got.BytesFlow)
-		}
-		// Service latency and rejection rate are machine- and
-		// load-dependent: shown for the record, never gated.
-		if want.P99MS > 0 || got.P99MS > 0 {
-			fmt.Fprintf(w, "   p50/p99 ms %.2f/%.2f -> %.2f/%.2f (info)   reject %.3f -> %.3f (info)",
-				want.P50MS, want.P99MS, got.P50MS, got.P99MS, want.RejectRate, got.RejectRate)
 		}
 		fmt.Fprintln(w)
 	}

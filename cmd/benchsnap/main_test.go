@@ -193,29 +193,34 @@ func TestParseBenchBytesFlow(t *testing.T) {
 	}
 }
 
-// The serve load benchmark reports latency quantiles and a rejection
-// rate; they must land in their own informational columns.
+// The serve suite's rows are sub-benchmarks: each keeps its own name
+// (minus the GOMAXPROCS suffix) and gates its own allocs/op. A custom
+// unit outside the snapshot schema is dropped, not misread.
 func TestParseBenchServeMetrics(t *testing.T) {
-	const out = `BenchmarkServeLoad-8   	     266	   4164962 ns/op	         4.100 p50_ms	        12.70 p99_ms	         0.1950 reject_rate	  105619 B/op	     690 allocs/op
+	const out = `BenchmarkServeSolve/hit-2         	     217	   5440849 ns/op	  910316 B/op	    8377 allocs/op
+BenchmarkServeSolve/fresh-2       	     164	   6955253 ns/op	         3.000 widgets/op	  978867 B/op	    8342 allocs/op
 `
-	got, err := parseBench("./cmd/tdmdload", out)
+	got, err := parseBench("./internal/serve", out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 {
-		t.Fatalf("parsed %d entries, want 1: %v", len(got), got)
+	if len(got) != 2 {
+		t.Fatalf("parsed %d entries, want 2: %v", len(got), got)
 	}
-	e := got[0]
-	if e.P50MS != 4.1 || e.P99MS != 12.7 || e.RejectRate != 0.195 {
-		t.Fatalf("serve metrics not parsed: %+v", e)
+	want := []Entry{
+		{Pkg: "./internal/serve", Name: "BenchmarkServeSolve/hit", NsOp: 5440849, BOp: 910316, AllocsOp: 8377},
+		{Pkg: "./internal/serve", Name: "BenchmarkServeSolve/fresh", NsOp: 6955253, BOp: 978867, AllocsOp: 8342},
 	}
-	// Informational only: a latency or rejection shift alone must not
-	// fail the check.
-	base := snapOf(Entry{Pkg: e.Pkg, Name: e.Name, AllocsOp: e.AllocsOp,
-		P50MS: 0.5, P99MS: 1.0, RejectRate: 0.01})
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("entry %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	// An allocation regression on one row fails the check by itself.
+	grown := snapOf(want[0], Entry{Pkg: want[1].Pkg, Name: want[1].Name, AllocsOp: 11000})
 	var outBuf strings.Builder
-	if problems := compare(&outBuf, snapOf(e), base, 0.25, 3); problems != 0 {
-		t.Fatalf("latency shift gated (%d problems):\n%s", problems, outBuf.String())
+	if problems := compare(&outBuf, grown, snapOf(want...), 0.25, 3); problems != 1 {
+		t.Fatalf("fresh-row regression = %d problems, want 1:\n%s", problems, outBuf.String())
 	}
 }
 

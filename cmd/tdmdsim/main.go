@@ -22,22 +22,40 @@ import (
 )
 
 func main() {
-	var (
-		specPath = flag.String("spec", "", "path to a JSON problem spec (default: stdin)")
-		algName  = flag.String("alg", string(tdmd.AlgGTP), "placement algorithm")
-		k        = flag.Int("k", 10, "middlebox budget")
-		horizon  = flag.Float64("horizon", 1000, "simulated duration")
-		rate     = flag.Float64("rate", 1.0, "Poisson flow arrival rate")
-		dur      = flag.Float64("dur", 5.0, "mean flow duration (exponential)")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-	)
-	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *specPath, tdmd.Algorithm(*algName), *k, *horizon, *rate, *dur, *seed, os.Stdout); err != nil {
+	if err := runArgs(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "tdmdsim:", err)
 		os.Exit(1)
 	}
+}
+
+// runArgs parses the command line and runs the simulation. As in
+// cmd/tdmd, the default -k only applies to algorithms that consume a
+// budget; an explicit -k is always forwarded so mismatches surface as
+// errors instead of being silently dropped.
+func runArgs(ctx context.Context, args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("tdmdsim", flag.ExitOnError)
+	var (
+		specPath = fs.String("spec", "", "path to a JSON problem spec (default: stdin)")
+		algName  = fs.String("alg", string(tdmd.AlgGTP), "placement algorithm")
+		k        = fs.Int("k", 10, "middlebox budget")
+		horizon  = fs.Float64("horizon", 1000, "simulated duration")
+		rate     = fs.Float64("rate", 1.0, "Poisson flow arrival rate")
+		dur      = fs.Float64("dur", 5.0, "mean flow duration (exponential)")
+		seed     = fs.Int64("seed", 1, "simulation seed, also the seed for randomized algorithms")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	alg := tdmd.Algorithm(*algName)
+	solveK := *k
+	kExplicit := false
+	fs.Visit(func(f *flag.Flag) { kExplicit = kExplicit || f.Name == "k" })
+	if !kExplicit && !alg.Budgeted() {
+		solveK = 0
+	}
+	return run(ctx, *specPath, alg, solveK, *horizon, *rate, *dur, *seed, out)
 }
 
 func run(ctx context.Context, specPath string, alg tdmd.Algorithm, k int, horizon, rate, dur float64, seed int64, out io.Writer) error {
@@ -50,7 +68,7 @@ func run(ctx context.Context, specPath string, alg tdmd.Algorithm, k int, horizo
 		defer f.Close()
 		r = f
 	}
-	spec, err := tdmd.DecodeSpec(r)
+	spec, err := tdmd.DecodeSpecStrict(r)
 	if err != nil {
 		return err
 	}
@@ -58,6 +76,7 @@ func run(ctx context.Context, specPath string, alg tdmd.Algorithm, k int, horizo
 	if err != nil {
 		return err
 	}
+	problem.WithSeed(seed)
 	res, err := problem.Solve(ctx, alg, k)
 	if err != nil {
 		return err

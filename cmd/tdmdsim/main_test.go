@@ -55,3 +55,46 @@ func TestRunBadInputs(t *testing.T) {
 		t.Fatal("negative horizon accepted")
 	}
 }
+
+// A misspelled spec field is an error, as in cmd/tdmd: decoded
+// leniently, "lamda" would silently solve with λ = 0.
+func TestRunRejectsUnknownSpecField(t *testing.T) {
+	data, err := os.ReadFile(specFile(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	typo := bytes.Replace(data, []byte(`"lambda"`), []byte(`"lamda"`), 1)
+	if bytes.Equal(typo, data) {
+		t.Fatal("spec has no lambda field to misspell")
+	}
+	path := filepath.Join(t.TempDir(), "typo.json")
+	if err := os.WriteFile(path, typo, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err = runArgs(context.Background(), []string{"-spec", path}, &out)
+	if err == nil || !strings.Contains(err.Error(), `unknown field "lamda"`) {
+		t.Fatalf("misspelled field: err = %v, want unknown field \"lamda\"", err)
+	}
+}
+
+// The default flags must suit every algorithm: randomized ones are
+// seeded from -seed, and unbudgeted ones do not get the default -k.
+func TestRunDefaultFlagsEveryAlgorithmKind(t *testing.T) {
+	path := specFile(t)
+	for _, alg := range []tdmd.Algorithm{tdmd.AlgRandom, tdmd.AlgGTPLazy} {
+		var out bytes.Buffer
+		if err := runArgs(context.Background(), []string{"-spec", path, "-alg", string(alg)}, &out); err != nil {
+			t.Fatalf("%s with default flags: %v", alg, err)
+		}
+		if !strings.Contains(out.String(), "arrivals:") {
+			t.Fatalf("%s: output missing arrivals:\n%s", alg, out.String())
+		}
+	}
+	// An explicit -k still reaches an unbudgeted algorithm and is
+	// rejected there rather than silently dropped.
+	var out bytes.Buffer
+	if err := runArgs(context.Background(), []string{"-spec", path, "-alg", string(tdmd.AlgGTPLazy), "-k", "3"}, &out); err == nil {
+		t.Fatal("explicit -k accepted by an unbudgeted algorithm")
+	}
+}

@@ -26,10 +26,9 @@ var boundaryAllow = map[string][]string{
 	"cmd/topogen":  {"internal/experiments"},
 	"cmd/tdmdlint": {"internal/lint", "internal/lint/escape"}, // the lint driver is the internal tool
 	// The service runtime (pool, engine, job store) is operational
-	// machinery, not modeling API; the serve binary and its load
-	// generator wire it up directly.
+	// machinery, not modeling API; the serve binary wires it up
+	// directly.
 	"cmd/tdmdserve": {"internal/serve"},
-	"cmd/tdmdload":  {"internal/serve"},
 }
 
 func runInternalBoundary(p *Package) []Finding {

@@ -126,10 +126,14 @@ func asyncPost(t *testing.T, srv *httptest.Server, path string, body interface{}
 
 // TestServeSaturation429RetryAfter: with one worker parked and the
 // one-slot queue occupied, the next submission is rejected with 429
-// and a Retry-After hint instead of queueing unboundedly.
+// and a Retry-After hint instead of queueing unboundedly; a job that
+// finds the job store full of unfinished jobs gets the same answer.
+// The 300 ms backoff rounds up to "1": "0" would mean retry at once.
 func TestServeSaturation429RetryAfter(t *testing.T) {
+	_, srv := testServer(t, Config{Workers: 1, Queue: 1, MaxJobs: 1, RetryAfter: 300 * time.Millisecond})
+	// Created second, so its cleanup releases the parked solves before
+	// srv.Close waits on them, and a failed check cannot hang the test.
 	ctl := newBlockCtl(t)
-	_, srv := testServer(t, Config{Workers: 1, Queue: 1, RetryAfter: 3 * time.Second})
 
 	first := asyncPost(t, srv, "/api/solve", blockReq(1))
 	ctl.waitStarted(t) // worker is parked; queue is empty
@@ -142,8 +146,8 @@ func TestServeSaturation429RetryAfter(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated status = %d, want 429", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "3" {
-		t.Fatalf("Retry-After = %q, want \"3\"", got)
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", got)
 	}
 	var env errorEnvelope
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
@@ -151,6 +155,22 @@ func TestServeSaturation429RetryAfter(t *testing.T) {
 	}
 	if !strings.Contains(env.Error, "retry") {
 		t.Fatalf("429 envelope %q does not mention retrying", env.Error)
+	}
+
+	// Jobs for the two in-flight problems coalesce past the full queue;
+	// the first fills the one-job store, so the second is refused.
+	job := post(t, srv, "/v1/jobs", blockReq(1))
+	job.Body.Close()
+	if job.StatusCode != http.StatusAccepted {
+		t.Fatalf("job status = %d, want 202", job.StatusCode)
+	}
+	full := post(t, srv, "/v1/jobs", blockReq(2))
+	defer full.Body.Close()
+	if full.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("job-store-full status = %d, want 429", full.StatusCode)
+	}
+	if got := full.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("job-store-full Retry-After = %q, want \"1\"", got)
 	}
 
 	ctl.releaseAll()

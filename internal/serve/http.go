@@ -402,7 +402,7 @@ func (s *Server) submit(w http.ResponseWriter, sc *reqScope, sub Submission) *Ti
 	ticket, err := s.eng.Submit(sub)
 	switch {
 	case errors.Is(err, ErrSaturated):
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
+		s.setRetryAfter(w)
 		sc.httpError(w, http.StatusTooManyRequests,
 			"solve queue is full; retry after %s", s.cfg.RetryAfter)
 		return nil
@@ -414,6 +414,14 @@ func (s *Server) submit(w http.ResponseWriter, sc *reqScope, sub Submission) *Ti
 		return nil
 	}
 	return ticket
+}
+
+// setRetryAfter sets the 429 backoff hint in whole seconds, rounded
+// up. withDefaults keeps RetryAfter positive, so a sub-second backoff
+// sends 1 rather than 0, which would tell clients to retry at once.
+func (s *Server) setRetryAfter(w http.ResponseWriter) {
+	secs := (s.cfg.RetryAfter + time.Second - 1) / time.Second
+	w.Header().Set("Retry-After", strconv.FormatInt(int64(secs), 10))
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -614,7 +622,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	job := newJob(sub, ticket, created)
 	if err := s.jobs.Add(job); err != nil {
 		ticket.Release()
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
+		s.setRetryAfter(w)
 		sc.httpError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}

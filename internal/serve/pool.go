@@ -2,8 +2,9 @@
 // a bounded worker pool with admission control, a single-flight solve
 // engine with a fingerprint-keyed plan cache, an async job store, and
 // the HTTP layer that exposes them. cmd/tdmdserve wires flags and
-// sockets around it; cmd/tdmdload drives it in-process for load
-// benchmarks. See DESIGN.md §12 "Service architecture".
+// sockets around it; BenchmarkServeSolve drives single requests
+// through Server.Mux in-process, and perfbench/ load-tests the built
+// binary. See DESIGN.md §12 "Service architecture".
 package serve
 
 import (

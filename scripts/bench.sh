@@ -13,13 +13,13 @@
 #           bytes/flow (the wire format's per-flow cost) is gated
 #           alongside allocs/op. The ingest check also runs the
 #           million-flow end-to-end scale test (TDMD_SCALE=1) first.
-#   serve   BENCH_serve.json   the end-to-end service load benchmark
-#           (cmd/tdmdload BenchmarkServeLoad): 16 clients against a
-#           2-worker in-process server, recording p50/p99 latency and
-#           the 429 rejection rate. Latency and rejection numbers are
-#           informational; only allocs/op is gated.
+#   serve   BENCH_serve.json   single /api/solve requests through the
+#           service's HTTP handler (internal/serve BenchmarkServeSolve)
+#           on a |V|=200 / |F|=1500 gtp-lazy problem: one plan-cache
+#           hit and one fresh solve. Only allocs/op is gated. It takes
+#           seconds, so scripts/check.sh runs its check on every change.
 #
-# Both snapshots are checked in, so the repository's performance
+# All three snapshots are checked in, so the repository's performance
 # trajectory is reviewable history rather than folklore.
 #
 # Usage: scripts/bench.sh [suite]           rewrite the snapshot(s)

@@ -4,9 +4,9 @@
 # Runs the full tier-1 gate: formatting, go vet, build, tests with the
 # race detector, the perfbench module's unit tests, the invariant-tagged
 # test builds, a repeated race-enabled run of the solver-cancellation
-# tests, a short fuzz smoke on every fuzz target, and the
-# project-specific static analyzers (cmd/tdmdlint). Exits non-zero on
-# the first failure.
+# tests, a short fuzz smoke on every fuzz target, the project-specific
+# static analyzers (cmd/tdmdlint) and the request-path allocation gate
+# (BENCH_serve.json). Exits non-zero on the first failure.
 #
 # The script is offline and idempotent: it needs only the go toolchain
 # and the module's own source (the module has no external
@@ -89,5 +89,11 @@ echo "==> observability (observer identity + exposition, race)"
 go test -race ./internal/obs/
 go test -race -run 'Observer|Metrics|Cache' \
     ./internal/placement/ ./internal/netsim/ ./internal/serve/
+
+echo "==> request-path allocation gate (BENCH_serve.json)"
+# Two single-request rows (a plan-cache hit and a fresh solve) that run
+# in seconds, so every change is checked against the snapshot's
+# allocs/op, not only the nightly benchmark job.
+scripts/bench.sh -check serve
 
 echo "OK: all checks passed"
