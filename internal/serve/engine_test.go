@@ -525,6 +525,87 @@ func TestServeJobStreamNDJSON(t *testing.T) {
 	}
 }
 
+// postNDJSON sends body as an NDJSON job through the server's mux and
+// returns the status and the error envelope's message.
+func postNDJSON(t *testing.T, s *Server, query string, body []byte) (int, string) {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs?"+query, bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	rec := httptest.NewRecorder()
+	s.Mux().ServeHTTP(rec, req)
+	var env errorEnvelope
+	if rec.Code != http.StatusAccepted {
+		if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
+			t.Fatalf("status %d body is not the JSON envelope: %v", rec.Code, err)
+		}
+	}
+	return rec.Code, env.Error
+}
+
+// TestServeJobStreamBadQueryBeforeDecode: a malformed k or seed is a
+// 400 naming the parameter, decided before the body is read — even a
+// body that is not JSON at all, and without ingesting a valid one.
+func TestServeJobStreamBadQueryBeforeDecode(t *testing.T) {
+	s, _ := testServer(t, Config{Workers: 1, Queue: 1})
+	var valid bytes.Buffer
+	w, err := tdmd.NewFlowStreamWriter(&valid, tdmd.StreamHeader{
+		Nodes: []string{"a", "b"}, Edges: [][2]int{{0, 1}}, Lambda: 0.5, Root: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Add(1, tdmd.Path{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ query, want string }{
+		{"algorithm=gtp&k=lots", "query parameter k"},
+		{"algorithm=gtp&k=2&seed=x", "query parameter seed"},
+	} {
+		for _, body := range [][]byte{[]byte("not json"), valid.Bytes()} {
+			before := countSeries(t, "tdmd_ingest_flows_total")
+			code, msg := postNDJSON(t, s, tc.query, body)
+			if code != http.StatusBadRequest || !strings.Contains(msg, tc.want) {
+				t.Errorf("%s with body %.8q: status %d, error %q; want 400 naming %q", tc.query, body, code, msg, tc.want)
+			}
+			if after := countSeries(t, "tdmd_ingest_flows_total"); after != before {
+				t.Errorf("%s with body %.8q: ingested flows %d -> %d before rejecting", tc.query, body, before, after)
+			}
+		}
+	}
+}
+
+// TestServeJobStreamTooLarge413: a stream whose flow tail crosses
+// MaxStreamBytes is a 413 envelope naming the limit, not a decode 400.
+func TestServeJobStreamTooLarge413(t *testing.T) {
+	const limit = 1 << 17
+	s, _ := testServer(t, Config{Workers: 1, Queue: 1, MaxStreamBytes: limit})
+	var buf bytes.Buffer
+	w, err := tdmd.NewFlowStreamWriter(&buf, tdmd.StreamHeader{
+		Nodes: []string{"a", "b", "c"}, Edges: [][2]int{{0, 1}, {1, 2}}, Lambda: 0.5, Root: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20000; i++ {
+		if err := w.Add(1+i%7, tdmd.Path{0, 1, 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if header := bytes.IndexByte(buf.Bytes(), '\n'); header >= limit || buf.Len() <= limit {
+		t.Fatalf("fixture must cross the cap inside the flow tail: header %d bytes, stream %d", header, buf.Len())
+	}
+	code, msg := postNDJSON(t, s, "algorithm=gtp&k=1", buf.Bytes())
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, fmt.Sprint(limit)) {
+		t.Fatalf("oversize stream: status %d, error %q; want 413 naming %d", code, msg, limit)
+	}
+}
+
 // TestServeDrainWithInflightJobs: Close stops admission immediately
 // (new solves 503) but in-flight jobs run to completion and keep
 // their results pollable.

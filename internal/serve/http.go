@@ -641,19 +641,9 @@ func (s *Server) streamSubmission(w http.ResponseWriter, r *http.Request) (Submi
 	if err != nil {
 		return Submission{}, http.StatusBadRequest, err
 	}
-	problem, err := tdmd.DecodeStream(http.MaxBytesReader(w, r.Body, s.cfg.MaxStreamBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return Submission{}, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("stream body exceeds %d bytes", tooLarge.Limit)
-		}
-		return Submission{}, http.StatusBadRequest, fmt.Errorf("decoding %s stream: %v", tdmd.StreamFormat, err)
-	}
-	if alg.NeedsTree() && problem.Tree() == nil {
-		return Submission{}, http.StatusBadRequest, fmt.Errorf("algorithm %s needs a stream with a root", alg)
-	}
-	sub := Submission{Problem: problem, Algorithm: alg}
+	// The query parameters are checked before the body is read, so a
+	// bad one costs no decoding.
+	sub := Submission{Algorithm: alg}
 	if ks := q.Get("k"); ks != "" {
 		k, err := strconv.Atoi(ks)
 		if err != nil {
@@ -666,9 +656,24 @@ func (s *Server) streamSubmission(w http.ResponseWriter, r *http.Request) (Submi
 		if err != nil {
 			return Submission{}, http.StatusBadRequest, fmt.Errorf("query parameter seed: %v", err)
 		}
-		problem.WithSeed(seed)
 		sub.Seed = &seed
 	}
+	problem, err := tdmd.DecodeStream(http.MaxBytesReader(w, r.Body, s.cfg.MaxStreamBytes))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return Submission{}, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("stream body exceeds %d bytes", tooLarge.Limit)
+		}
+		return Submission{}, http.StatusBadRequest, fmt.Errorf("decoding %s stream: %v", tdmd.StreamFormat, err)
+	}
+	if alg.NeedsTree() && problem.Tree() == nil {
+		return Submission{}, http.StatusBadRequest, fmt.Errorf("algorithm %s needs a stream with a root", alg)
+	}
+	if sub.Seed != nil {
+		problem.WithSeed(*sub.Seed)
+	}
+	sub.Problem = problem
 	return sub, 0, nil
 }
 

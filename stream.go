@@ -2,10 +2,12 @@ package tdmd
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"tdmd/internal/graph"
 	"tdmd/internal/netsim"
@@ -20,10 +22,10 @@ import (
 // shared path arena, so no []Flow, no per-flow Path slices and no
 // intermediate ProblemSpec ever exist. The streaming decoders
 // (ReadStream, DecodeStream) drive a builder from an io.Reader one
-// JSON token at a time, which keeps decoder working memory independent
-// of the flow count — a million-flow problem ingests in the same few
-// kilobytes of transient state as a ten-flow one, with the arenas the
-// only O(|F|) allocations.
+// JSON token, or one NDJSON flow line, at a time, which keeps decoder
+// working memory independent of the flow count — a million-flow
+// problem ingests in the same few kilobytes of transient state as a
+// ten-flow one, with the arenas the only O(|F|) allocations.
 
 // Ingest metrics, on the default obs registry next to the solver and
 // netsim series. Totals accumulate across ingests; the bytes/flow
@@ -339,8 +341,12 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // and returns it built. Both wire formats are accepted and
 // distinguished by their leading object: a ProblemSpec document
 // (flows decoded one at a time, never as a []FlowSpec) or an NDJSON
-// flow stream (StreamHeader line, then one flow per line). Unknown
-// fields are rejected with an error naming the field.
+// flow stream (StreamHeader line, then one flow per line). Flow lines
+// in the exact shape FlowStreamWriter writes are scanned without
+// encoding/json; any other line, and the rest of the stream after it,
+// is decoded by encoding/json, so the accepted inputs and the error
+// texts are the same either way. Unknown fields are rejected with an
+// error naming the field.
 func DecodeStream(r io.Reader) (*Problem, error) {
 	b := NewProblemBuilder()
 	if err := b.ReadStream(r); err != nil {
@@ -353,12 +359,13 @@ func DecodeStream(r io.Reader) (*Problem, error) {
 // stream (see DecodeStream). In the spec format, "nodes" and "edges"
 // must precede "flows" — the builder freezes the topology at the
 // first flow; our encoders always emit that order. Scalars ("lambda",
-// "root") may appear anywhere.
+// "root") may appear anywhere. A read error from r comes back
+// wrapped, so errors.As still finds it (an *http.MaxBytesError, say).
 func (b *ProblemBuilder) ReadStream(r io.Reader) error {
 	cr := &countingReader{r: r}
 	dec := json.NewDecoder(cr)
 	dec.DisallowUnknownFields()
-	flows, err := b.readStream(dec)
+	flows, err := b.readStream(dec, cr)
 	if err != nil {
 		return err
 	}
@@ -370,7 +377,10 @@ func (b *ProblemBuilder) ReadStream(r io.Reader) error {
 	return nil
 }
 
-func (b *ProblemBuilder) readStream(dec *json.Decoder) (flows int, err error) {
+// readStream decodes the leading object token by token; for an NDJSON
+// stream it then reads the flow lines from what dec has buffered
+// followed by the rest of src.
+func (b *ProblemBuilder) readStream(dec *json.Decoder, src io.Reader) (flows int, err error) {
 	if err := expectDelim(dec, '{'); err != nil {
 		return 0, fmt.Errorf("tdmd: stream: %w", err)
 	}
@@ -460,8 +470,53 @@ func (b *ProblemBuilder) readStream(dec *json.Decoder) (flows int, err error) {
 	if format != StreamFormat {
 		return flows, fmt.Errorf("tdmd: stream: unsupported format %q (want %q)", format, StreamFormat)
 	}
-	// NDJSON tail: one flow object per line until EOF, decoded into a
-	// reused FlowSpec so working memory stays O(longest path).
+	return b.readFlowLines(io.MultiReader(dec.Buffered(), src), fs, flows)
+}
+
+// readFlowLines ingests the NDJSON tail, one line at a time, into a
+// reused FlowSpec, so working memory stays O(longest line). Lines in
+// the canonical shape FlowStreamWriter writes are parsed in place by
+// scanFlowLine, and whitespace-only lines (the first is the header's
+// own newline) are skipped. The first line that is anything else —
+// or longer than the read buffer, or cut short by a read error — is
+// handed, with everything after it, to readFlowValues, so every
+// non-canonical input is accepted or rejected exactly as
+// encoding/json decides. flows counts the flows read so far.
+func (b *ProblemBuilder) readFlowLines(r io.Reader, fs FlowSpec, flows int) (int, error) {
+	br := bufio.NewReader(r)
+	for {
+		line, err := br.ReadSlice('\n')
+		if isJSONSpace(line) {
+			switch err {
+			case nil:
+				continue
+			case io.EOF:
+				return flows, nil
+			}
+		}
+		if scanFlowLine(line, &fs) {
+			if err := b.AddFlow(fs.Rate, fs.Path); err != nil {
+				return flows, err
+			}
+			flows++
+			continue
+		}
+		// ReadSlice hands back a read error only once; replay it after
+		// the line so the decoder reports it at the same point.
+		rest := io.Reader(br)
+		if err != nil && err != io.EOF && err != bufio.ErrBufferFull {
+			rest = errReader{err}
+		}
+		return b.readFlowValues(io.MultiReader(bytes.NewReader(line), rest), fs, flows)
+	}
+}
+
+// readFlowValues is the general NDJSON tail: one encoding/json value
+// per flow until EOF, with unknown fields rejected. flows is the
+// index of the first flow it reads, so its errors count from there.
+func (b *ProblemBuilder) readFlowValues(r io.Reader, fs FlowSpec, flows int) (int, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	for {
 		fs.Rate, fs.Path = 0, fs.Path[:0]
 		if err := dec.Decode(&fs); err != nil {
@@ -476,6 +531,76 @@ func (b *ProblemBuilder) readStream(dec *json.Decoder) (flows int, err error) {
 		flows++
 	}
 }
+
+// scanFlowLine parses one canonical flow line into fs, reusing
+// fs.Path: exactly the bytes FlowStreamWriter writes,
+// {"rate":R,"path":[v1,...,vn]} and a newline, where every number is
+// unsigned, at most 18 digits long and has no leading zero. It
+// reports false for anything else, so it never claims a line that
+// encoding/json would decode to a different flow or reject.
+//
+//tdmd:hot
+func scanFlowLine(line []byte, fs *FlowSpec) bool {
+	if !hasLiteral(line, 0, `{"rate":`) {
+		return false
+	}
+	rate, i, ok := scanJSONUint(line, len(`{"rate":`))
+	if !ok || !hasLiteral(line, i, `,"path":[`) {
+		return false
+	}
+	i += len(`,"path":[`)
+	fs.Rate, fs.Path = rate, fs.Path[:0]
+	for {
+		v, next, ok := scanJSONUint(line, i)
+		if !ok {
+			return false
+		}
+		fs.Path = append(fs.Path, v)
+		i = next
+		if i < len(line) && line[i] == ',' {
+			i++
+			continue
+		}
+		return string(line[i:]) == "]}\n"
+	}
+}
+
+// scanJSONUint parses the unsigned JSON integer starting at line[i]
+// and returns it with the index just past it. It refuses an empty
+// number, a leading zero, more than 18 digits (so the accumulator
+// cannot wrap) and a value beyond int.
+func scanJSONUint(line []byte, i int) (v int, next int, ok bool) {
+	start := i
+	var n uint64
+	for ; i < len(line) && line[i] >= '0' && line[i] <= '9'; i++ {
+		n = n*10 + uint64(line[i]-'0')
+	}
+	digits := i - start
+	if digits == 0 || digits > 18 || (digits > 1 && line[start] == '0') || n > math.MaxInt {
+		return 0, i, false
+	}
+	return int(n), i, true
+}
+
+// hasLiteral reports whether line[i:] starts with lit.
+func hasLiteral(line []byte, i int, lit string) bool {
+	return len(line)-i >= len(lit) && string(line[i:i+len(lit)]) == lit
+}
+
+// isJSONSpace reports whether line holds only JSON whitespace.
+func isJSONSpace(line []byte) bool {
+	for _, c := range line {
+		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			return false
+		}
+	}
+	return true
+}
+
+// errReader returns err from every Read.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // expectDelim consumes one token and requires it to be the delimiter.
 func expectDelim(dec *json.Decoder, want json.Delim) error {

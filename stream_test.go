@@ -3,7 +3,10 @@ package tdmd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -522,6 +525,279 @@ func FuzzStreamDecode(f *testing.F) {
 			!errors.Is(err, ErrInfeasible) && !strings.Contains(err.Error(), "infeasible") {
 			t.Fatalf("Solve returned unexpected error class: %v", err)
 		}
+	})
+}
+
+// jsonFlowStream is the reference NDJSON decoder: the header and
+// every flow through one json.Decoder, each flow line decoded into a
+// reused FlowSpec. The stream decoder's canonical-line scanner must be
+// indistinguishable from it on every input. The header must be valid
+// and its node names unique (the reference interns them).
+func jsonFlowStream(r io.Reader) (*Problem, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var h StreamHeader
+	if err := dec.Decode(&h); err != nil {
+		return nil, err
+	}
+	b := NewProblemBuilder()
+	for _, name := range h.Nodes {
+		if _, err := b.AddNode(name); err != nil {
+			return nil, err
+		}
+	}
+	for _, e := range h.Edges {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			return nil, err
+		}
+	}
+	if err := b.SetLambda(h.Lambda); err != nil {
+		return nil, err
+	}
+	b.SetRoot(h.Root)
+	var fs FlowSpec
+	for flows := 0; ; flows++ {
+		fs.Rate, fs.Path = 0, fs.Path[:0]
+		if err := dec.Decode(&fs); err != nil {
+			if errors.Is(err, io.EOF) {
+				return b.Build()
+			}
+			return nil, fmt.Errorf("tdmd: stream: decoding flow %d: %w", flows, err)
+		}
+		if err := b.AddFlow(fs.Rate, fs.Path); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// flowDiffHeader is a 4-vertex ring plus one back edge, with no
+// trailing newline: the tails below start with the header's own
+// line end, or deliberately without one.
+const flowDiffHeader = `{"format":"tdmd-flows/1","nodes":["a","b","c","d"],` +
+	`"edges":[[0,1],[1,2],[2,3],[3,0],[1,0]],"lambda":0.5,"root":-1}`
+
+// requireSameAsJSON decodes the stream newStream returns through
+// DecodeStream and through jsonFlowStream and requires the same
+// accept/reject, the same error text and the same flows.
+func requireSameAsJSON(t *testing.T, name string, newStream func() io.Reader) {
+	t.Helper()
+	got, gotErr := DecodeStream(newStream())
+	want, wantErr := jsonFlowStream(newStream())
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("%s: DecodeStream error %v, encoding/json error %v", name, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	gi, wi := got.Instance(), want.Instance()
+	if gi.NumFlows() != wi.NumFlows() {
+		t.Fatalf("%s: %d flows, encoding/json decodes %d", name, gi.NumFlows(), wi.NumFlows())
+	}
+	for i := 0; i < gi.NumFlows(); i++ {
+		if gi.FlowRate(i) != wi.FlowRate(i) || gi.FlowPath(i).String() != wi.FlowPath(i).String() {
+			t.Fatalf("%s: flow %d is (%d, %v), encoding/json decodes (%d, %v)", name, i,
+				gi.FlowRate(i), gi.FlowPath(i), wi.FlowRate(i), wi.FlowPath(i))
+		}
+	}
+}
+
+// flowTailCases are NDJSON tails following flowDiffHeader: canonical
+// lines the scanner takes, and the non-canonical shapes it must hand
+// to encoding/json unchanged.
+var flowTailCases = []struct{ name, tail string }{
+	{"canonical", "\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":2,\"path\":[1,2,3]}\n"},
+	{"no tail", ""},
+	{"header newline only", "\n"},
+	{"flow on the header line", "{\"rate\":1,\"path\":[0,1]}\n"},
+	{"crlf", "\r\n{\"rate\":1,\"path\":[0,1]}\r\n{\"rate\":2,\"path\":[1,2]}\r\n"},
+	{"blank lines", "\n\n \t\n{\"rate\":1,\"path\":[0,1]}\n\n\r\n{\"rate\":2,\"path\":[1,2]}\n  "},
+	{"no final newline", "\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":2,\"path\":[1,2]}"},
+	{"truncated last line", "\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":1,\"pa"},
+	{"two objects on a line", "\n{\"rate\":1,\"path\":[0,1]}{\"rate\":2,\"path\":[1,2]}\n{\"rate\":3,\"path\":[2,3]}\n"},
+	{"object split across lines", "\n{\"rate\":1,\n\"path\":[0,1]}\n{\"rate\":2,\"path\":[1,2]}\n"},
+	{"capitalised key", "\n{\"Rate\":3,\"path\":[0,1]}\n"},
+	{"keys reordered", "\n{\"path\":[0,1],\"rate\":3}\n"},
+	{"duplicate key", "\n{\"rate\":1,\"rate\":4,\"path\":[0,1]}\n"},
+	{"missing rate", "\n{\"path\":[0,1]}\n"},
+	{"leading zero rate", "\n{\"rate\":01,\"path\":[0,1]}\n"},
+	{"leading zero hop", "\n{\"rate\":1,\"path\":[00,1]}\n"},
+	{"float rate", "\n{\"rate\":1.0,\"path\":[0,1]}\n"},
+	{"exponent rate", "\n{\"rate\":1e0,\"path\":[0,1]}\n"},
+	{"18-digit rate", "\n{\"rate\":123456789012345678,\"path\":[0,1]}\n"},
+	{"19-digit rate", "\n{\"rate\":1234567890123456789,\"path\":[0,1]}\n"},
+	{"20-digit rate", "\n{\"rate\":12345678901234567890,\"path\":[0,1]}\n"},
+	{"20-digit hop", "\n{\"rate\":1,\"path\":[0,12345678901234567890]}\n"},
+	{"negative rate", "\n{\"rate\":-1,\"path\":[0,1]}\n"},
+	{"negative zero hop", "\n{\"rate\":1,\"path\":[-0,1]}\n"},
+	{"null path", "\n{\"rate\":1,\"path\":null}\n"},
+	{"empty path", "\n{\"rate\":1,\"path\":[]}\n"},
+	{"unknown key", "\n{\"rate\":1,\"path\":[0,1],\"via\":2}\n"},
+	{"trailing space", "\n{\"rate\":1,\"path\":[0,1]} \n{\"rate\":2,\"path\":[1,2]}\n"},
+	{"leading space", "\n {\"rate\":1,\"path\":[0,1]}\n"},
+	{"inner space", "\n{\"rate\": 1,\"path\":[0, 1]}\n"},
+	{"trailing comma", "\n{\"rate\":1,\"path\":[0,1,]}\n"},
+	{"not json", "\nnot json\n"},
+	{"bad hop after canonical lines", "\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":1,\"path\":[1,2]}\n{\"rate\":1,\"path\":[0,2]}\n"},
+	{"bad hop after hand-off", "\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":1, \"path\":[1,2]}\n{\"rate\":1,\"path\":[0,2]}\n"},
+	{"hop outside graph", "\n{\"rate\":1,\"path\":[0,9]}\n"},
+	{"repeated hop", "\n{\"rate\":1,\"path\":[0,1,0]}\n"},
+}
+
+// TestStreamFlowLinesMatchJSON is the table half of the differential
+// oracle: every tail in flowTailCases decodes exactly as
+// encoding/json decodes it, also when the source fails mid-line.
+func TestStreamFlowLinesMatchJSON(t *testing.T) {
+	for _, tc := range flowTailCases {
+		requireSameAsJSON(t, tc.name, func() io.Reader {
+			return strings.NewReader(flowDiffHeader + tc.tail)
+		})
+	}
+	// A read error mid-stream surfaces with the same text, wrapped so
+	// errors.As still finds it (the service's 413 depends on that),
+	// even from a source that reports it only once.
+	errSource := errors.New("source failed")
+	for _, cut := range []string{"", `{"rate":1,"pa`, `{"rate":2,"path":[1,2]}`} {
+		newStream := func() io.Reader {
+			return io.MultiReader(strings.NewReader(flowDiffHeader+"\n{\"rate\":1,\"path\":[0,1]}\n"+cut),
+				&onceErrReader{errSource})
+		}
+		requireSameAsJSON(t, "read error after "+cut, newStream)
+		if _, err := DecodeStream(newStream()); !errors.Is(err, errSource) {
+			t.Errorf("read error after %q: %v does not wrap the source error", cut, err)
+		}
+	}
+}
+
+// onceErrReader fails its first Read with err and reports EOF after.
+type onceErrReader struct{ err error }
+
+func (r *onceErrReader) Read([]byte) (int, error) {
+	if err := r.err; err != nil {
+		r.err = nil
+		return 0, err
+	}
+	return 0, io.EOF
+}
+
+// TestStreamFlowIndexAfterHeaderFlows: flows carried in the NDJSON
+// header's own "flows" array count toward the index that flow-line
+// errors report.
+func TestStreamFlowIndexAfterHeaderFlows(t *testing.T) {
+	head := strings.TrimSuffix(flowDiffHeader, "}") + `,"flows":[{"rate":1,"path":[0,1]}]}`
+	for _, tail := range []string{"\n{\"rate\":1,\"pa", "\n{\"rate\":1,\"path\":[1,2]}\n{\"rate\":1,\"pa"} {
+		want := fmt.Sprintf("decoding flow %d:", strings.Count(tail, "\n"))
+		if _, err := DecodeStream(strings.NewReader(head + tail)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("tail %q: error %v, want %q", tail, err, want)
+		}
+	}
+}
+
+// TestStreamFlowLineLongerThanBuffer: a line past the line reader's
+// buffer is handed to encoding/json whole, and canonical lines after
+// it still decode the same.
+func TestStreamFlowLineLongerThanBuffer(t *testing.T) {
+	const n = 2000 // a 0 -> n-1 hop list of ~9 KB, past the 4 KB reader buffer
+	g := NewGraph()
+	for i := 0; i < n; i++ {
+		g.AddNode(fmt.Sprint("v", i))
+	}
+	path := make(Path, n)
+	for i := range path {
+		path[i] = NodeID(i)
+		if i > 0 {
+			g.AddEdge(NodeID(i-1), NodeID(i))
+		}
+	}
+	var buf bytes.Buffer
+	w, err := NewFlowStreamWriter(&buf, StreamHeader{Nodes: specNodes(g), Edges: specEdges(g), Lambda: 0.5, Root: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Path{path[:2], path, path[3:9], path[1:]} {
+		if err := w.Add(7, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	requireSameAsJSON(t, "long line", func() io.Reader { return bytes.NewReader(stream) })
+	repeated := bytes.Replace(stream, []byte("[0,1]"), []byte("[0,1,0]"), 1)
+	requireSameAsJSON(t, "long line after a bad flow", func() io.Reader { return bytes.NewReader(repeated) })
+}
+
+// TestScanFlowLine pins what the scanner itself claims: the writer's
+// own lines, which keeps the fast path on for every FlowStreamWriter
+// stream, and nothing else.
+func TestScanFlowLine(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewFlowStreamWriter(&buf, StreamHeader{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []FlowSpec{{Rate: 1, Path: []int{0}}, {Rate: 42, Path: []int{0, 17, 3}}, {Rate: maxRate, Path: []int{999999999}}}
+	for _, fs := range want {
+		p := make(Path, len(fs.Path))
+		for i, v := range fs.Path {
+			p[i] = NodeID(v)
+		}
+		if err := w.Add(fs.Rate, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))[1:] // drop the header
+	fs := FlowSpec{Path: []int{5, 5, 5, 5}}
+	for i, wfs := range want {
+		if !scanFlowLine(lines[i], &fs) {
+			t.Fatalf("writer line %q not scanned", lines[i])
+		}
+		if fs.Rate != wfs.Rate || fmt.Sprint(fs.Path) != fmt.Sprint(wfs.Path) {
+			t.Fatalf("line %q scanned as %+v, want %+v", lines[i], fs, wfs)
+		}
+	}
+	for _, tc := range flowTailCases {
+		for _, line := range bytes.SplitAfter([]byte(tc.tail), []byte("\n")) {
+			var fs FlowSpec
+			if scanFlowLine(line, &fs) {
+				var ref FlowSpec
+				dec := json.NewDecoder(bytes.NewReader(line))
+				dec.DisallowUnknownFields()
+				if err := dec.Decode(&ref); err != nil || ref.Rate != fs.Rate || fmt.Sprint(ref.Path) != fmt.Sprint(fs.Path) {
+					t.Errorf("%s: scanned %q as %+v; encoding/json gives %+v, %v", tc.name, line, fs, ref, err)
+				}
+			}
+		}
+	}
+	for _, line := range []string{
+		`{"rate":1,"path":[0,1]}`, `{"rate":1,"path":[0,1]}` + "\r\n", `{"rate":1,"path":[]}` + "\n",
+		`{"rate":01,"path":[0]}` + "\n", `{"rate":1234567890123456789,"path":[0]}` + "\n",
+		`{"rate":1,"path":[-0]}` + "\n", `{"rate":1,"path":[0]} ` + "\n", `{"Rate":1,"path":[0]}` + "\n",
+	} {
+		if scanFlowLine([]byte(line), &fs) {
+			t.Errorf("scanner claimed non-canonical line %q", line)
+		}
+	}
+}
+
+// FuzzStreamFlowLines is the generated half of the differential
+// oracle: any tail after a valid header decodes through DecodeStream
+// exactly as through a json.Decoder-only loop — same accept/reject,
+// same error text, same flows.
+func FuzzStreamFlowLines(f *testing.F) {
+	for _, tc := range flowTailCases {
+		f.Add(tc.tail)
+	}
+	f.Fuzz(func(t *testing.T, tail string) {
+		if len(tail) > 1<<14 {
+			return
+		}
+		requireSameAsJSON(t, fmt.Sprintf("tail %q", tail), func() io.Reader {
+			return strings.NewReader(flowDiffHeader + tail)
+		})
 	})
 }
 
