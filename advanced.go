@@ -101,7 +101,8 @@ func (e *apiError) Error() string { return e.msg }
 // State is the incremental allocation engine the solvers run on: it
 // maintains each flow's serving vertex, the total bandwidth, and
 // per-vertex marginal decrements under AddBox/RemoveBox plan
-// mutations, touching only the flows through the mutated vertex. Use
+// mutations, touching only the path classes (flows grouped by
+// identical path) through the mutated vertex. Use
 // it to build custom search procedures (the built-in greedy, local
 // search, and branch-and-bound all do). The Problem's instance stays
 // read-only and shareable; a State is single-goroutine for mutations.

@@ -265,8 +265,8 @@ func gtpFullRecompute(in *netsim.Instance) netsim.Plan {
 			gain := in.MarginalDecrement(p, alloc, v)
 			covered := 0
 			for _, fa := range in.Through(v) {
-				if alloc[fa.Flow] == netsim.Unserved {
-					covered++
+				if c := int(fa.Class); alloc[in.ClassFlow(c)] == netsim.Unserved {
+					covered += in.ClassSize(c)
 				}
 			}
 			switch {

@@ -2,9 +2,10 @@
 // snapshots. Three suites are registered: "solver" (BENCH_solver.json)
 // runs the paired solver benchmarks — the root package's
 // FullVsIncremental pair and the netsim SnapState primitives, all at
-// |V|=200 / |F|≈1500 — "ingest" (BENCH_ingest.json) runs the
-// streaming-ingestion benchmarks including the million-flow scale
-// row, and "serve" (BENCH_serve.json) sends single /api/solve requests
+// |V|=200 / |F|≈1500, plus the gtp-lazy solve on the scaled bulk
+// shape (placement's BenchmarkGTPLazyBulkShape) — "ingest"
+// (BENCH_ingest.json) runs the streaming-ingestion benchmarks
+// including the million-flow scale row, and "serve" (BENCH_serve.json) sends single /api/solve requests
 // through the placement service's HTTP handler (internal/serve's
 // BenchmarkServeSolve: one cache hit, one fresh solve). Each suite
 // goes through `go test -bench` and its ns/op, B/op, allocs/op and
@@ -68,6 +69,7 @@ var suiteSets = map[string]suiteSet{
 		{Pkg: ".", Pattern: "BenchmarkFullVsIncremental"},
 		{Pkg: "./internal/netsim", Pattern: "BenchmarkSnapState"},
 		{Pkg: "./internal/netsim", Pattern: "BenchmarkNewInstance"},
+		{Pkg: "./internal/placement", Pattern: "BenchmarkGTPLazyBulkShape"},
 	}},
 	"ingest": {file: "BENCH_ingest.json", suites: []Suite{
 		{Pkg: ".", Pattern: "BenchmarkIngest"},

@@ -6,17 +6,20 @@
 // edge and is used by tests to validate the closed-form model.
 //
 // Memory layout (DESIGN.md "Memory layout"): the instance's hot-path
-// state lives in contiguous CSR-style arenas — one flat []FlowAt
-// through arena addressed by a per-vertex offset table, one shared
-// vertex-ID arena holding every flow path as a [start,end) span, and
-// one backing-word arena for the lazily built cover bitsets. Vertex
-// and flow IDs are dense, so every per-iteration lookup is a slice
-// index; no map is consulted anywhere on the solver fast path.
+// state lives in contiguous CSR-style arenas — one shared vertex-ID
+// arena holding every flow path as a [start,end) span, a path-class
+// table that groups flows with identical paths, one flat []FlowAt
+// through arena over those classes addressed by a per-vertex offset
+// table, and one backing-word arena for the lazily built cover
+// bitsets. Vertex, flow and class IDs are dense, so every
+// per-iteration lookup is a slice index; no map is consulted anywhere
+// on the solver fast path.
 package netsim
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -55,9 +58,18 @@ type Instance struct {
 	// instance carries no []traffic.Flow at all.
 	rates []int32
 
-	// through is the flat per-vertex flow index: for every vertex v,
-	// through[throughOff[v]:throughOff[v+1]] lists the flows whose path
-	// visits v together with l_v(f), the downstream edge count. It is
+	// flowClass maps every flow to its path class: flows whose paths
+	// are equal vertex for vertex share one class, numbered in order of
+	// first occurrence. classes holds each class's aggregate demand.
+	// Every uncapacitated solver treats the flows of a class alike (the
+	// allocation rule depends only on the path, and b(P) is linear in
+	// rate), so the solver state and the through index work per class.
+	flowClass []int32
+	classes   []pathClass
+
+	// through is the flat per-vertex class index: for every vertex v,
+	// through[throughOff[v]:throughOff[v+1]] lists the path classes
+	// visiting v together with l_v, the downstream edge count. It is
 	// built by two-pass counting (no jagged append growth), so the
 	// whole index is one contiguous allocation.
 	through    []FlowAt
@@ -87,11 +99,18 @@ type Instance struct {
 	cover      []bitset.Set // per-vertex views into coverWords, built lazily
 }
 
-// FlowAt records that a flow's path visits some vertex with the given
+// FlowAt records that a path class visits some vertex with the given
 // number of downstream edges.
 type FlowAt struct {
-	Flow       int // dense flow index (0..NumFlows()-1)
-	Downstream int // l_v(f): edges from the vertex to dst_f
+	Class      int32 // dense path-class index (0..NumClasses()-1)
+	Downstream int32 // l_v(f): edges from the vertex to the class's destination
+}
+
+// pathClass aggregates the flows sharing one path.
+type pathClass struct {
+	rate int64 // Σ r_f over the member flows
+	mult int32 // number of member flows
+	rep  int32 // first member flow; its span is the class path
 }
 
 // New validates and indexes a problem instance. λ may be any
@@ -120,9 +139,9 @@ func New(g *graph.Graph, flows []traffic.Flow, lambda float64) (*Instance, error
 	for _, f := range flows {
 		totalPath += len(f.Path)
 	}
-	inst.rates = make([]int32, len(flows))
+	offsets := make([]int32, 2*len(flows)+1) // rates and pathOff share one allocation
+	inst.rates, inst.pathOff = offsets[:len(flows):len(flows)], offsets[len(flows):]
 	inst.pathArena = make([]graph.NodeID, 0, totalPath)
-	inst.pathOff = make([]int32, len(flows)+1)
 	for i, f := range flows {
 		if f.Rate > math.MaxInt32 {
 			return nil, fmt.Errorf("netsim: flow %d rate %d overflows the rate arena", f.ID, f.Rate)
@@ -131,7 +150,9 @@ func New(g *graph.Graph, flows []traffic.Flow, lambda float64) (*Instance, error
 		inst.pathArena = append(inst.pathArena, f.Path...)
 		inst.pathOff[i+1] = int32(len(inst.pathArena))
 	}
-	inst.buildThrough()
+	if err := inst.buildThrough(); err != nil {
+		return nil, err
+	}
 	updateMemoryGauges(inst)
 	return inst, nil
 }
@@ -177,44 +198,132 @@ func NewFromArenas(g *graph.Graph, lambda float64, rates []int32, pathArena []gr
 		G: g, Lambda: lambda,
 		rates: rates, pathArena: pathArena, pathOff: pathOff,
 	}
-	inst.buildThrough()
+	if err := inst.buildThrough(); err != nil {
+		return nil, err
+	}
 	updateMemoryGauges(inst)
 	return inst, nil
 }
 
-// buildThrough builds the CSR through index and the raw-demand cache
-// from the rate/path arenas. Construction is two-pass: a counting pass
-// sizes the through arena exactly, then a fill pass writes it — no
-// slice ever grows, and the per-vertex entries land in the same
-// (flow, position) order a per-vertex append would produce, so all
-// downstream marginal computations are bit-identical to the historical
-// jagged layout.
-func (in *Instance) buildThrough() {
+// buildThrough interns the flow paths into path classes and builds the
+// CSR through index and the raw-demand cache from the rate/path
+// arenas. Construction allocates exact sizes only: one scratch slice
+// serves first as the open-addressing intern table and then as the
+// per-vertex counters, a counting pass sizes the through arena, and a
+// fill pass writes it. Nothing grows and no map is built.
+//
+// It fails when Σ r_f·|p_f| overflows int64: State keeps the decrement
+// as an exact integer sum bounded by that total.
+func (in *Instance) buildThrough() error {
 	n := in.G.NumNodes()
-	counts := make([]int32, n)
-	//tdmd:hot
-	for _, v := range in.pathArena {
-		counts[v]++
+	nf := in.NumFlows()
+	var demand int64
+	for i := 0; i < nf; i++ {
+		hops := in.flowHops(i)
+		var ok bool
+		if demand, ok = addDemand(demand, in.rates[i], hops); !ok {
+			return fmt.Errorf("netsim: total demand Σ r·|p| overflows int64 at flow %d", i)
+		}
+		in.rawDemand += float64(in.rates[i]) * float64(hops)
 	}
-	in.throughOff = make([]int32, n+1)
+
+	tableLen := 1
+	for tableLen < 2*nf {
+		tableLen <<= 1
+	}
+	scratch := make([]int32, max(tableLen, n))
+	index := make([]int32, nf+n+1) // flowClass and throughOff share one allocation
+	in.flowClass, in.throughOff = index[:nf:nf], index[nf:]
+	in.classes = make([]pathClass, in.internPaths(scratch[:tableLen]))
+	for i, c := range in.flowClass {
+		pc := &in.classes[c]
+		if pc.mult == 0 {
+			pc.rep = int32(i)
+		}
+		pc.mult++
+		pc.rate += int64(in.rates[i])
+	}
+
+	counts := scratch[:n]
+	clear(counts)
+	for c := range in.classes {
+		//tdmd:hot
+		for _, v := range in.classPath(c) {
+			counts[v]++
+		}
+	}
 	for v := 0; v < n; v++ {
 		in.throughOff[v+1] = in.throughOff[v] + counts[v]
 	}
 	in.through = make([]FlowAt, in.throughOff[n])
 
-	// Fill pass: counts is reused as the per-vertex write cursor.
+	// Fill pass: counts is reused as the per-vertex write cursor, so
+	// each row lists its classes in increasing class order.
 	copy(counts, in.throughOff[:n])
-	nf := in.NumFlows()
-	for i := 0; i < nf; i++ {
-		path := in.pathArena[in.pathOff[i]:in.pathOff[i+1]]
+	for c := range in.classes {
+		path := in.classPath(c)
 		hops := len(path) - 1
 		//tdmd:hot
 		for pos, v := range path {
-			in.through[counts[v]] = FlowAt{Flow: i, Downstream: hops - pos}
+			in.through[counts[v]] = FlowAt{Class: int32(c), Downstream: int32(hops - pos)}
 			counts[v]++
 		}
-		in.rawDemand += float64(in.rates[i]) * float64(hops)
 	}
+	return nil
+}
+
+// addDemand returns sum + rate·hops and whether it fits in an int64.
+func addDemand(sum int64, rate int32, hops int) (int64, bool) {
+	term := int64(rate) * int64(hops) // |rate|, hops < 2³¹: cannot overflow
+	if term > 0 && sum > math.MaxInt64-term {
+		return sum, false
+	}
+	return sum + term, true
+}
+
+// internPaths fills flowClass with each flow's path class, numbering
+// classes in order of first occurrence, and returns the class count.
+// table is zeroed scratch whose power-of-two length is at least twice
+// the flow count; each slot holds 1 + the first flow of a class, and
+// lookups probe linearly from the path's hash.
+func (in *Instance) internPaths(table []int32) int {
+	mask := uint64(len(table) - 1)
+	classes := int32(0)
+	for i := range in.flowClass {
+		path := in.FlowPath(i)
+		//tdmd:hot
+		for slot := hashPath(path) & mask; ; slot = (slot + 1) & mask {
+			rep := table[slot] - 1
+			if rep < 0 {
+				table[slot] = int32(i) + 1
+				in.flowClass[i] = classes
+				classes++
+				break
+			}
+			if slices.Equal(in.FlowPath(int(rep)), path) {
+				in.flowClass[i] = in.flowClass[rep]
+				break
+			}
+		}
+	}
+	return int(classes)
+}
+
+// hashPath hashes a vertex sequence: FNV-1a over the vertex IDs, then
+// a murmur3 finalizer so the low bits the table indexes by depend on
+// every vertex.
+//
+//tdmd:hot
+func hashPath(path graph.Path) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range path {
+		h ^= uint64(v)
+		h *= 1099511628211
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
 }
 
 // MustNew is New that panics on error; used by tests and examples
@@ -272,8 +381,9 @@ func (in *Instance) Flows() []traffic.Flow {
 	return in.flowsView
 }
 
-// Through returns the flows visiting v with their downstream counts —
-// one contiguous row of the CSR through arena, owned by the instance.
+// Through returns the path classes visiting v with their downstream
+// counts — one contiguous row of the CSR through arena, owned by the
+// instance. A row never lists a class twice: paths are simple.
 //
 //tdmd:hot
 func (in *Instance) Through(v graph.NodeID) []FlowAt {
@@ -290,11 +400,26 @@ func (in *Instance) FlowPath(i int) graph.Path {
 }
 
 // PathSpan returns the [start, end) interval of flow i's path inside
-// the shared path arena — the compact per-flow encoding ROADMAP item 5
-// builds on (a flow costs two int32 offsets instead of a slice
-// header).
+// the shared path arena — the compact per-flow encoding (a flow costs
+// two int32 offsets instead of a slice header).
 func (in *Instance) PathSpan(i int) (start, end int32) {
 	return in.pathOff[i], in.pathOff[i+1]
+}
+
+// NumClasses reports the number of distinct flow paths.
+func (in *Instance) NumClasses() int { return len(in.classes) }
+
+// ClassFlow returns the first flow of path class c, in flow order.
+func (in *Instance) ClassFlow(c int) int { return int(in.classes[c].rep) }
+
+// ClassSize returns the number of flows in path class c.
+func (in *Instance) ClassSize(c int) int { return int(in.classes[c].mult) }
+
+// classPath returns class c's path: its first flow's arena span.
+//
+//tdmd:hot
+func (in *Instance) classPath(c int) graph.Path {
+	return in.FlowPath(int(in.classes[c].rep))
 }
 
 // flowHops returns |p_f| for flow i from the span table.
@@ -426,32 +551,62 @@ type Allocation []graph.NodeID
 // vertex on its path with the maximum downstream count (nearest the
 // source); for traffic-expanding ones (λ > 1) by the minimum downstream
 // count (nearest the destination). Both minimize the flow's
-// consumption b(f) = r·(|p| − (1−λ)·l_v).
+// consumption b(f) = r·(|p| − (1−λ)·l_v). The rule depends only on the
+// path, so each path class is scanned once and the result expanded to
+// its flows.
 func (in *Instance) Allocate(p Plan) Allocation {
 	alloc := make(Allocation, in.NumFlows())
-	for i := range alloc {
-		alloc[i] = Unserved
-		path := in.FlowPath(i)
-		if in.Lambda <= 1 {
-			for _, v := range path { // src -> dst: first hit is nearest the source
-				if p.Has(v) {
-					alloc[i] = v
-					break
-				}
-			}
-		} else {
-			for j := len(path) - 1; j >= 0; j-- { // last hit: nearest the destination
-				if p.Has(path[j]) {
-					alloc[i] = path[j]
-					break
-				}
-			}
-		}
+	// A class's first flow precedes its other members, so the class's
+	// answer is stored there and copied forward in one flow-order pass.
+	for c, pc := range in.classes {
+		alloc[pc.rep] = in.serveClass(p, c).at
+	}
+	for i, c := range in.flowClass {
+		alloc[i] = alloc[in.classes[c].rep]
 	}
 	if invariant.Enabled {
 		in.assertAllocation(p, alloc)
 	}
 	return alloc
+}
+
+// classServe is the allocation of one path class: its serving vertex
+// and that vertex's downstream count, or (Unserved, -1).
+type classServe struct {
+	at   graph.NodeID
+	down int32
+}
+
+// serveClass applies the allocation rule to path class c. The scan
+// that finds the serving vertex also yields its downstream count.
+//
+//tdmd:hot
+func (in *Instance) serveClass(p Plan, c int) classServe {
+	path := in.classPath(c)
+	hops := len(path) - 1
+	if in.Lambda <= 1 {
+		for j, v := range path { // src -> dst: first hit is nearest the source
+			if p.Has(v) {
+				return classServe{v, int32(hops - j)}
+			}
+		}
+	} else {
+		for j := hops; j >= 0; j-- { // last hit: nearest the destination
+			if p.Has(path[j]) {
+				return classServe{path[j], int32(hops - j)}
+			}
+		}
+	}
+	return classServe{Unserved, -1}
+}
+
+// allocateClasses applies the allocation rule to every path class.
+func (in *Instance) allocateClasses(p Plan) []classServe {
+	cs := make([]classServe, len(in.classes))
+	for c := range cs {
+		cs[c] = in.serveClass(p, c)
+	}
+	return cs
 }
 
 // assertAllocation checks the serve-exactly-once contract behind
@@ -496,8 +651,8 @@ func (in *Instance) Covers(p Plan) bool {
 
 // Feasible reports whether every flow has a middlebox on its path.
 func (in *Instance) Feasible(p Plan) bool {
-	for _, v := range in.Allocate(p) {
-		if v == Unserved {
+	for c := range in.classes {
+		if in.serveClass(p, c).at == Unserved {
 			return false
 		}
 	}
@@ -510,28 +665,62 @@ func (in *Instance) Feasible(p Plan) bool {
 //
 //tdmd:hot
 func (in *Instance) FlowBandwidth(i int, v graph.NodeID) float64 {
-	rate := float64(in.rates[i])
-	full := rate * float64(in.flowHops(i))
 	if v == Unserved {
-		return full
+		return in.bandwidthAt(i, -1)
 	}
 	l := in.FlowPath(i).Downstream(v)
 	if l < 0 {
 		panic(fmt.Sprintf("netsim: vertex %d not on path of flow %d", v, i))
 	}
+	return in.bandwidthAt(i, l)
+}
+
+// bandwidthAt returns b(f) for flow i served at a vertex with l
+// downstream edges (l < 0: unserved), with FlowBandwidth's arithmetic.
+//
+//tdmd:hot
+func (in *Instance) bandwidthAt(i, l int) float64 {
+	rate := float64(in.rates[i])
+	full := rate * float64(in.flowHops(i))
+	if l < 0 {
+		return full
+	}
 	return full - rate*(1-in.Lambda)*float64(l)
+}
+
+// sumBandwidth returns b(P) for a class allocation, summed per flow in
+// flow order. Every caller sums the same terms in the same order, so
+// equal plans score bit-identically.
+//
+//tdmd:hot
+func (in *Instance) sumBandwidth(cs []classServe) float64 {
+	var total float64
+	for i, c := range in.flowClass {
+		total += in.bandwidthAt(i, int(cs[c].down))
+	}
+	return total
 }
 
 // TotalBandwidth returns b(P): the sum of every flow's consumption
 // under the optimal allocation for p. Unserved flows consume their
 // full initial-rate bandwidth (they still traverse their paths).
 func (in *Instance) TotalBandwidth(p Plan) float64 {
-	alloc := in.Allocate(p)
-	var total float64
-	for i := range alloc {
-		total += in.FlowBandwidth(i, alloc[i])
+	bandwidth, _ := in.Evaluate(p)
+	return bandwidth
+}
+
+// Evaluate returns TotalBandwidth(p) and Feasible(p) from one
+// allocation.
+func (in *Instance) Evaluate(p Plan) (bandwidth float64, feasible bool) {
+	cs := in.allocateClasses(p)
+	feasible = true
+	for _, s := range cs {
+		if s.at == Unserved {
+			feasible = false
+			break
+		}
 	}
-	return total
+	return in.sumBandwidth(cs), feasible
 }
 
 // Decrement returns d(P) = Σ r_f·|p_f| − b(P) (Def. 1): the bandwidth
@@ -541,23 +730,26 @@ func (in *Instance) Decrement(p Plan) float64 {
 }
 
 // MarginalDecrement returns d_P({v}) = d(P ∪ {v}) − d(P) (Def. 2)
-// computed incrementally in O(flows through v). In the diminishing
+// computed incrementally in O(classes through v). In the diminishing
 // case only flows whose current serving point is strictly farther from
 // their source than v improve; in the expanding case (λ > 1) the
 // allocation moves toward the destination instead, and newly covered
 // flows contribute a negative marginal (expansion is a cost the
-// coverage constraint forces).
+// coverage constraint forces). The rate-weighted downstream gains are
+// summed exactly in an int64 and scaled by (1−λ) once (see scaleGain),
+// so the value does not depend on flow order.
 func (in *Instance) MarginalDecrement(p Plan, alloc Allocation, v graph.NodeID) float64 {
 	if p.Has(v) {
 		return 0
 	}
-	var gain float64
+	var sum int64
 	for _, fa := range in.Through(v) {
-		rate := float64(in.rates[fa.Flow])
-		cur := 0 // downstream count at current serving vertex; 0 is the unserved baseline
-		served := alloc[fa.Flow] != Unserved
+		pc := in.classes[fa.Class]
+		at := alloc[pc.rep]
+		served := at != Unserved
+		cur := int32(0) // downstream count at the current serving vertex; 0 is the unserved baseline
 		if served {
-			cur = in.FlowPath(fa.Flow).Downstream(alloc[fa.Flow])
+			cur = int32(in.FlowPath(int(pc.rep)).Downstream(at))
 		}
 		moves := false
 		if in.Lambda <= 1 {
@@ -566,41 +758,60 @@ func (in *Instance) MarginalDecrement(p Plan, alloc Allocation, v graph.NodeID) 
 			moves = !served || fa.Downstream < cur
 		}
 		if moves {
-			gain += rate * (1 - in.Lambda) * float64(fa.Downstream-cur)
+			sum += pc.rate * int64(fa.Downstream-cur)
 		}
 	}
-	return gain
+	return in.scaleGain(sum)
+}
+
+// scaleGain converts an exact rate-weighted downstream sum Σ r·Δl into
+// a decrement, (1−λ)·Σ r·Δl, returning +0 for an empty sum.
+//
+//tdmd:hot
+func (in *Instance) scaleGain(sum int64) float64 {
+	if sum == 0 {
+		return 0
+	}
+	return float64(sum) * (1 - in.Lambda)
 }
 
 // CoveredBy returns, for every vertex, the set of flow indices whose
 // paths visit it — the set-cover structure underlying feasibility
-// (Theorem 1).
+// (Theorem 1). Each list is in increasing flow order.
 func (in *Instance) CoveredBy() [][]int {
 	out := make([][]int, in.G.NumNodes())
 	for v := range out {
-		row := in.Through(graph.NodeID(v))
-		flows := make([]int, 0, len(row))
-		for _, fa := range row {
-			flows = append(flows, fa.Flow)
+		size := 0
+		for _, fa := range in.Through(graph.NodeID(v)) {
+			size += int(in.classes[fa.Class].mult)
 		}
-		out[v] = flows
+		out[v] = make([]int, 0, size)
+	}
+	for i := 0; i < in.NumFlows(); i++ {
+		for _, v := range in.FlowPath(i) {
+			out[v] = append(out[v], i)
+		}
 	}
 	return out
 }
 
 // MemoryFootprint reports the memory retained by the instance's
 // hot-path representation, in bytes: arenaBytes covers the through
-// arena, the interned path arena and both offset tables (the data
-// ROADMAP item 5's bytes/flow budget tracks); instanceBytes
-// additionally counts the cover-bitset word arena when built.
+// arena, the interned path arena, the rate arena, the path-class
+// tables and the offset tables (the data the bytes/flow budget
+// tracks); instanceBytes additionally counts the cover-bitset word
+// arena when built.
 func (in *Instance) MemoryFootprint() (instanceBytes, arenaBytes int64) {
 	const (
 		flowAtSize = int64(unsafe.Sizeof(FlowAt{}))
 		nodeIDSize = int64(unsafe.Sizeof(graph.NodeID(0)))
+		classSize  = int64(unsafe.Sizeof(pathClass{}))
 	)
 	arenaBytes = int64(cap(in.through))*flowAtSize +
 		int64(cap(in.pathArena))*nodeIDSize +
 		int64(cap(in.rates))*4 +
+		int64(cap(in.flowClass))*4 +
+		int64(cap(in.classes))*classSize +
 		int64(cap(in.throughOff)+cap(in.pathOff))*4
 	instanceBytes = arenaBytes + int64(cap(in.coverWords))*8
 	return instanceBytes, arenaBytes
@@ -618,11 +829,12 @@ func (in *Instance) CoverSet(v graph.NodeID) *bitset.Set {
 		in.coverWords = make([]uint64, n*words)
 		in.cover = make([]bitset.Set, n)
 		for u := 0; u < n; u++ {
-			s := bitset.View(in.coverWords[u*words:(u+1)*words], nf)
-			for _, fa := range in.Through(graph.NodeID(u)) {
-				s.Set(fa.Flow)
+			in.cover[u] = bitset.View(in.coverWords[u*words:(u+1)*words], nf)
+		}
+		for i := 0; i < nf; i++ {
+			for _, u := range in.FlowPath(i) {
+				in.cover[u].Set(i)
 			}
-			in.cover[u] = s
 		}
 		updateMemoryGauges(in)
 	})

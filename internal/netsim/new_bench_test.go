@@ -8,11 +8,11 @@ import (
 	"tdmd/internal/traffic"
 )
 
-// BenchmarkNewInstance measures instance construction — the through
-// index and path storage — at the snapshot workload (|V|=200,
-// |F|≈1500). The custom bytes/flow metric tracks the per-flow memory
-// cost of the indexed representation (ROADMAP item 5's budget);
-// B/op and allocs/op feed BENCH_solver.json via cmd/benchsnap.
+// BenchmarkNewInstance measures instance construction — path storage,
+// path-class interning and the through index — at the snapshot
+// workload (|V|=200, |F|≈1500). The custom bytes/flow metric tracks
+// the per-flow memory cost of the indexed representation; B/op and
+// allocs/op feed BENCH_solver.json via cmd/benchsnap.
 func BenchmarkNewInstance(b *testing.B) {
 	g := topology.GeneralRandom(200, 0.8, 7)
 	srcs := make([]graph.NodeID, 40)

@@ -11,20 +11,25 @@ import (
 
 // State is the incremental allocation engine every placement algorithm
 // runs on: it maintains, under single-vertex plan mutations, each
-// flow's current serving vertex, the total bandwidth b(P), the set of
+// path class's current serving vertex, the decrement d(P), the
 // unserved flows, and a per-vertex cache of the greedy scoring keys
 // (marginal decrement d_P({v}) and unserved-flows-covered count).
 //
-// AddBox and RemoveBox touch only the flows whose paths traverse the
-// mutated vertex (via the instance's through index), and invalidate
-// cached scores only for the vertices on those flows' paths — so a
-// greedy round after a deployment costs O(affected flows · path length)
-// plus an O(|V|) scan of mostly cached scores, where the from-scratch
-// pattern pays O(|F|·|P|) for the re-allocation alone. Cached scores
-// are recomputed exactly as Instance.MarginalDecrement computes them
-// (same flow order, same float operations), so a solver driven by
-// State makes bit-identical decisions to one driven by full
-// re-allocation.
+// The state works per path class, not per flow: the flows of a class
+// share a path, hence a serving vertex, and contribute to every score
+// in proportion to their rate. AddBox and RemoveBox touch only the
+// classes whose paths traverse the mutated vertex (via the instance's
+// through index), and invalidate cached scores only for the vertices
+// on those classes' paths — so a greedy round after a deployment costs
+// O(affected classes · path length) plus an O(|V|) scan of mostly
+// cached scores, where the from-scratch pattern pays O(|F|·|P|) for
+// the re-allocation alone.
+//
+// Scores are exact: the rate-weighted downstream sums behind the
+// marginals and the decrement are int64 (the instance guarantees
+// Σ r·|p| fits), scaled by (1−λ) once. A cached score is bit-identical
+// to Instance.MarginalDecrement, Bandwidth depends only on the plan,
+// and no score depends on the order of the flows.
 //
 // The state after any AddBox/RemoveBox sequence is a pure function of
 // the resulting plan, so mutations are exactly revertible — the
@@ -53,13 +58,16 @@ type State struct {
 	// — the Plan itself is the flat representation; there is no mirror.
 	plan Plan
 
-	serving      Allocation // serving[i] = vertex serving flow i, or Unserved
-	servDown     []int      // downstream count at serving[i]; -1 when unserved
-	total        float64    // running b(P), updated by deltas
-	unserved     int
-	unservedBits *bitset.Set // unserved flow indices, for the budget guard
+	serving  []classServe // per path class: serving vertex and its downstream count
+	dec      int64        // Σ rate·down over served classes; b(P) = raw − (1−λ)·dec
+	unserved int          // unserved flows: Σ multiplicity over unserved classes
 
-	// Per-vertex greedy-score cache. fresh[v] holds while no flow
+	// unservedBits is the per-flow unserved set, rebuilt from serving
+	// on demand (only the budget guard reads it) when stale.
+	unservedBits  *bitset.Set
+	unservedStale bool
+
+	// Per-vertex greedy-score cache. fresh[v] holds while no class
 	// through v changed serving state since the last recompute.
 	gain  []float64
 	cov   []int
@@ -75,25 +83,21 @@ type State struct {
 // is cloned; the caller's copy stays untouched.
 func NewState(in *Instance, p Plan) *State {
 	s := &State{
-		in:           in,
-		plan:         p.Clone(),
-		serving:      in.Allocate(p),
-		servDown:     make([]int, in.NumFlows()),
-		unservedBits: bitset.New(in.NumFlows()),
-		gain:         make([]float64, in.G.NumNodes()),
-		cov:          make([]int, in.G.NumNodes()),
-		fresh:        make([]bool, in.G.NumNodes()),
+		in:            in,
+		plan:          p.Clone(),
+		serving:       in.allocateClasses(p),
+		unservedStale: true,
+		gain:          make([]float64, in.G.NumNodes()),
+		cov:           make([]int, in.G.NumNodes()),
+		fresh:         make([]bool, in.G.NumNodes()),
 	}
 	s.plan.reserve(in.G.NumNodes())
-	for i := range s.serving {
-		v := s.serving[i]
-		s.total += in.FlowBandwidth(i, v)
-		if v == Unserved {
-			s.servDown[i] = -1
-			s.unserved++
-			s.unservedBits.Set(i)
+	for c, cs := range s.serving {
+		pc := &in.classes[c]
+		if cs.down < 0 {
+			s.unserved += int(pc.mult)
 		} else {
-			s.servDown[i] = in.FlowPath(i).Downstream(v)
+			s.dec += pc.rate * int64(cs.down)
 		}
 	}
 	if invariant.Enabled {
@@ -103,11 +107,15 @@ func NewState(in *Instance, p Plan) *State {
 	return s
 }
 
-// Bandwidth returns the running b(P), maintained by deltas. It can
-// drift from the from-scratch sum by float-rounding ULPs after long
-// mutation sequences; use ExactBandwidth where decisions must match
+// Bandwidth returns b(P) = Σ r_f·|p_f| − (1−λ)·D, where D, the
+// rate-weighted downstream sum of the served flows, is maintained
+// exactly. The value depends only on the plan, never on the mutation
+// history; it can differ from the per-flow sum TotalBandwidth in the
+// last bits, so use ExactBandwidth where a value must match
 // TotalBandwidth bit for bit.
-func (s *State) Bandwidth() float64 { return s.total }
+func (s *State) Bandwidth() float64 {
+	return s.in.rawDemand - (1-s.in.Lambda)*float64(s.dec)
+}
 
 // ExactBandwidth recomputes b(P) from the maintained allocation in
 // flow order — the identical float operations TotalBandwidth performs,
@@ -115,11 +123,7 @@ func (s *State) Bandwidth() float64 { return s.total }
 //
 //tdmd:hot
 func (s *State) ExactBandwidth() float64 {
-	var total float64
-	for i := range s.serving {
-		total += s.in.FlowBandwidth(i, s.serving[i])
-	}
-	return total
+	return s.in.sumBandwidth(s.serving)
 }
 
 // Feasible reports whether every flow is served.
@@ -130,9 +134,23 @@ func (s *State) Feasible() bool { return s.unserved == 0 }
 func (s *State) UnservedCount() int { return s.unserved }
 
 // UnservedSet returns the bitset of unserved flow indices. The set is
-// owned by the state and mutated by AddBox/RemoveBox; callers must
+// owned by the state and rebuilt after AddBox/RemoveBox; callers must
 // Clone it before modifying or holding it across mutations.
-func (s *State) UnservedSet() *bitset.Set { return s.unservedBits }
+func (s *State) UnservedSet() *bitset.Set {
+	if s.unservedBits == nil {
+		s.unservedBits = bitset.New(s.in.NumFlows())
+	}
+	if s.unservedStale {
+		s.unservedBits.Reset()
+		for i, c := range s.in.flowClass {
+			if s.serving[c].down < 0 {
+				s.unservedBits.Set(i)
+			}
+		}
+		s.unservedStale = false
+	}
+	return s.unservedBits
+}
 
 // Plan returns a copy of the current plan.
 func (s *State) Plan() Plan {
@@ -160,15 +178,15 @@ func (s *State) AppendVertices(buf []graph.NodeID) []graph.NodeID {
 func (s *State) Size() int { return s.plan.Size() }
 
 // Serving returns flow i's current serving vertex, or Unserved.
-func (s *State) Serving(i int) graph.NodeID { return s.serving[i] }
+func (s *State) Serving(i int) graph.NodeID { return s.serving[s.in.flowClass[i]].at }
 
 // Instance returns the read-only instance the state evaluates.
 func (s *State) Instance() *Instance { return s.in }
 
 // AddBox deploys a middlebox on v and returns the bandwidth delta
 // (≤ 0 for a diminishing middlebox). Adding a deployed vertex is a
-// no-op. Only flows through v are touched; only vertices on moved
-// flows' paths lose their cached scores.
+// no-op. Only classes through v are touched; only vertices on moved
+// classes' paths lose their cached scores.
 //
 //tdmd:hot
 func (s *State) AddBox(v graph.NodeID) float64 {
@@ -179,10 +197,10 @@ func (s *State) AddBox(v graph.NodeID) float64 {
 	stateMutations.Inc()
 	s.flushCacheHits()
 	expanding := s.in.Lambda > 1
-	var delta float64
+	var dd int64
 	for _, fa := range s.in.Through(v) {
-		i := fa.Flow
-		cur := s.servDown[i] // -1 when unserved
+		c := fa.Class
+		cur := s.serving[c].down // -1 when unserved
 		var moves bool
 		if expanding {
 			moves = cur < 0 || fa.Downstream < cur
@@ -192,26 +210,26 @@ func (s *State) AddBox(v graph.NodeID) float64 {
 		if !moves {
 			continue
 		}
-		old := s.in.FlowBandwidth(i, s.serving[i])
-		if s.serving[i] == Unserved {
-			s.unserved--
-			s.unservedBits.Clear(i)
+		pc := &s.in.classes[c]
+		if cur < 0 {
+			s.unserved -= int(pc.mult)
+			s.unservedStale = true
+			cur = 0
 		}
-		s.serving[i] = v
-		s.servDown[i] = fa.Downstream
-		delta += s.in.FlowBandwidth(i, v) - old
-		s.invalidatePath(i)
+		dd += pc.rate * int64(fa.Downstream-cur)
+		s.serving[c] = classServe{v, fa.Downstream}
+		s.invalidateClass(int(c))
 	}
-	s.total += delta
+	s.dec += dd
 	if invariant.Enabled {
 		s.verify("AddBox")
 	}
-	return delta
+	return s.in.scaleGain(-dd)
 }
 
 // RemoveBox deletes the middlebox on v and returns the bandwidth delta
 // (≥ 0 for a diminishing middlebox). Removing an undeployed vertex is
-// a no-op. Each flow v served re-scans its own path once for the best
+// a no-op. Each class v served re-scans its own path once for the best
 // remaining middlebox.
 //
 //tdmd:hot
@@ -222,62 +240,44 @@ func (s *State) RemoveBox(v graph.NodeID) float64 {
 	s.plan.Remove(v)
 	stateMutations.Inc()
 	s.flushCacheHits()
-	expanding := s.in.Lambda > 1
-	var delta float64
+	var dd int64
 	for _, fa := range s.in.Through(v) {
-		i := fa.Flow
-		if s.serving[i] != v {
+		c := int(fa.Class)
+		if s.serving[c].at != v {
 			continue
 		}
-		old := s.in.FlowBandwidth(i, v)
-		next := Unserved
-		path := s.in.FlowPath(i)
-		if expanding {
-			for j := len(path) - 1; j >= 0; j-- { // last hit: nearest the destination
-				if s.plan.Has(path[j]) {
-					next = path[j]
-					break
-				}
-			}
-		} else {
-			for _, u := range path { // first hit: nearest the source
-				if s.plan.Has(u) {
-					next = u
-					break
-				}
-			}
+		pc := &s.in.classes[c]
+		next := s.in.serveClass(s.plan, c)
+		down := next.down
+		if down < 0 {
+			s.unserved += int(pc.mult)
+			s.unservedStale = true
+			down = 0
 		}
-		s.serving[i] = next
-		if next == Unserved {
-			s.servDown[i] = -1
-			s.unserved++
-			s.unservedBits.Set(i)
-		} else {
-			s.servDown[i] = path.Downstream(next)
-		}
-		delta += s.in.FlowBandwidth(i, next) - old
-		s.invalidatePath(i)
+		dd += pc.rate * int64(down-fa.Downstream)
+		s.serving[c] = next
+		s.invalidateClass(c)
 	}
-	s.total += delta
+	s.dec += dd
 	if invariant.Enabled {
 		s.verify("RemoveBox")
 	}
-	return delta
+	return s.in.scaleGain(-dd)
 }
 
-// invalidatePath drops the cached scores of every vertex on flow i's
-// path — exactly the vertices whose marginal or coverage count can
-// have changed when flow i's serving state changed.
+// invalidateClass drops the cached scores of every vertex on class
+// c's path — exactly the vertices whose marginal or coverage count can
+// have changed when the class's serving state changed.
 //
 //tdmd:hot
-func (s *State) invalidatePath(i int) {
-	for _, u := range s.in.FlowPath(i) {
+func (s *State) invalidateClass(c int) {
+	for _, u := range s.in.classPath(c) {
 		s.fresh[u] = false
 	}
 }
 
 // MarginalGain returns d_P({v}) (Def. 2) for the current plan,
-// recomputing from the through index only when some flow through v
+// recomputing from the through index only when some class through v
 // changed serving state since the last query. The value is bit-
 // identical to Instance.MarginalDecrement on the equivalent plan and
 // allocation. Deployed vertices have zero marginal.
@@ -296,7 +296,7 @@ func (s *State) MarginalGain(v graph.NodeID) float64 {
 		// Bit-identity (not epsilon agreement) is the cache's contract:
 		// solvers driven by cached marginals must make the exact
 		// decisions full recomputation would.
-		invariant.Assert(math.Float64bits(s.gain[v]) == math.Float64bits(s.in.MarginalDecrement(s.plan, s.serving, v)),
+		invariant.Assert(math.Float64bits(s.gain[v]) == math.Float64bits(s.in.MarginalDecrement(s.plan, s.in.Allocate(s.plan), v)),
 			"netsim: cached marginal for vertex %d diverged from MarginalDecrement", v)
 	}
 	return s.gain[v]
@@ -316,9 +316,7 @@ func (s *State) UnservedCovered(v graph.NodeID) int {
 }
 
 // rescore recomputes and caches v's greedy keys from the through
-// index, mirroring Instance.MarginalDecrement's loop exactly (same
-// flow order, same float operations) so cached and from-scratch values
-// are bit-identical.
+// index.
 //
 //tdmd:hot
 func (s *State) rescore(v graph.NodeID) {
@@ -331,19 +329,20 @@ func (s *State) rescore(v graph.NodeID) {
 // unserved flows covered — directly from the maintained serving state,
 // bypassing and leaving untouched the per-vertex cache. It performs no
 // writes, so concurrent calls are safe while no mutation is in flight.
+// The marginal is MarginalDecrement's exact sum: Σ rate·Δl over the
+// classes that would move, scaled by (1−λ) once.
 //
 //tdmd:hot
 func (s *State) VertexScore(v graph.NodeID) (gain float64, covered int) {
 	expanding := s.in.Lambda > 1
+	var sum int64
 	for _, fa := range s.in.Through(v) {
-		i := fa.Flow
-		rate := s.in.rates[i]
-		served := s.serving[i] != Unserved
-		cur := 0 // gain baseline: 0 for unserved (Def. 2)
-		if served {
-			cur = s.servDown[i]
-		} else {
-			covered++
+		pc := &s.in.classes[fa.Class]
+		cur := s.serving[fa.Class].down
+		served := cur >= 0
+		if !served {
+			cur = 0 // gain baseline: 0 for unserved (Def. 2)
+			covered += int(pc.mult)
 		}
 		var moves bool
 		if expanding {
@@ -352,42 +351,44 @@ func (s *State) VertexScore(v graph.NodeID) (gain float64, covered int) {
 			moves = fa.Downstream > cur
 		}
 		if moves {
-			gain += float64(rate) * (1 - s.in.Lambda) * float64(fa.Downstream-cur)
+			sum += pc.rate * int64(fa.Downstream-cur)
 		}
 	}
 	if s.plan.Has(v) {
-		gain = 0 // deployed vertices have no marginal; coverage still counts
+		return 0, covered // deployed vertices have no marginal; coverage still counts
 	}
-	return gain, covered
+	return s.in.scaleGain(sum), covered
 }
 
 // verify cross-checks the incremental state against the full model
 // recomputation: the maintained allocation must equal Allocate's
-// output exactly, the unserved bookkeeping must match it, and the
-// running total must agree with TotalBandwidth up to float rounding.
-// Runs only with invariants enabled.
+// output exactly, the unserved bookkeeping and the exact decrement
+// must match it, and the bandwidth must agree with TotalBandwidth up
+// to float rounding. Runs only with invariants enabled.
 func (s *State) verify(op string) {
 	alloc := s.in.Allocate(s.plan)
 	unserved := 0
+	var dec int64
 	for i := range alloc {
-		invariant.Assert(s.serving[i] == alloc[i],
-			"netsim: %s left flow %d served at %d, full allocation says %d", op, i, s.serving[i], alloc[i])
+		cs := s.serving[s.in.flowClass[i]]
+		invariant.Assert(cs.at == alloc[i],
+			"netsim: %s left flow %d served at %d, full allocation says %d", op, i, cs.at, alloc[i])
 		if alloc[i] == Unserved {
 			unserved++
-			invariant.Assert(s.servDown[i] == -1,
-				"netsim: %s left unserved flow %d with downstream %d", op, i, s.servDown[i])
-			invariant.Assert(s.unservedBits.Test(i),
-				"netsim: %s lost flow %d from the unserved set", op, i)
+			invariant.Assert(cs.down == -1,
+				"netsim: %s left unserved flow %d with downstream %d", op, i, cs.down)
 		} else {
-			invariant.Assert(s.servDown[i] == s.in.FlowPath(i).Downstream(alloc[i]),
-				"netsim: %s cached stale downstream %d for flow %d", op, s.servDown[i], i)
-			invariant.Assert(!s.unservedBits.Test(i),
-				"netsim: %s kept served flow %d in the unserved set", op, i)
+			down := s.in.FlowPath(i).Downstream(alloc[i])
+			invariant.Assert(int(cs.down) == down,
+				"netsim: %s cached stale downstream %d for flow %d", op, cs.down, i)
+			dec += int64(s.in.rates[i]) * int64(down)
 		}
 	}
 	invariant.Assert(s.unserved == unserved,
 		"netsim: %s counts %d unserved flows, full allocation says %d", op, s.unserved, unserved)
+	invariant.Assert(s.dec == dec,
+		"netsim: %s keeps decrement sum %d, full allocation says %d", op, s.dec, dec)
 	want := s.in.TotalBandwidth(s.plan)
-	invariant.Assert(stats.ApproxEqual(s.total, want, 1e-9),
-		"netsim: %s running bandwidth %v diverged from full recomputation %v", op, s.total, want)
+	invariant.Assert(stats.ApproxEqual(s.Bandwidth(), want, 1e-9),
+		"netsim: %s bandwidth %v diverged from full recomputation %v", op, s.Bandwidth(), want)
 }

@@ -108,8 +108,8 @@ func checkStateAgainstModel(t *testing.T, in *Instance, s *State) {
 			t.Fatalf("vertex %d marginal %v not bit-identical to MarginalDecrement %v", v, got, wantGain)
 		}
 		wantCov := 0
-		for _, fa := range in.Through(v) {
-			if wantAlloc[fa.Flow] == Unserved {
+		for i, a := range wantAlloc {
+			if a == Unserved && in.FlowPath(i).Downstream(v) >= 0 {
 				wantCov++
 			}
 		}

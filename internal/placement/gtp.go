@@ -290,9 +290,10 @@ func bestCandidate(st *netsim.State, guard func(graph.NodeID) bool) (graph.NodeI
 // remaining flows, using greedy set cover over per-vertex coverage
 // bitsets. The estimate upper-bounds the true optimum, so admitting a
 // candidate when the estimate fits the budget is always safe. The
-// state already maintains the unserved set as a bitset, so the guard
-// starts from a clone instead of re-deriving it from an allocation
-// (see the BenchmarkAblationBudgetGuard history in DESIGN.md).
+// state keeps the unserved set as a bitset (rebuilt at most once per
+// mutation), so the guard starts from a clone instead of re-deriving
+// it from an allocation (see the BenchmarkAblationBudgetGuard history
+// in DESIGN.md).
 //
 //tdmd:hot
 func greedyCoverSize(st *netsim.State, v graph.NodeID, banned []bool) int {

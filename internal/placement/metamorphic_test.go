@@ -8,6 +8,7 @@ import (
 
 	"tdmd/internal/graph"
 	"tdmd/internal/netsim"
+	"tdmd/internal/stats"
 	"tdmd/internal/topology"
 	"tdmd/internal/traffic"
 )
@@ -188,6 +189,59 @@ func TestMetamorphicDuplicateEqualsDoubleRate(t *testing.T) {
 		}
 		if math.Abs(a.Bandwidth-b.Bandwidth) > 1e-9 {
 			t.Fatalf("trial %d: duplicate (%v) != doubled (%v)", trial, a.Bandwidth, b.Bandwidth)
+		}
+	}
+}
+
+// Shuffling the flows must not change any greedy's plan or the bits of
+// its objective. The solvers score path classes with exact integer
+// sums, so no decision depends on flow order; flows on repeated paths
+// (three hubs, many flows per source) exercise the class aggregation.
+// The objective compared bit for bit is State.Bandwidth, raw demand
+// minus (1−λ) times the exact decrement sum. Result.Bandwidth sums
+// per-flow floats in flow order, so a shuffle may move its last bits;
+// it must agree to rounding.
+func TestMetamorphicFlowPermutationInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(85))
+	solvers := []string{"gtp", "gtp-lazy", "gtp-ls", "best-effort"}
+	for trial := 0; trial < 300; trial++ {
+		g := topology.GeneralRandom(8+rng.Intn(16), 0.5, rng.Int63())
+		flows := traffic.GeneralFlows(g, []graph.NodeID{0, 1, 2}, traffic.GenConfig{
+			Density: 1e9, Seed: rng.Int63(), MaxFlows: 10 + rng.Intn(60)})
+		if len(flows) == 0 {
+			continue
+		}
+		shuffled := append([]traffic.Flow(nil), flows...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		k := 3 + rng.Intn(6)
+		for _, lambda := range []float64{0.1, 0.3, 0.7, 0.9} {
+			in := netsim.MustNew(g, flows, lambda)
+			inShuffled := netsim.MustNew(g, shuffled, lambda)
+			for _, name := range solvers {
+				opts := Options{K: k}
+				if name == "gtp-lazy" {
+					opts.K = 0
+				}
+				a, errA := Solve(context.Background(), name, in, opts)
+				b, errB := Solve(context.Background(), name, inShuffled, opts)
+				if (errA == nil) != (errB == nil) {
+					t.Fatalf("trial %d λ=%v %s: error changed under flow shuffle: %v vs %v", trial, lambda, name, errA, errB)
+				}
+				if errA != nil {
+					continue
+				}
+				if a.Plan.String() != b.Plan.String() {
+					t.Fatalf("trial %d λ=%v %s: plan %v became %v under flow shuffle", trial, lambda, name, a.Plan, b.Plan)
+				}
+				exactA := netsim.NewState(in, a.Plan).Bandwidth()
+				exactB := netsim.NewState(inShuffled, b.Plan).Bandwidth()
+				if math.Float64bits(exactA) != math.Float64bits(exactB) {
+					t.Fatalf("trial %d λ=%v %s: objective %v became %v under flow shuffle", trial, lambda, name, exactA, exactB)
+				}
+				if !stats.ApproxEqual(a.Bandwidth, b.Bandwidth, 1e-12) {
+					t.Fatalf("trial %d λ=%v %s: bandwidth %v became %v under flow shuffle", trial, lambda, name, a.Bandwidth, b.Bandwidth)
+				}
+			}
 		}
 	}
 }

@@ -47,11 +47,8 @@ var ErrInfeasible = errors.New("placement: no feasible deployment within budget"
 // the hop-by-hop link-load recomputation, so every algorithm's score
 // is validated by an independent model on every solve.
 func finish(in *netsim.Instance, p netsim.Plan) Result {
-	r := Result{
-		Plan:      p,
-		Bandwidth: in.TotalBandwidth(p),
-		Feasible:  in.Feasible(p),
-	}
+	r := Result{Plan: p}
+	r.Bandwidth, r.Feasible = in.Evaluate(p)
 	if invariant.Enabled {
 		sum := netsim.SumLoads(in.LinkLoads(p))
 		invariant.Assert(stats.ApproxEqual(sum, r.Bandwidth, 1e-9),

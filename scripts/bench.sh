@@ -7,7 +7,9 @@
 #           solver benchmarks — the root package's FullVsIncremental
 #           pair, the netsim SnapState primitives and instance
 #           construction (BenchmarkNewInstance) — all at
-#           |V|=200 / |F|≈1500.
+#           |V|=200 / |F|≈1500 — and the gtp-lazy solve on the
+#           bulk-ingest shape scaled to 20k flows
+#           (BenchmarkGTPLazyBulkShape).
 #   ingest  BENCH_ingest.json  the streaming-ingestion benchmarks
 #           (BenchmarkIngest*), including the million-flow scale row;
 #           bytes/flow (the wire format's per-flow cost) is gated

@@ -239,9 +239,7 @@ func (p *Problem) Solve(ctx context.Context, alg Algorithm, k int, opts ...Solve
 // Evaluate scores an externally chosen plan under the model: optimal
 // allocation, total bandwidth, feasibility.
 func (p *Problem) Evaluate(plan Plan) Result {
-	return Result{
-		Plan:      plan,
-		Bandwidth: p.inst.TotalBandwidth(plan),
-		Feasible:  p.inst.Feasible(plan),
-	}
+	r := Result{Plan: plan}
+	r.Bandwidth, r.Feasible = p.inst.Evaluate(plan)
+	return r
 }
