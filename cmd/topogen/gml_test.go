@@ -35,7 +35,7 @@ func TestRunGMLProducesSolvableSpec(t *testing.T) {
 	if err := runGML(path, 0.3, 0.5, 1, false, false, 0, &out); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := tdmd.DecodeSpec(&out)
+	spec, err := tdmd.DecodeSpecStrict(&out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRunNewFabricKinds(t *testing.T) {
 		if err := run(kind, size, 0.5, 0.5, 1, false, 4, 1, &out); err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		spec, err := tdmd.DecodeSpec(&out)
+		spec, err := tdmd.DecodeSpecStrict(&out)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}

@@ -14,7 +14,7 @@ func TestRunTreeSpec(t *testing.T) {
 	if err := run("tree", 22, 0.5, 0.5, 1, false, 4, 1, &out); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := tdmd.DecodeSpec(&out)
+	spec, err := tdmd.DecodeSpecStrict(&out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestRunGeneralSpec(t *testing.T) {
 	if err := run("general", 30, 0.5, 0.5, 1, false, 4, 1, &out); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := tdmd.DecodeSpec(&out)
+	spec, err := tdmd.DecodeSpecStrict(&out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestRunFabricKinds(t *testing.T) {
 		if err := run(kind, size, 0.5, 0.5, 1, false, 4, 1, &out); err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		if _, err := tdmd.DecodeSpec(&out); err != nil {
+		if _, err := tdmd.DecodeSpecStrict(&out); err != nil {
 			t.Fatalf("%s: bad spec: %v", kind, err)
 		}
 	}

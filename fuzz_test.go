@@ -17,7 +17,7 @@ func FuzzDecodeSpec(f *testing.F) {
 	f.Add(`{"nodes":["a","b","c"],"edges":[[0,1],[1,0],[1,2],[2,1]],"flows":[{"rate":2,"path":[2,1,0]}],"lambda":0.3,"root":0}`)
 	f.Add(`not json at all`)
 	f.Fuzz(func(t *testing.T, input string) {
-		spec, err := DecodeSpec(strings.NewReader(input))
+		spec, err := DecodeSpecStrict(strings.NewReader(input))
 		if err != nil {
 			return
 		}

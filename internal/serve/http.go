@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -274,11 +276,24 @@ func (sc *reqScope) httpError(w http.ResponseWriter, code int, format string, ar
 // the JSON object is a 400 (a concatenated second document would
 // otherwise be accepted and ignored).
 func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) (int, error) {
+	if code, err := requireJSON(r); err != nil {
+		return code, err
+	}
+	return decodeJSONBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), v)
+}
+
+// requireJSON refuses any Content-Type but application/json with 415.
+func requireJSON(r *http.Request) (int, error) {
 	ct := r.Header.Get("Content-Type")
 	if mt, _, err := mime.ParseMediaType(ct); err != nil || mt != "application/json" {
 		return http.StatusUnsupportedMediaType, fmt.Errorf("Content-Type must be application/json, got %q", ct)
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	return 0, nil
+}
+
+// decodeJSONBody is decodeJSON's decode of an already bounded body.
+func decodeJSONBody(body io.Reader, v interface{}) (int, error) {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
@@ -294,6 +309,124 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) (int, err
 	}
 	return 0, nil
 }
+
+// bodyBufs recycles the buffers decodeSolveRequest reads bodies into.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeSolveRequest is decodeJSON for a solveRequest, with a fast
+// path. It reads the bounded body into a pooled buffer presized from
+// Content-Length; a body in the canonical shape scanSolveRequest
+// accepts is parsed without encoding/json. Any other body, or one cut
+// short by a read error (the 413 among them), goes to decodeJSONBody
+// as the same bytes followed by the same error, so the status, the
+// error text and the decoded request are exactly decodeJSON's
+// (FuzzSolveRequestDecode checks this).
+func decodeSolveRequest(w http.ResponseWriter, r *http.Request) (solveRequest, int, error) {
+	if code, err := requireJSON(r); err != nil {
+		return solveRequest{}, code, err
+	}
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer bodyBufs.Put(buf)
+	buf.Reset()
+	if r.ContentLength > 0 {
+		// Room for the declared body and the final read that sees EOF.
+		buf.Grow(int(min(r.ContentLength, maxRequestBytes)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err == nil {
+		if req, ok := scanSolveRequest(buf.Bytes()); ok {
+			return req, 0, nil
+		}
+	}
+	body := io.Reader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		body = io.MultiReader(body, errReader{err})
+	}
+	var req solveRequest
+	if code, err := decodeJSONBody(body, &req); err != nil {
+		return solveRequest{}, code, err
+	}
+	return req, 0, nil
+}
+
+// scanSolveRequest parses the canonical solveRequest body, the shape
+// json.Marshal gives a solveRequest whose spec EncodeSpecCompact would
+// write:
+//
+//	{"spec":S,"algorithm":"A","k":K[,"seed":N|null]}
+//
+// S is a document tdmd.ScanCanonicalSpec claims; A is printable ASCII
+// with no quote or backslash; K and N are integers as that scanner
+// reads them (an optional minus, at most 18 digits, no leading zero).
+// Only JSON whitespace may follow. ok is false for anything else.
+//
+//tdmd:hot
+func scanSolveRequest(body []byte) (req solveRequest, ok bool) {
+	rest, ok := bytes.CutPrefix(body, []byte(`{"spec":`))
+	if !ok {
+		return solveRequest{}, false
+	}
+	spec, n, ok := tdmd.ScanCanonicalSpec(rest)
+	if !ok {
+		return solveRequest{}, false
+	}
+	if rest, ok = bytes.CutPrefix(rest[n:], []byte(`,"algorithm":"`)); !ok {
+		return solveRequest{}, false
+	}
+	end := 0
+	for end < len(rest) && rest[end] >= 0x20 && rest[end] < 0x7f && rest[end] != '"' && rest[end] != '\\' {
+		end++
+	}
+	alg := rest[:end]
+	if rest, ok = bytes.CutPrefix(rest[end:], []byte(`","k":`)); !ok {
+		return solveRequest{}, false
+	}
+	k, rest, ok := scanInt(rest)
+	if !ok || int64(int(k)) != k {
+		return solveRequest{}, false
+	}
+	if after, found := bytes.CutPrefix(rest, []byte(`,"seed":`)); found {
+		if rest, found = bytes.CutPrefix(after, []byte("null")); !found {
+			var seed int64
+			if seed, rest, ok = scanInt(after); !ok {
+				return solveRequest{}, false
+			}
+			req.Seed = &seed
+		}
+	}
+	if rest, ok = bytes.CutPrefix(rest, []byte("}")); !ok || len(bytes.TrimLeft(rest, " \t\r\n")) != 0 {
+		return solveRequest{}, false
+	}
+	req.Spec, req.Algorithm, req.K = spec, string(alg), int(k)
+	return req, true
+}
+
+// scanInt parses the integer at the start of b the way
+// tdmd.ScanCanonicalSpec reads one: an optional minus sign, then 1–18
+// digits with no leading zero. It returns the rest of b.
+//
+//tdmd:hot
+func scanInt(b []byte) (int64, []byte, bool) {
+	digits, neg := bytes.CutPrefix(b, []byte("-"))
+	var v int64
+	n := 0
+	for ; n < len(digits) && digits[n] >= '0' && digits[n] <= '9'; n++ {
+		v = v*10 + int64(digits[n]-'0')
+	}
+	if n == 0 || n > 18 || (n > 1 && digits[0] == '0') {
+		return 0, b, false
+	}
+	if neg {
+		v = -v
+	}
+	return v, digits[n:], true
+}
+
+// errReader returns err from every Read; decodeSolveRequest replays a
+// body's read error with it.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // solveStatus maps a solve error to its HTTP status: option
 // mismatches are the client's fault (400), a server-side budget
@@ -427,8 +560,8 @@ func (s *Server) setRetryAfter(w http.ResponseWriter) {
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	sc := s.scope()
 	rec := record(r.Context())
-	var req solveRequest
-	if code, err := decodeJSON(w, r, &req); err != nil {
+	req, code, err := decodeSolveRequest(w, r)
+	if err != nil {
 		sc.httpError(w, code, "%v", err)
 		return
 	}
@@ -587,13 +720,11 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	switch mt {
 	case "application/json":
-		var req solveRequest
-		if code, err := decodeJSON(w, r, &req); err != nil {
+		req, code, err := decodeSolveRequest(w, r)
+		if err != nil {
 			sc.httpError(w, code, "%v", err)
 			return
 		}
-		var code int
-		var err error
 		sub, code, err = buildSubmission(req)
 		if err != nil {
 			sc.httpError(w, code, "%v", err)

@@ -19,7 +19,7 @@ import (
 	"tdmd/internal/paperfix"
 )
 
-func fig1Spec(t *testing.T) tdmd.ProblemSpec {
+func fig1Spec(t testing.TB) tdmd.ProblemSpec {
 	t.Helper()
 	g, flows, lambda := paperfix.Fig1()
 	return tdmd.SpecFromProblem(g, flows, lambda)
@@ -689,5 +689,44 @@ func TestServeCacheHitBitIdentical(t *testing.T) {
 	third.Body.Close()
 	if got := third.Header.Get("X-Tdmd-Solve"); got != string(SourceFresh) {
 		t.Fatalf("different-k solve source = %q, want fresh", got)
+	}
+}
+
+// TestServeRootOutOfRange400: a spec or stream root beyond the last
+// vertex is a 400 naming it on /api/solve and on both /v1/jobs
+// formats, for a tree algorithm and for one that needs no tree.
+func TestServeRootOutOfRange400(t *testing.T) {
+	s, srv := testServer(t, Config{Workers: 1, Queue: 2})
+	spec := tdmd.ProblemSpec{
+		Nodes: []string{"a", "b"}, Edges: [][2]int{{0, 1}, {1, 0}},
+		Flows: []tdmd.FlowSpec{{Rate: 2, Path: []int{1, 0}}}, Lambda: 0.5, Root: 7,
+	}
+	var ndjson bytes.Buffer
+	w, err := tdmd.NewFlowStreamWriter(&ndjson, tdmd.StreamHeader{Nodes: spec.Nodes, Edges: spec.Edges, Lambda: spec.Lambda, Root: spec.Root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Add(2, tdmd.Path{1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []string{"gtp", "dp"} {
+		for _, path := range []string{"/api/solve", "/v1/jobs"} {
+			resp := post(t, srv, path, solveRequest{Spec: spec, Algorithm: alg, K: 1})
+			var env errorEnvelope
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(env.Error, "root 7 out of range") {
+				t.Errorf("%s %s: status %d, error %q; want 400 naming the root", path, alg, resp.StatusCode, env.Error)
+			}
+		}
+		code, msg := postNDJSON(t, s, "algorithm="+alg+"&k=1", ndjson.Bytes())
+		if code != http.StatusBadRequest || !strings.Contains(msg, "root 7 out of range") {
+			t.Errorf("NDJSON job %s: status %d, error %q; want 400 naming the root", alg, code, msg)
+		}
 	}
 }

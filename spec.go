@@ -1,6 +1,7 @@
 package tdmd
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -37,31 +38,41 @@ func EncodeSpec(w io.Writer, s ProblemSpec) error {
 
 // EncodeSpecCompact writes a spec as single-line JSON with no
 // indentation — byte-for-byte the same document modulo whitespace,
-// at roughly half the size on multi-million-flow specs. cmd/topogen
+// at roughly half the size on multi-million-flow specs. Its output is
+// the canonical form: ScanCanonicalSpec (and so DecodeSpecStrict and
+// the service's /api/solve decoder) parses these bytes without
+// encoding/json, unless a node name needs an escape. cmd/topogen
 // switches to it above a flow-count threshold.
 func EncodeSpecCompact(w io.Writer, s ProblemSpec) error {
 	return json.NewEncoder(w).Encode(s)
 }
 
-// DecodeSpec reads a JSON spec, ignoring unknown fields (historical
-// behaviour). Prefer DecodeSpecStrict, which catches typos like
-// "lamda" instead of silently dropping them.
-func DecodeSpec(r io.Reader) (ProblemSpec, error) {
-	return decodeSpec(r, false)
-}
-
-// DecodeSpecStrict reads a JSON spec and rejects unknown fields with
-// an error naming the offending field. cmd/tdmd decodes specs in
-// strict mode.
+// DecodeSpecStrict reads r to EOF as one JSON spec and rejects
+// unknown fields with an error naming the offending field. Input that
+// starts with the canonical document (EncodeSpecCompact's bytes) is
+// parsed by ScanCanonicalSpec; anything else, or input cut short by a
+// read error, goes to encoding/json with the same bytes and then the
+// same error, so the accepted inputs, the decoded spec and the error
+// texts do not depend on which path ran. As with encoding/json, bytes
+// after the document are ignored.
 func DecodeSpecStrict(r io.Reader) (ProblemSpec, error) {
-	return decodeSpec(r, true)
+	data, err := io.ReadAll(r)
+	if err == nil {
+		if s, _, ok := ScanCanonicalSpec(data); ok {
+			return s, nil
+		}
+	}
+	src := io.Reader(bytes.NewReader(data))
+	if err != nil {
+		src = io.MultiReader(src, errReader{err})
+	}
+	return decodeSpec(src)
 }
 
-func decodeSpec(r io.Reader, strict bool) (ProblemSpec, error) {
+// decodeSpec is the encoding/json spec decode, strict about fields.
+func decodeSpec(r io.Reader) (ProblemSpec, error) {
 	dec := json.NewDecoder(r)
-	if strict {
-		dec.DisallowUnknownFields()
-	}
+	dec.DisallowUnknownFields()
 	var s ProblemSpec
 	if err := dec.Decode(&s); err != nil {
 		// encoding/json reports unknown fields as `json: unknown field
@@ -72,8 +83,12 @@ func decodeSpec(r io.Reader, strict bool) (ProblemSpec, error) {
 }
 
 // Build materializes the spec into a Problem (tree attached when Root
-// is set) ready to Solve.
+// is set) ready to Solve. A root beyond the last node is an error; a
+// negative one declares no tree.
 func (s ProblemSpec) Build() (*Problem, error) {
+	if s.Root >= len(s.Nodes) {
+		return nil, fmt.Errorf("tdmd: spec root %d out of range (%d nodes)", s.Root, len(s.Nodes))
+	}
 	g := NewGraph()
 	for _, name := range s.Nodes {
 		g.AddNode(name)
@@ -99,7 +114,7 @@ func (s ProblemSpec) Build() (*Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.Root >= 0 && s.Root < len(s.Nodes) {
+	if s.Root >= 0 {
 		t, err := NewTree(g, NodeID(s.Root))
 		if err != nil {
 			return nil, fmt.Errorf("tdmd: spec declares root %d but graph is not a tree: %w", s.Root, err)

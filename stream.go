@@ -8,6 +8,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
+	"strings"
+	"unicode/utf8"
 
 	"tdmd/internal/graph"
 	"tdmd/internal/netsim"
@@ -124,7 +127,7 @@ func (b *ProblemBuilder) SetLambda(lambda float64) error {
 }
 
 // SetRoot declares the tree root (enabling tree algorithms); a
-// negative root clears it.
+// negative root clears it, and one beyond the last node fails Build.
 func (b *ProblemBuilder) SetRoot(root int) { b.root = root }
 
 // Reserve pre-sizes the arenas for the given flow and total-hop
@@ -231,20 +234,24 @@ var errBuilderSpent = errors.New("tdmd: builder already built; create a new one"
 
 // Build hands the arenas to a netsim instance (no copy; the builder is
 // spent) and wraps it as a Problem, attaching the tree view when a
-// root was declared — exactly what ProblemSpec.Build produces, so a
-// builder-fed Problem is bit-identical to the spec path on the same
-// input (plans, bandwidths, RNG draws).
+// root was declared — exactly what ProblemSpec.Build produces (a root
+// beyond the last node is an error in both), so a builder-fed Problem
+// is bit-identical to the spec path on the same input (plans,
+// bandwidths, RNG draws).
 func (b *ProblemBuilder) Build() (*Problem, error) {
 	if b.built {
 		return nil, errBuilderSpent
 	}
 	b.built = true
+	if b.root >= b.g.NumNodes() {
+		return nil, fmt.Errorf("tdmd: builder root %d out of range (%d nodes)", b.root, b.g.NumNodes())
+	}
 	inst, err := netsim.NewFromArenas(b.g, b.lambda, b.rates, b.pathArena, b.pathOff)
 	if err != nil {
 		return nil, err
 	}
 	p := &Problem{inst: inst, seed: 1}
-	if b.root >= 0 && b.root < b.g.NumNodes() {
+	if b.root >= 0 {
 		t, err := NewTree(b.g, NodeID(b.root))
 		if err != nil {
 			return nil, fmt.Errorf("tdmd: builder declares root %d but graph is not a tree: %w", b.root, err)
@@ -563,6 +570,241 @@ func scanFlowLine(line []byte, fs *FlowSpec) bool {
 		}
 		return string(line[i:]) == "]}\n"
 	}
+}
+
+// ScanCanonicalSpec parses the canonical spec document at the start of
+// data without encoding/json and returns it with the document's
+// length. The canonical document is what EncodeSpecCompact writes,
+// less its newline:
+//
+//	{"nodes":N,"edges":E,"flows":F,"lambda":L,"root":R}
+//
+// with the keys in that order and no whitespace. N is null or an array
+// of strings with no escape, control character or invalid UTF-8; E is
+// null or an array of [u,v] pairs; F is null or an array of
+// {"rate":R,"path":P} objects, P null or an array of vertices. L is a
+// JSON number that strconv.ParseFloat accepts; every other number is
+// an integer: an optional minus sign, then at most 18 digits with no
+// leading zero. ok is false for anything else, and the caller then
+// decodes the same bytes with encoding/json: everything the scanner
+// accepts, encoding/json decodes to the same ProblemSpec
+// (FuzzSpecCanonical checks this). Bytes after the document are not
+// examined.
+func ScanCanonicalSpec(data []byte) (s ProblemSpec, n int, ok bool) {
+	sc := specScanner{data: data}
+	if !sc.lit(`{"nodes":`) {
+		return ProblemSpec{}, 0, false
+	}
+	start, names := sc.i, 0
+	null, ok := sc.list(func() bool { names++; return sc.str() })
+	if !ok {
+		return ProblemSpec{}, 0, false
+	}
+	if !null {
+		// One string holds every name; the nodes slice views into it.
+		s.Nodes = splitNames(string(data[start:sc.i]), make([]string, 0, names))
+	}
+	if !sc.lit(`,"edges":`) {
+		return ProblemSpec{}, 0, false
+	}
+	// Each edge opens one bracket before the flows key, which ends the
+	// list in a canonical document.
+	list := data[sc.i:]
+	if end := bytes.Index(list, []byte(`,"flows":`)); end >= 0 {
+		list = list[:end]
+	}
+	s.Edges = make([][2]int, 0, max(bytes.Count(list, []byte("["))-1, 0))
+	null, ok = sc.list(func() bool {
+		var e [2]int
+		if !sc.lit("[") || !sc.int(&e[0]) || !sc.lit(",") || !sc.int(&e[1]) || !sc.lit("]") {
+			return false
+		}
+		s.Edges = append(s.Edges, e)
+		return true
+	})
+	if !ok || !sc.lit(`,"flows":`) {
+		return ProblemSpec{}, 0, false
+	}
+	if null {
+		s.Edges = nil
+	}
+	// Every flow opens one brace. Every hop of a path is preceded by a
+	// comma, the first by the one before "path", and the commas after
+	// the flows and between them outnumber the braces. So these counts
+	// over the rest of data bound both slices, and neither regrows on a
+	// canonical document. The paths are carved from hops with full slice
+	// expressions, so each stays its own slice.
+	rest := data[sc.i:]
+	braces := bytes.Count(rest, []byte("{"))
+	s.Flows = make([]FlowSpec, 0, braces)
+	hops := make([]int, 0, max(bytes.Count(rest, []byte(","))-braces, 1))
+	hop := func() bool {
+		var v int
+		ok := sc.int(&v)
+		hops = append(hops, v)
+		return ok
+	}
+	null, ok = sc.list(func() bool {
+		var f FlowSpec
+		if !sc.lit(`{"rate":`) || !sc.int(&f.Rate) || !sc.lit(`,"path":`) {
+			return false
+		}
+		from := len(hops)
+		null, ok := sc.list(hop)
+		if !ok || !sc.lit("}") {
+			return false
+		}
+		if !null {
+			f.Path = hops[from:len(hops):len(hops)]
+		}
+		s.Flows = append(s.Flows, f)
+		return true
+	})
+	if !ok || !sc.lit(`,"lambda":`) || !sc.number(&s.Lambda) || !sc.lit(`,"root":`) || !sc.int(&s.Root) || !sc.lit("}") {
+		return ProblemSpec{}, 0, false
+	}
+	if null {
+		s.Flows = nil
+	}
+	return s, sc.i, true
+}
+
+// specScanner is ScanCanonicalSpec's cursor over the document.
+type specScanner struct {
+	data []byte
+	i    int
+}
+
+// lit consumes lit if the input continues with it.
+//
+//tdmd:hot
+func (sc *specScanner) lit(lit string) bool {
+	if !hasLiteral(sc.data, sc.i, lit) {
+		return false
+	}
+	sc.i += len(lit)
+	return true
+}
+
+// list consumes null, or an array whose elements elem consumes, and
+// reports which it was.
+//
+//tdmd:hot
+func (sc *specScanner) list(elem func() bool) (null, ok bool) {
+	if sc.lit("null") {
+		return true, true
+	}
+	if !sc.lit("[") {
+		return false, false
+	}
+	if sc.lit("]") {
+		return false, true
+	}
+	for elem() {
+		if !sc.lit(",") {
+			return false, sc.lit("]")
+		}
+	}
+	return false, false
+}
+
+// int consumes a canonical integer into v: an optional minus sign,
+// then what scanJSONUint accepts.
+//
+//tdmd:hot
+func (sc *specScanner) int(v *int) bool {
+	neg := sc.lit("-")
+	u, next, ok := scanJSONUint(sc.data, sc.i)
+	if !ok {
+		return false
+	}
+	if sc.i, *v = next, u; neg {
+		*v = -u
+	}
+	return true
+}
+
+// number consumes a JSON number into v, converted as encoding/json
+// converts one for a float64; a number out of float64 range is refused.
+//
+//tdmd:hot
+func (sc *specScanner) number(v *float64) bool {
+	d, i := sc.data, sc.i
+	if i < len(d) && d[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(d) && d[i] == '0':
+		i++
+	case i < len(d) && d[i] >= '1' && d[i] <= '9':
+		i = skipDigits(d, i)
+	default:
+		return false
+	}
+	if i < len(d) && d[i] == '.' {
+		j := skipDigits(d, i+1)
+		if j == i+1 {
+			return false
+		}
+		i = j
+	}
+	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
+		i++
+		if i < len(d) && (d[i] == '+' || d[i] == '-') {
+			i++
+		}
+		j := skipDigits(d, i)
+		if j == i {
+			return false
+		}
+		i = j
+	}
+	f, err := strconv.ParseFloat(string(d[sc.i:i]), 64)
+	if err != nil {
+		return false
+	}
+	sc.i, *v = i, f
+	return true
+}
+
+// skipDigits returns the index of the first non-digit at or after i.
+func skipDigits(d []byte, i int) int {
+	for i < len(d) && d[i] >= '0' && d[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// str consumes a string that encoding/json copies through unchanged:
+// valid UTF-8 with no quote, backslash or control character.
+//
+//tdmd:hot
+func (sc *specScanner) str() bool {
+	if !sc.lit(`"`) {
+		return false
+	}
+	d, start, ascii := sc.data, sc.i, true
+	for ; sc.i < len(d) && d[sc.i] != '"'; sc.i++ {
+		if c := d[sc.i]; c < 0x20 || c == '\\' {
+			return false
+		} else if c >= utf8.RuneSelf {
+			ascii = false
+		}
+	}
+	return (ascii || utf8.Valid(d[start:sc.i])) && sc.lit(`"`)
+}
+
+// splitNames appends the strings of a node array that str accepted,
+// as substrings of list, to dst.
+//
+//tdmd:hot
+func splitNames(list string, dst []string) []string {
+	for i := 1; i < len(list)-1; i++ { // inside the brackets
+		end := i + 1 + strings.IndexByte(list[i+1:], '"')
+		dst = append(dst, list[i+1:end])
+		i = end + 1 // the comma, or the closing bracket
+	}
+	return dst
 }
 
 // scanJSONUint parses the unsigned JSON integer starting at line[i]

@@ -13,7 +13,7 @@ import (
 
 // specFixture builds a deterministic random spec: a connected random
 // graph with hub-destination flows, unique vertex names, root unset.
-func specFixture(t *testing.T, seed int64) ProblemSpec {
+func specFixture(t testing.TB, seed int64) ProblemSpec {
 	t.Helper()
 	g := GeneralRandom(40, 0.5, seed)
 	flows := GeneralFlows(g, []NodeID{0, 1}, GenConfig{Density: 0.5, Seed: seed})
@@ -801,13 +801,10 @@ func FuzzStreamFlowLines(f *testing.F) {
 	})
 }
 
-// TestDecodeSpecStrict: strict mode names the offending field, lenient
-// mode keeps the historical ignore-unknowns behaviour.
-func TestDecodeSpecStrictVsLenient(t *testing.T) {
+// TestDecodeSpecStrictNamesUnknownField: an unknown field is an error
+// naming the field, never silently dropped.
+func TestDecodeSpecStrictNamesUnknownField(t *testing.T) {
 	const doc = `{"nodes":["a","b"],"edges":[[0,1]],"flows":[],"lamda":0.5,"root":-1}`
-	if _, err := DecodeSpec(strings.NewReader(doc)); err != nil {
-		t.Fatalf("lenient decode rejected unknown field: %v", err)
-	}
 	_, err := DecodeSpecStrict(strings.NewReader(doc))
 	if err == nil {
 		t.Fatal("strict decode accepted unknown field")

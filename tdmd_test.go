@@ -163,7 +163,7 @@ func TestSpecRoundTrip(t *testing.T) {
 	if err := EncodeSpec(&buf, spec); err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeSpec(&buf)
+	back, err := DecodeSpecStrict(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSpecWithRootEnablesTreeAlgs(t *testing.T) {
 }
 
 func TestSpecRejectsBadInput(t *testing.T) {
-	if _, err := DecodeSpec(strings.NewReader("{not json")); err == nil {
+	if _, err := DecodeSpecStrict(strings.NewReader("{not json")); err == nil {
 		t.Fatal("bad JSON accepted")
 	}
 	bad := ProblemSpec{Nodes: []string{"a"}, Edges: [][2]int{{0, 5}}, Root: -1}
