@@ -3,7 +3,8 @@
 // runs the paired solver benchmarks — the root package's
 // FullVsIncremental pair and the netsim SnapState primitives, all at
 // |V|=200 / |F|≈1500, plus the gtp-lazy solve on the scaled bulk
-// shape (placement's BenchmarkGTPLazyBulkShape) — "ingest"
+// shape (placement's BenchmarkGTPLazyBulkShape) and the tree DP on
+// online-cold's default tree cell (BenchmarkTreeDP) — "ingest"
 // (BENCH_ingest.json) runs the streaming-ingestion benchmarks
 // including the million-flow scale row, and "serve" (BENCH_serve.json) sends single /api/solve requests
 // through the placement service's HTTP handler (internal/serve's
@@ -70,6 +71,7 @@ var suiteSets = map[string]suiteSet{
 		{Pkg: "./internal/netsim", Pattern: "BenchmarkSnapState"},
 		{Pkg: "./internal/netsim", Pattern: "BenchmarkNewInstance"},
 		{Pkg: "./internal/placement", Pattern: "BenchmarkGTPLazyBulkShape"},
+		{Pkg: "./internal/placement", Pattern: "BenchmarkTreeDP"},
 	}},
 	"ingest": {file: "BENCH_ingest.json", suites: []Suite{
 		{Pkg: ".", Pattern: "BenchmarkIngest"},

@@ -26,8 +26,10 @@ import (
 //
 // Requirements (as in the paper): integral flow rates, all flow
 // sources at leaves (or, generally, inside the tree), all destinations
-// equal to the root. The run time is pseudo-polynomial in the total
-// rate.
+// equal to the root. The run time and memory are pseudo-polynomial in
+// the total rate, so a run whose vertex tables and merge tracebacks
+// would exceed maxDPCells (2^22) cells is refused with ErrBadOptions
+// before any table is allocated; at the cap they hold ~64 MiB.
 //
 // The returned Result carries the optimal plan of size ≤ k, obtained
 // by minimizing F(root, k') over k' ≤ k and tracing the decisions
@@ -44,7 +46,10 @@ func TreeDP(ctx context.Context, in *netsim.Instance, t *graph.Tree, k int) (Res
 	}
 	sc := observing(ctx)
 	tablesStart := time.Now()
-	d := newDPRun(in, t, k)
+	d, err := newDPRun(in, t, k)
+	if err != nil {
+		return Result{}, err
+	}
 	root, err := d.solveCtx(ctx, t.Root)
 	if err != nil {
 		return Result{}, err
@@ -63,7 +68,7 @@ func TreeDP(ctx context.Context, in *netsim.Instance, t *graph.Tree, k int) (Res
 	}
 	traceStart := time.Now()
 	plan := netsim.NewPlan()
-	d.trace(root, bestK, bRoot, &plan)
+	d.trace(t.Root, bestK, bRoot, &plan)
 	sc.phase("trace", traceStart)
 	r := finishBudget(in, plan, k)
 	r.Optimal = true
@@ -80,7 +85,10 @@ func TreeDPTables(ctx context.Context, in *netsim.Instance, t *graph.Tree, k int
 	if err := checkTreeWorkload(in, t); err != nil {
 		return nil, nil, err
 	}
-	d := newDPRun(in, t, k)
+	d, err := newDPRun(in, t, k)
+	if err != nil {
+		return nil, nil, err
+	}
 	if _, err := d.solveCtx(ctx, t.Root); err != nil {
 		return nil, nil, err
 	}
@@ -132,6 +140,13 @@ func checkTreeWorkload(in *netsim.Instance, t *graph.Tree) error {
 	return nil
 }
 
+// maxDPCells caps the cells one TreeDP run allocates: every vertex
+// table cell (a float64 and a dpChoice, 16 bytes) plus every child
+// merge's traceback cell (two int32s, 8 bytes). The DP is
+// pseudo-polynomial in the total rate, so without the cap one small
+// request with a huge rate could exhaust the process's memory.
+const maxDPCells = 1 << 22
+
 // dpTable stores P(v, ·, ·) for one vertex: rows 0..maxK, columns
 // 0..maxB, flattened.
 type dpTable struct {
@@ -149,13 +164,14 @@ type dpTable struct {
 
 type dpChoice struct {
 	box    bool
-	childB int // b of the children accumulator used (box case only)
+	childB int32 // b of the children accumulator used (box case only)
 }
 
-// mergeBack is the traceback table of one child merge step.
+// mergeBack is the traceback table of one child merge step; kc and bc
+// are −1 at accumulator states no split reaches.
 type mergeBack struct {
-	maxK, maxB int
-	kc, bc     []int32
+	maxB   int
+	kc, bc []int32
 }
 
 func (m *mergeBack) idx(k, b int) int { return k*(m.maxB+1) + b }
@@ -188,9 +204,24 @@ type dpRun struct {
 	subRate []int // S_v: rate sourced in T_v
 	subSize []int // vertices in T_v (caps the k dimension)
 	memo    []*dpTable
+	// Merge scratch shared by every vertex: the children accumulator's
+	// values ping-pong between acc[0] and acc[1], and finite lists the
+	// accumulator's reachable states.
+	acc    [2][]float64
+	finite []dpState
 }
 
-func newDPRun(in *netsim.Instance, t *graph.Tree, k int) *dpRun {
+// dpState is one reachable accumulator state: k boxes at value v. off
+// is its index in the merged table when the child contributes (0, 0).
+type dpState struct {
+	k, off int
+	v      float64
+}
+
+// newDPRun sizes a TreeDP run and refuses, with ErrBadOptions, one
+// whose tables would exceed maxDPCells; nothing large is allocated
+// before the check.
+func newDPRun(in *netsim.Instance, t *graph.Tree, k int) (*dpRun, error) {
 	n := in.G.NumNodes()
 	d := &dpRun{
 		in: in, t: t, budget: k,
@@ -210,15 +241,39 @@ func newDPRun(in *netsim.Instance, t *graph.Tree, k int) *dpRun {
 			d.subSize[v] += d.subSize[c]
 		}
 	}
-	return d
+	if cells := d.cells(); cells > maxDPCells {
+		return nil, fmt.Errorf("placement: tree DP needs %d table cells, above the cap of %d (its size grows with the total flow rate): %w",
+			cells, maxDPCells, ErrBadOptions)
+	}
+	return d, nil
 }
 
-func (d *dpRun) capK(v graph.NodeID) int {
-	if d.subSize[v] < d.budget {
-		return d.subSize[v]
+// cells counts the run's vertex-table and merge-traceback cells,
+// saturating at math.MaxInt instead of overflowing.
+func (d *dpRun) cells() int {
+	total := 0
+	for _, v := range d.t.PostOrder() {
+		total = addCells(total, d.capK(v)+1, d.subRate[v]+1)
+		k, b := 0, 0
+		for _, c := range d.t.Children(v) {
+			k = min(k+d.capK(c), d.budget)
+			b += d.subRate[c]
+			total = addCells(total, k+1, b+1)
+		}
 	}
-	return d.budget
+	return total
 }
+
+// addCells returns total + a·b for non-negative total and a and
+// positive b, or math.MaxInt when that overflows.
+func addCells(total, a, b int) int {
+	if a > (math.MaxInt-total)/b {
+		return math.MaxInt
+	}
+	return total + a*b
+}
+
+func (d *dpRun) capK(v graph.NodeID) int { return min(d.subSize[v], d.budget) }
 
 // solveCtx computes the tables of the whole subtree rooted at v in
 // post-order and returns v's table, polling the context between
@@ -240,70 +295,73 @@ func (d *dpRun) solveCtx(ctx context.Context, v graph.NodeID) (*dpTable, error) 
 
 // solveNode computes the table of a single vertex whose children are
 // already solved; TreeDP drives it in post-order.
+//
+// Each child merge scatters instead of gathering: every finite child
+// state (k_c, b_c) relaxes every finite accumulator state it can reach.
+// Most states are +Inf — b can only be a sum of the children's
+// reachable rates — so this skips the bulk of a dense scan over all
+// (target, split) pairs. The value expression is the gather's, so the
+// floats are bit-identical; and each target meets its candidates in
+// ascending (k_c, b_c) order, as the gather did, so under strict < the
+// same first minimum wins and the traceback is unchanged.
 func (d *dpRun) solveNode(v graph.NodeID) *dpTable {
 	children := d.t.Children(v)
-	// Children accumulator: acc[k][b] = min cost of the already-merged
-	// child subtrees plus their uplink loads, with k boxes among them
-	// and total processed rate b.
-	accK, accB := 0, 0
-	acc := newTable(0, 0)
-	acc.vals[0] = 0
-	var backs []*mergeBack
+	lambda := d.in.Lambda
+	// Children accumulator: acc[k*(accB+1)+b] = min cost of the
+	// already-merged child subtrees plus their uplink loads, with k
+	// boxes among them and total processed rate b.
+	accK, accB, side := 0, 0, 0
+	acc := append(d.acc[side][:0], 0)
+	d.acc[side] = acc
+	backs := make([]*mergeBack, 0, len(children))
 	for _, c := range children {
 		ct := d.memo[c] // children are solved before their parent
 		if ct == nil {
 			panic("placement: TreeDP child table missing (scheduling bug)")
 		}
 		sc := d.subRate[c]
-		lambda := d.in.Lambda
-		newK := accK + ct.maxK
-		if newK > d.budget {
-			newK = d.budget
-		}
+		newK := min(accK+ct.maxK, d.budget)
 		newB := accB + sc
-		merged := newTable(newK, newB)
-		back := &mergeBack{maxK: newK, maxB: newB,
-			kc: make([]int32, (newK+1)*(newB+1)), bc: make([]int32, (newK+1)*(newB+1))}
-		for k := 0; k <= newK; k++ {
-			for b := 0; b <= newB; b++ {
-				best := math.Inf(1)
-				bkc, bbc := -1, -1
-				loK := k - accK
-				if loK < 0 {
-					loK = 0
+		n := (newK + 1) * (newB + 1)
+		finite := d.finite[:0]
+		for ka := 0; ka <= accK; ka++ {
+			for ba, val := range acc[ka*(accB+1) : (ka+1)*(accB+1)] {
+				if !math.IsInf(val, 1) {
+					finite = append(finite, dpState{k: ka, off: ka*(newB+1) + ba, v: val})
 				}
-				hiK := ct.maxK
-				if hiK > k {
-					hiK = k
+			}
+		}
+		d.finite = finite
+		side ^= 1
+		if cap(d.acc[side]) < n {
+			d.acc[side] = make([]float64, n)
+		}
+		merged := d.acc[side][:n]
+		for i := range merged {
+			merged[i] = math.Inf(1)
+		}
+		splits := make([]int32, 2*n)
+		for i := range splits {
+			splits[i] = -1
+		}
+		back := &mergeBack{maxB: newB, kc: splits[:n:n], bc: splits[n:]}
+		for kc := 0; kc <= ct.maxK && kc <= newK; kc++ {
+			for bc, childVal := range ct.vals[kc*(sc+1) : (kc+1)*(sc+1)] {
+				if math.IsInf(childVal, 1) {
+					continue
 				}
-				for kc := loK; kc <= hiK; kc++ {
-					loB := b - accB
-					if loB < 0 {
-						loB = 0
+				uplink := lambda*float64(bc) + float64(sc-bc)
+				shift := kc*(newB+1) + bc
+				for _, s := range finite { // k-major: stop past newK
+					if s.k+kc > newK {
+						break
 					}
-					hiB := sc
-					if hiB > b {
-						hiB = b
-					}
-					for bc := loB; bc <= hiB; bc++ {
-						childVal := ct.at(kc, bc)
-						if math.IsInf(childVal, 1) {
-							continue
-						}
-						prev := acc.at(k-kc, b-bc)
-						if math.IsInf(prev, 1) {
-							continue
-						}
-						uplink := lambda*float64(bc) + float64(sc-bc)
-						if val := prev + childVal + uplink; val < best {
-							best, bkc, bbc = val, kc, bc
-						}
+					i := s.off + shift
+					if val := s.v + childVal + uplink; val < merged[i] {
+						merged[i] = val
+						back.kc[i], back.bc[i] = int32(kc), int32(bc)
 					}
 				}
-				i := merged.idx(k, b)
-				merged.vals[i] = best
-				back.kc[i] = int32(bkc)
-				back.bc[i] = int32(bbc)
 			}
 		}
 		acc = merged
@@ -312,54 +370,48 @@ func (d *dpRun) solveNode(v graph.NodeID) *dpTable {
 	}
 	// Assemble the vertex table from the accumulator.
 	maxK := d.capK(v)
-	maxB := d.subRate[v]
-	tab := newTable(maxK, maxB)
+	sv := d.subRate[v]
+	tab := newTable(maxK, sv)
 	tab.backs = backs
 	// No middlebox on v: flows sourced at v stay unprocessed, so b is
 	// exactly the children's processed rate.
 	for k := 0; k <= maxK && k <= accK; k++ {
-		for b := 0; b <= accB; b++ {
-			if val := acc.at(k, b); val < tab.at(k, b) {
-				i := tab.idx(k, b)
+		for b, val := range acc[k*(accB+1) : (k+1)*(accB+1)] {
+			if i := tab.idx(k, b); val < tab.vals[i] {
 				tab.vals[i] = val
-				tab.choice[i] = dpChoice{box: false, childB: b}
+				tab.choice[i] = dpChoice{box: false, childB: int32(b)}
 			}
 		}
 	}
 	// Middlebox on v: every flow crossing v is processed by v at the
 	// latest, so b = S_v; the children may be in any partial state.
-	sv := d.subRate[v]
-	for k := 1; k <= maxK; k++ {
+	for k := 1; k <= maxK && k-1 <= accK; k++ {
 		best := math.Inf(1)
 		bestB := -1
-		for b := 0; b <= accB; b++ {
-			if val := acc.at(k-1, b); val < best {
+		for b, val := range acc[(k-1)*(accB+1) : k*(accB+1)] {
+			if val < best {
 				best, bestB = val, b
 			}
 		}
-		if bestB >= 0 && best < tab.at(k, sv) {
-			i := tab.idx(k, sv)
+		if i := tab.idx(k, sv); bestB >= 0 && best < tab.vals[i] {
 			tab.vals[i] = best
-			tab.choice[i] = dpChoice{box: true, childB: bestB}
+			tab.choice[i] = dpChoice{box: true, childB: int32(bestB)}
 		}
 	}
 	d.memo[v] = tab
-	// The accumulator's own backs are kept; intermediate accumulators
-	// were folded into `backs` step by step, so child splits can be
-	// unwound right-to-left during trace.
 	return tab
 }
 
-// trace reconstructs the plan for state (k, b) at the vertex owning
-// tab, appending chosen vertices to plan.
-func (d *dpRun) trace(tab *dpTable, k, b int, plan *netsim.Plan) {
-	v := d.owner(tab)
+// trace reconstructs the plan for state (k, b) at vertex v, appending
+// chosen vertices to plan.
+func (d *dpRun) trace(v graph.NodeID, k, b int, plan *netsim.Plan) {
+	tab := d.memo[v]
 	ch := tab.choice[tab.idx(k, b)]
 	if ch.box {
 		plan.Add(v)
 		k--
 	}
-	b = ch.childB
+	b = int(ch.childB)
 	// Unwind child merges right to left.
 	children := d.t.Children(v)
 	for j := len(children) - 1; j >= 0; j-- {
@@ -369,23 +421,11 @@ func (d *dpRun) trace(tab *dpTable, k, b int, plan *netsim.Plan) {
 		if kc < 0 || bc < 0 {
 			panic(fmt.Sprintf("placement: TreeDP trace hit an unreachable state at vertex %d (k=%d b=%d)", v, k, b))
 		}
-		d.trace(d.memo[children[j]], kc, bc, plan)
+		d.trace(children[j], kc, bc, plan)
 		k -= kc
 		b -= bc
 	}
 	if k != 0 || b != 0 {
 		panic(fmt.Sprintf("placement: TreeDP trace ended with k=%d b=%d at vertex %d", k, b, v))
 	}
-}
-
-// owner finds the vertex whose memoized table is tab. Tables are
-// unique per vertex, so a linear scan is fine (trace visits each
-// vertex once).
-func (d *dpRun) owner(tab *dpTable) graph.NodeID {
-	for v, t := range d.memo {
-		if t == tab {
-			return graph.NodeID(v)
-		}
-	}
-	panic("placement: unknown DP table")
 }

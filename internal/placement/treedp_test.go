@@ -2,8 +2,12 @@ package placement
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"tdmd/internal/graph"
@@ -283,4 +287,240 @@ func TestTreeDPReachesLambdaBound(t *testing.T) {
 			t.Fatalf("trial %d: bandwidth %v, λ bound %v", trial, r.Bandwidth, want)
 		}
 	}
+}
+
+// pathInstance is the 3-vertex path v2 → v1 → v0 (root v0) with one
+// flow of the given rate from v2.
+func pathInstance(rate int) (*netsim.Instance, *graph.Tree) {
+	g := graph.New()
+	g.AddNodes(3)
+	g.AddBiEdge(0, 1)
+	g.AddBiEdge(1, 2)
+	tree, err := graph.NewTree(g, 0)
+	if err != nil {
+		panic(err)
+	}
+	flows := []traffic.Flow{{ID: 0, Rate: rate, Path: graph.Path{2, 1, 0}}}
+	return netsim.MustNew(g, flows, 0.5), tree
+}
+
+// The DP's memory is pseudo-polynomial in the total rate, so a run
+// over maxDPCells cells is refused before any table exists. On the
+// 3-vertex path with k=2 the run holds 13·(rate+1) cells: tables of
+// 2, 3 and 3 rows and merges of 2 and 3 rows, each rate+1 wide.
+func TestTreeDPCellCap(t *testing.T) {
+	cases := []struct {
+		name  string
+		rate  int
+		cells int
+		ok    bool
+	}{
+		{"small", 5, 13 * 6, true},
+		{"at cap", 322637, 13 * 322638, true},
+		{"one over cap", 322638, 13 * 322639, false},
+		{"max rate", math.MaxInt32, 13 << 31, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			in, tree := pathInstance(c.rate)
+			d, err := newDPRun(in, tree, 2)
+			if c.ok {
+				if err != nil {
+					t.Fatalf("newDPRun: %v", err)
+				}
+				if got := d.cells(); got != c.cells {
+					t.Fatalf("cells = %d, want %d", got, c.cells)
+				}
+				return
+			}
+			_, err1 := TreeDP(context.Background(), in, tree, 2)
+			_, _, err2 := TreeDPTables(context.Background(), in, tree, 2)
+			for _, err := range []error{err, err1, err2} {
+				if !errors.Is(err, ErrBadOptions) {
+					t.Fatalf("error %v, want ErrBadOptions", err)
+				}
+				msg := err.Error()
+				if !strings.Contains(msg, strconv.Itoa(c.cells)) || !strings.Contains(msg, strconv.Itoa(maxDPCells)) {
+					t.Fatalf("error %q does not name %d cells and the cap %d", msg, c.cells, maxDPCells)
+				}
+			}
+		})
+	}
+	if got := addCells(math.MaxInt-5, 3, 2); got != math.MaxInt {
+		t.Fatalf("addCells overflowed to %d, want saturation at math.MaxInt", got)
+	}
+}
+
+// denseSolveNode is the dense gather the scatter kernel in solveNode
+// replaced, kept as FuzzTreeDPKernel's reference: for every target
+// (k, b) it scans every child split (k_c, b_c).
+func denseSolveNode(d *dpRun, v graph.NodeID) {
+	children := d.t.Children(v)
+	accK, accB := 0, 0
+	acc := newTable(0, 0)
+	acc.vals[0] = 0
+	var backs []*mergeBack
+	for _, c := range children {
+		ct := d.memo[c]
+		sc := d.subRate[c]
+		lambda := d.in.Lambda
+		newK := accK + ct.maxK
+		if newK > d.budget {
+			newK = d.budget
+		}
+		newB := accB + sc
+		merged := newTable(newK, newB)
+		back := &mergeBack{maxB: newB,
+			kc: make([]int32, (newK+1)*(newB+1)), bc: make([]int32, (newK+1)*(newB+1))}
+		for k := 0; k <= newK; k++ {
+			for b := 0; b <= newB; b++ {
+				best := math.Inf(1)
+				bkc, bbc := -1, -1
+				for kc := max(k-accK, 0); kc <= min(ct.maxK, k); kc++ {
+					for bc := max(b-accB, 0); bc <= min(sc, b); bc++ {
+						childVal := ct.at(kc, bc)
+						if math.IsInf(childVal, 1) {
+							continue
+						}
+						prev := acc.at(k-kc, b-bc)
+						if math.IsInf(prev, 1) {
+							continue
+						}
+						uplink := lambda*float64(bc) + float64(sc-bc)
+						if val := prev + childVal + uplink; val < best {
+							best, bkc, bbc = val, kc, bc
+						}
+					}
+				}
+				i := merged.idx(k, b)
+				merged.vals[i] = best
+				back.kc[i] = int32(bkc)
+				back.bc[i] = int32(bbc)
+			}
+		}
+		acc = merged
+		accK, accB = newK, newB
+		backs = append(backs, back)
+	}
+	maxK := d.capK(v)
+	sv := d.subRate[v]
+	tab := newTable(maxK, sv)
+	tab.backs = backs
+	for k := 0; k <= maxK && k <= accK; k++ {
+		for b := 0; b <= accB; b++ {
+			if val := acc.at(k, b); val < tab.at(k, b) {
+				i := tab.idx(k, b)
+				tab.vals[i] = val
+				tab.choice[i] = dpChoice{box: false, childB: int32(b)}
+			}
+		}
+	}
+	for k := 1; k <= maxK; k++ {
+		best := math.Inf(1)
+		bestB := -1
+		for b := 0; b <= accB; b++ {
+			if val := acc.at(k-1, b); val < best {
+				best, bestB = val, b
+			}
+		}
+		if bestB >= 0 && best < tab.at(k, sv) {
+			i := tab.idx(k, sv)
+			tab.vals[i] = best
+			tab.choice[i] = dpChoice{box: true, childB: int32(bestB)}
+		}
+	}
+	d.memo[v] = tab
+}
+
+// fuzzTree builds a tree of 1+len(shape) vertices (at most 12): vertex
+// i hangs under shape[i-1] mod i. Vertex i sources one flow of rate
+// rates[i-1] mod 8 (none when 0 or past the end), so flows start at
+// internal vertices as well as leaves.
+func fuzzTree(shape, rates []byte, lambda float64) (*netsim.Instance, *graph.Tree) {
+	shape = shape[:min(len(shape), 11)]
+	n := 1 + len(shape)
+	g := graph.New()
+	g.AddNodes(n)
+	for i, p := range shape {
+		g.AddBiEdge(graph.NodeID(int(p)%(i+1)), graph.NodeID(i+1))
+	}
+	tree, err := graph.NewTree(g, 0)
+	if err != nil {
+		panic(err)
+	}
+	var flows []traffic.Flow
+	for i := 1; i < n && i-1 < len(rates); i++ {
+		if r := int(rates[i-1] % 8); r > 0 {
+			flows = append(flows, traffic.Flow{ID: len(flows), Rate: r, Path: tree.PathToRoot(graph.NodeID(i))})
+		}
+	}
+	return netsim.MustNew(g, flows, lambda), tree
+}
+
+// FuzzTreeDPKernel proves the scatter merge against the dense gather
+// it replaced: on every fuzzed tree, each vertex's memo table — values
+// (bit for bit), choices and merge tracebacks — and the traced plan
+// must match the reference.
+func FuzzTreeDPKernel(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 1, 2}, []byte{3, 0, 5, 1, 7}, 0.1, uint8(2))
+	f.Add([]byte{0, 1, 2, 3}, []byte{1, 2, 3, 4}, 0.3, uint8(1)) // path, internal sources, k = 1
+	f.Add([]byte{0, 0, 0, 1, 1, 2, 5}, []byte{6, 0, 2, 5, 3, 7, 1}, 0.7, uint8(3))
+	f.Add([]byte{0, 0, 1, 2}, []byte{2, 4, 6, 1}, 0.0, uint8(2))       // λ = 0
+	f.Add([]byte{0, 1, 1, 0}, []byte{5, 3, 2, 7}, 1.0, uint8(2))       // λ = 1
+	f.Add([]byte{0, 0, 1, 1, 3}, []byte{1, 1, 1, 1, 1}, 0.5, uint8(9)) // k ≥ |V|
+	f.Add([]byte{}, []byte{}, 0.5, uint8(1))                           // single vertex
+	f.Fuzz(func(t *testing.T, shape, rates []byte, lambda float64, kb uint8) {
+		if !(lambda >= 0 && lambda <= 1) {
+			lambda = 0.5
+		}
+		in, tree := fuzzTree(shape, rates, lambda)
+		k := 1 + int(kb)%(in.G.NumNodes()+2)
+		got, err := newDPRun(in, tree, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := got.solveCtx(context.Background(), tree.Root); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := newDPRun(in, tree, k)
+		for _, v := range tree.PostOrder() {
+			denseSolveNode(want, v)
+		}
+		for v, wt := range want.memo {
+			gt := got.memo[v]
+			if gt.maxK != wt.maxK || gt.maxB != wt.maxB || len(gt.vals) != len(wt.vals) {
+				t.Fatalf("v%d: table %dx%d, want %dx%d", v, gt.maxK, gt.maxB, wt.maxK, wt.maxB)
+			}
+			for i := range wt.vals {
+				if math.Float64bits(gt.vals[i]) != math.Float64bits(wt.vals[i]) || gt.choice[i] != wt.choice[i] {
+					t.Fatalf("v%d cell %d: (%v, %+v), want (%v, %+v)", v, i, gt.vals[i], gt.choice[i], wt.vals[i], wt.choice[i])
+				}
+			}
+			if len(gt.backs) != len(wt.backs) {
+				t.Fatalf("v%d: %d merge tracebacks, want %d", v, len(gt.backs), len(wt.backs))
+			}
+			for j, wb := range wt.backs {
+				gb := gt.backs[j]
+				if gb.maxB != wb.maxB || !slices.Equal(gb.kc, wb.kc) || !slices.Equal(gb.bc, wb.bc) {
+					t.Fatalf("v%d merge %d: traceback differs\ngot  kc %v bc %v\nwant kc %v bc %v", v, j, gb.kc, gb.bc, wb.kc, wb.bc)
+				}
+			}
+		}
+		r, err := TreeDP(context.Background(), in, tree, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, bRoot := want.memo[tree.Root], want.subRate[tree.Root]
+		bestK, bestVal := -1, math.Inf(1)
+		for kk := 0; kk <= root.maxK; kk++ {
+			if val := root.at(kk, bRoot); val < bestVal {
+				bestK, bestVal = kk, val
+			}
+		}
+		plan := netsim.NewPlan()
+		want.trace(tree.Root, bestK, bRoot, &plan)
+		if !slices.Equal(r.Plan.Vertices(), plan.Vertices()) {
+			t.Fatalf("plan %v, reference %v", r.Plan, plan)
+		}
+	})
 }

@@ -425,6 +425,33 @@ func TestServeReadyzFlipsOnDrain(t *testing.T) {
 	}
 }
 
+// TestServeDPHugeRate400: the tree DP's tables grow with the total
+// rate, so a small body with one rate-(2³¹−1) flow must be refused as
+// a client error before any table is allocated, and the server must
+// keep answering.
+func TestServeDPHugeRate400(t *testing.T) {
+	_, srv := testServer(t, Config{})
+	body := []byte(`{"spec":{"nodes":["a","b","c"],"edges":[[0,1],[1,0],[1,2],[2,1]],` +
+		`"flows":[{"rate":2147483647,"path":[2,1,0]}],"lambda":0.5,"root":0},"algorithm":"dp","k":2}`)
+	resp := postRaw(t, srv, "/api/solve", body)
+	var env errorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(env.Error, "cells") {
+		t.Fatalf("status %d, error %q; want 400 naming the cell cap", resp.StatusCode, env.Error)
+	}
+	ready, err := http.Get(srv.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ready.Body.Close()
+	if ready.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz after the refused solve = %d, want 200", ready.StatusCode)
+	}
+}
+
 // TestServeMetricsEndpoint: /metrics serves parseable Prometheus text
 // carrying the HTTP, serve and solver series fed by the solve that
 // just ran.

@@ -7,9 +7,11 @@
 #           solver benchmarks — the root package's FullVsIncremental
 #           pair, the netsim SnapState primitives and instance
 #           construction (BenchmarkNewInstance) — all at
-#           |V|=200 / |F|≈1500 — and the gtp-lazy solve on the
+#           |V|=200 / |F|≈1500 — the gtp-lazy solve on the
 #           bulk-ingest shape scaled to 20k flows
-#           (BenchmarkGTPLazyBulkShape).
+#           (BenchmarkGTPLazyBulkShape) and the tree DP on
+#           online-cold's default tree cell, |V|=22, k=8
+#           (BenchmarkTreeDP).
 #   ingest  BENCH_ingest.json  the streaming-ingestion benchmarks
 #           (BenchmarkIngest*), including the million-flow scale row;
 #           bytes/flow (the wire format's per-flow cost) is gated
