@@ -41,10 +41,10 @@ lint-json:
 cancelhammer:
 	go test -tags tdmdinvariant -run Cancel -race -count=5 ./internal/placement/
 
+# Every Fuzz* target in the module (auto-discovered), 30s each;
+# scripts/check.sh runs the same script with 5s per target.
 fuzz:
-	go test -run='^$$' -fuzz=FuzzDecodeSpec -fuzztime=30s .
-	go test -run='^$$' -fuzz=FuzzReadTrace -fuzztime=30s .
-	go test -run='^$$' -fuzz=FuzzStateOps -fuzztime=30s ./internal/netsim/
+	scripts/fuzz.sh 30s
 
 # Paired full-recompute vs incremental (netsim.State) benchmarks; see
 # EXPERIMENTS.md "Incremental evaluation".

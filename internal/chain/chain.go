@@ -16,8 +16,6 @@ package chain
 import (
 	"fmt"
 	"math"
-
-	"tdmd/internal/graph"
 )
 
 // Chain is an ordered list of middlebox traffic-changing ratios; the
@@ -136,11 +134,6 @@ func Optimal(rate float64, pathLen int, c Chain) (Placement, float64, error) {
 		pl = append(pl, pathLen) // leftovers at the destination
 	}
 	return pl, G[0][0], nil
-}
-
-// OptimalOnPath is Optimal for a concrete graph path.
-func OptimalOnPath(rate float64, p graph.Path, c Chain) (Placement, float64, error) {
-	return Optimal(rate, p.Len(), c)
 }
 
 // BruteForce enumerates every valid placement; exponential, tests

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"tdmd/internal/graph"
 )
 
 func TestBandwidthManual(t *testing.T) {
@@ -159,17 +157,6 @@ func TestGreedyUnordered(t *testing.T) {
 		if unordered > ordered+1e-9 {
 			t.Fatalf("trial %d: unordered %v worse than ordered %v", trial, unordered, ordered)
 		}
-	}
-}
-
-func TestOptimalOnPath(t *testing.T) {
-	p := graph.Path{5, 3, 1}
-	pl, b, err := OptimalOnPath(4, p, Chain{0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl[0] != 0 || b != 4 {
-		t.Fatalf("pl=%v b=%v", pl, b)
 	}
 }
 

@@ -143,20 +143,6 @@ func grid(ctx context.Context, cfg Config, figIdx uint64, id, title string, ks, 
 	return surf, nil
 }
 
-// AllFigures runs every 1-D evaluation figure in order.
-func AllFigures(ctx context.Context, cfg Config) ([]*Figure, error) {
-	runs := []func(context.Context, Config) (*Figure, error){Fig9, Fig10, Fig11, Fig12, Fig13, Fig14, Fig15, Fig16}
-	var out []*Figure
-	for _, run := range runs {
-		f, err := run(ctx, cfg)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
 // seq returns {lo, lo+step, ..., <=hi} as float64s.
 func seq(lo, hi, step int) []float64 {
 	var xs []float64

@@ -55,8 +55,8 @@ func (g *Graph) NumEdges() int { return g.edgeCnt }
 // and anything built on it, like trace replay) resolves a duplicated
 // label to the LOWEST vertex ID carrying it and silently ignores the
 // others. Code that loads labeled topologies and will later look
-// vertices up by name must reject duplicates up front via
-// DuplicateNames (the topology loaders do).
+// vertices up by name must reject duplicate labels itself, as the GML
+// loader does.
 func (g *Graph) AddNode(name string) NodeID {
 	id := NodeID(len(g.names))
 	g.names = append(g.names, name)
@@ -83,16 +83,10 @@ func (g *Graph) AddNodes(n int) NodeID {
 // Name returns the label of v.
 func (g *Graph) Name(v NodeID) string { return g.names[v] }
 
-// SetName relabels v.
-func (g *Graph) SetName(v NodeID, name string) {
-	g.names[v] = name
-	g.byName = nil // invalidate
-}
-
 // NodeByName returns the first (lowest-ID) vertex with the given
 // label, or Invalid. See the AddNode contract: with duplicated labels
-// the later vertices are unreachable by name — call DuplicateNames
-// first when labels are meant to be identifiers.
+// the later vertices are unreachable by name, so loaders whose labels
+// are identifiers reject duplicates.
 func (g *Graph) NodeByName(name string) NodeID {
 	if g.byName == nil {
 		g.byName = make(map[string]NodeID, len(g.names))
@@ -104,22 +98,6 @@ func (g *Graph) NodeByName(name string) NodeID {
 		return id
 	}
 	return Invalid
-}
-
-// DuplicateNames returns every label carried by more than one vertex,
-// in first-occurrence order (each listed once). Loaders of labeled
-// topologies call this to fail fast instead of letting NodeByName
-// silently alias distinct vertices.
-func (g *Graph) DuplicateNames() []string {
-	seen := make(map[string]int, len(g.names))
-	var dups []string
-	for _, name := range g.names {
-		seen[name]++
-		if seen[name] == 2 {
-			dups = append(dups, name)
-		}
-	}
-	return dups
 }
 
 // Valid reports whether v is a vertex of g.

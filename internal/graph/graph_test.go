@@ -53,19 +53,6 @@ func TestNodeByName(t *testing.T) {
 	}
 }
 
-func TestSetNameInvalidatesIndex(t *testing.T) {
-	g := New()
-	a := g.AddNode("old")
-	_ = g.NodeByName("old") // force index build
-	g.SetName(a, "new")
-	if got := g.NodeByName("new"); got != a {
-		t.Fatalf("NodeByName(new) = %d, want %d", got, a)
-	}
-	if got := g.NodeByName("old"); got != Invalid {
-		t.Fatalf("NodeByName(old) = %d, want Invalid", got)
-	}
-}
-
 func TestEdgesAndDegrees(t *testing.T) {
 	g := New()
 	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
@@ -123,15 +110,20 @@ func TestAddEdgePanicsOnNegativeWeight(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	g := New()
 	a, b := g.AddNode("a"), g.AddNode("b")
+	g.AddNode("c") // leaves spare capacity in the name array
 	g.AddEdge(a, b)
 	c := g.Clone()
 	c.AddEdge(b, a)
-	c.SetName(a, "changed")
+	added := c.AddNode("changed")
 	if g.NumEdges() != 1 {
 		t.Fatalf("clone mutation leaked: NumEdges = %d", g.NumEdges())
 	}
-	if g.Name(a) != "a" {
-		t.Fatalf("clone mutation leaked: Name = %q", g.Name(a))
+	if g.NumNodes() != 3 || g.NodeByName("changed") != Invalid {
+		t.Fatalf("clone mutation leaked: NumNodes = %d", g.NumNodes())
+	}
+	// Growing both sides must not share one name array.
+	if g.AddNode("orig") != added || c.Name(added) != "changed" || g.Name(added) != "orig" {
+		t.Fatalf("names alias across clones: clone %q, original %q", c.Name(added), g.Name(added))
 	}
 }
 
@@ -379,26 +371,6 @@ func TestDownstreamQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// DuplicateNames surfaces labels carried by more than one vertex —
-// the AddNode contract's footgun detector for loaders whose labels
-// are identifiers.
-func TestDuplicateNames(t *testing.T) {
-	g := New()
-	if dups := g.DuplicateNames(); dups != nil {
-		t.Fatalf("empty graph reports duplicates %v", dups)
-	}
-	g.AddNode("a")
-	g.AddNode("b")
-	g.AddNode("a")
-	g.AddNode("c")
-	g.AddNode("b")
-	g.AddNode("a") // third occurrence: still listed once
-	got := g.DuplicateNames()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("DuplicateNames = %v, want [a b]", got)
 	}
 }
 

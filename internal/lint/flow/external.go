@@ -1,9 +1,6 @@
 package flow
 
-import (
-	"go/types"
-	"strings"
-)
+import "go/types"
 
 // The external model: everything the engine assumes about functions
 // it has no source for. The module depends on the standard library
@@ -38,17 +35,6 @@ var sortExternals = map[string]bool{
 // first argument (sorters reorder in place, copy fills dst).
 var writeArg0Externals = map[string]bool{
 	"copy": true, // handled as a builtin, listed for documentation
-}
-
-// isSyncExternal reports whether the external belongs to the
-// synchronization vocabulary (sync, sync/atomic): their receiver
-// writes are the sanctioned mechanics of locking and counting, not
-// shared-state mutation the purity analyzers care about.
-func isSyncExternal(id string) bool {
-	return strings.HasPrefix(id, "sync.") ||
-		strings.HasPrefix(id, "*sync.") ||
-		strings.HasPrefix(id, "sync/atomic.") ||
-		strings.HasPrefix(id, "*sync/atomic.")
 }
 
 // externalID renders the canonical ID for an external function

@@ -69,20 +69,6 @@ func (in *Instance) AllocateCapacitated(p Plan, capacity int) Allocation {
 	return alloc
 }
 
-// FeasibleCapacitated reports whether the capacitated assignment
-// serves every flow. Note this checks the first-fit-decreasing
-// assignment, not the existence of *any* feasible assignment (which
-// embeds bin packing); it can report false negatives on adversarial
-// rate mixes.
-func (in *Instance) FeasibleCapacitated(p Plan, capacity int) bool {
-	for _, v := range in.AllocateCapacitated(p, capacity) {
-		if v == Unserved {
-			return false
-		}
-	}
-	return true
-}
-
 // TotalBandwidthCapacitated scores the capacitated assignment.
 func (in *Instance) TotalBandwidthCapacitated(p Plan, capacity int) float64 {
 	alloc := in.AllocateCapacitated(p, capacity)

@@ -32,12 +32,11 @@ func TestAllocateCapacitatedSpillAndStrand(t *testing.T) {
 	if alloc[1] != Unserved {
 		t.Fatalf("f2 should be stranded, got %v", alloc[1])
 	}
-	if in.FeasibleCapacitated(p, 4) {
-		t.Fatal("stranded assignment reported feasible")
-	}
 	// Capacity 6 fits both.
-	if !in.FeasibleCapacitated(NewPlan(paperfix.V(3), paperfix.V(2)), 6) {
-		t.Fatal("capacity 6 with v2+v3 should serve everything")
+	for i, v := range in.AllocateCapacitated(NewPlan(paperfix.V(3), paperfix.V(2)), 6) {
+		if v == Unserved {
+			t.Fatalf("capacity 6 with v2+v3 left flow %d unserved", i)
+		}
 	}
 }
 

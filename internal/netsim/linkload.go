@@ -81,16 +81,3 @@ func MaxLinkLoad(loads map[LinkKey]float64) (LinkKey, float64) {
 	}
 	return bestKey, best
 }
-
-// CongestionFree reports whether every directed link's load stays
-// within the given uniform capacity. The paper assumes links are
-// over-provisioned so this always holds in its experiments; the
-// harness asserts it rather than assuming it.
-func (in *Instance) CongestionFree(p Plan, capacity float64) bool {
-	for _, l := range in.LinkLoads(p) {
-		if l > capacity {
-			return false
-		}
-	}
-	return true
-}

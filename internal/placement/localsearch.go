@@ -18,9 +18,7 @@ import (
 // (O(rounds · |P| · |V|) plan evaluations).
 //
 // The result is never worse than the seed; the plan size never
-// changes. Pure-drop improvements are exposed separately via Prune
-// because the evaluation's budget semantics ("deploy exactly what you
-// were given") and bandwidth semantics (extra boxes never hurt) differ.
+// changes.
 func LocalSearch(ctx context.Context, in *netsim.Instance, seed netsim.Plan, maxRounds int) Result {
 	if !in.Feasible(seed) {
 		// Refuse to "improve" an infeasible plan into a feasible-looking
@@ -106,29 +104,6 @@ func LocalSearch(ctx context.Context, in *netsim.Instance, seed netsim.Plan, max
 	// exact enough to rank swaps but the reported value must be the
 	// model's own.
 	return finish(in, st.Plan())
-}
-
-// Prune removes middleboxes that serve no flow (idle boxes) from a
-// plan; bandwidth is unchanged and the freed budget can be respent.
-// Returns the pruned plan and how many boxes were dropped.
-func Prune(in *netsim.Instance, p netsim.Plan) (netsim.Plan, int) {
-	alloc := in.Allocate(p)
-	used := map[graph.NodeID]bool{}
-	for _, v := range alloc {
-		if v != netsim.Unserved {
-			used[v] = true
-		}
-	}
-	pruned := netsim.NewPlan()
-	dropped := 0
-	for _, v := range p.Vertices() {
-		if used[v] {
-			pruned.Add(v)
-		} else {
-			dropped++
-		}
-	}
-	return pruned, dropped
 }
 
 // GTPWithLocalSearch chains the budgeted greedy with a swap pass — the

@@ -212,22 +212,6 @@ func BenchmarkLocalSearchIncrementalVsReference(b *testing.B) {
 	})
 }
 
-func TestPrune(t *testing.T) {
-	in := fig1Instance(t)
-	// v1 is idle when v5 serves f1 and v2 serves the rest.
-	p := netsim.NewPlan(paperfix.V(1), paperfix.V(2), paperfix.V(5))
-	pruned, dropped := Prune(in, p)
-	if dropped != 1 || pruned.Has(paperfix.V(1)) {
-		t.Fatalf("pruned %d, plan %v", dropped, pruned)
-	}
-	if math.Abs(in.TotalBandwidth(pruned)-in.TotalBandwidth(p)) > 1e-12 {
-		t.Fatal("pruning changed bandwidth")
-	}
-	if !in.Feasible(pruned) {
-		t.Fatal("pruning broke feasibility")
-	}
-}
-
 func TestGTPWithLocalSearchPipeline(t *testing.T) {
 	in := fig1Instance(t)
 	r, err := GTPWithLocalSearch(context.Background(), in, 2, 0)

@@ -95,10 +95,10 @@ func init() {
 	Register(funcSolver{
 		traits: Traits{
 			Name: "bnb", Doc: "exact branch-and-bound with submodular pruning",
-			Consumes: OptK | OptNodeLimit, Requires: OptK, Anytime: true, Exact: true,
+			Consumes: OptK, Requires: OptK, Anytime: true, Exact: true,
 		},
 		fn: func(ctx context.Context, in *netsim.Instance, o Options) (Result, error) {
-			br, err := BranchAndBound(ctx, in, o.K, BnBOpts{NodeLimit: o.NodeLimit})
+			br, err := BranchAndBound(ctx, in, o.K, BnBOpts{})
 			return br.Result, err
 		},
 	})

@@ -48,8 +48,6 @@ const (
 	OptRounds
 	// OptStarts is the multi-start restart count.
 	OptStarts
-	// OptNodeLimit caps branch-and-bound node expansions.
-	OptNodeLimit
 	// OptCapacity is the per-middlebox processing capacity.
 	OptCapacity
 )
@@ -65,7 +63,6 @@ var optionNames = []struct {
 	{OptTree, "tree"},
 	{OptRounds, "rounds"},
 	{OptStarts, "starts"},
-	{OptNodeLimit, "node-limit"},
 	{OptCapacity, "capacity"},
 }
 
@@ -95,8 +92,6 @@ type Options struct {
 	Rounds int
 	// Starts is the multi-start restart count.
 	Starts int
-	// NodeLimit caps branch-and-bound node expansions (0 = default).
-	NodeLimit int
 	// Capacity is the per-box processing capacity (0 = unlimited).
 	Capacity int
 	// Observer receives solve lifecycle and progress events; nil
@@ -157,11 +152,6 @@ func WithRounds(n int) Option {
 // WithStarts sets the multi-start restart count.
 func WithStarts(n int) Option {
 	return func(o *Options) { o.Starts = n; o.mark(OptStarts) }
-}
-
-// WithNodeLimit caps branch-and-bound node expansions.
-func WithNodeLimit(n int) Option {
-	return func(o *Options) { o.NodeLimit = n; o.mark(OptNodeLimit) }
 }
 
 // WithCapacity sets the per-middlebox processing capacity.

@@ -79,16 +79,6 @@ func Ranking(in *netsim.Instance, p netsim.Plan) []Impact {
 	return impacts
 }
 
-// WorstSingleFailure returns the most critical middlebox of the plan,
-// or an error for an empty plan.
-func WorstSingleFailure(in *netsim.Instance, p netsim.Plan) (Impact, error) {
-	ranking := Ranking(in, p)
-	if len(ranking) == 0 {
-		return Impact{}, fmt.Errorf("resilience: empty plan")
-	}
-	return ranking[0], nil
-}
-
 // Repair replaces a failed middlebox: the failed vertex is removed
 // (and blacklisted — its server is down), the surviving boxes stay
 // where they are (state migration is expensive), and replacements are

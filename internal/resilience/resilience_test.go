@@ -67,17 +67,6 @@ func TestRankingOrder(t *testing.T) {
 	if ranking[1].Failed != paperfix.V(5) || ranking[2].Failed != paperfix.V(4) {
 		t.Fatalf("ranking = %+v", ranking)
 	}
-	worst, err := WorstSingleFailure(in, p)
-	if err != nil || worst.Failed != paperfix.V(6) {
-		t.Fatalf("worst = %+v err=%v", worst, err)
-	}
-}
-
-func TestWorstSingleFailureEmptyPlan(t *testing.T) {
-	in := fig1(t)
-	if _, err := WorstSingleFailure(in, netsim.NewPlan()); err == nil {
-		t.Fatal("empty plan accepted")
-	}
 }
 
 func TestRepairRestoresFeasibility(t *testing.T) {

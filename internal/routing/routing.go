@@ -1,9 +1,9 @@
 // Package routing computes the flow paths the TDMD model takes as
 // given ("all flows' paths are predetermined and valid", Sec. 3.1):
-// single shortest paths, Yen's k-shortest loopless paths, ECMP path
-// enumeration with deterministic hashing, and destination-rooted
-// routing tables. The workload generators route over this substrate;
-// users with their own routing can bypass it entirely.
+// single shortest paths, Yen's k-shortest loopless paths, and ECMP
+// path enumeration with deterministic hashing. The workload generators
+// route over this substrate; users with their own routing can bypass
+// it entirely.
 package routing
 
 import (
@@ -209,86 +209,6 @@ func lexLess(a, b graph.Path) bool {
 		}
 	}
 	return len(a) < len(b)
-}
-
-// Table is a destination-rooted routing table: for one destination,
-// next[v] is the next hop of every vertex that can reach it. Building
-// one table per destination is how real destination-based forwarding
-// (and the paper's fixed paths toward red collector nodes) works.
-type Table struct {
-	Dst  graph.NodeID
-	next []graph.NodeID // Invalid where unreachable or at dst
-}
-
-// NewTable builds the table by reverse BFS from dst, breaking ties
-// toward the smallest next-hop ID.
-func NewTable(g *graph.Graph, dst graph.NodeID) *Table {
-	n := g.NumNodes()
-	t := &Table{Dst: dst, next: make([]graph.NodeID, n)}
-	dist := make([]int, n)
-	for i := range t.next {
-		t.next[i] = graph.Invalid
-		dist[i] = -1
-	}
-	dist[dst] = 0
-	frontier := []graph.NodeID{dst}
-	for len(frontier) > 0 {
-		var next []graph.NodeID
-		for _, v := range frontier {
-			// Walk v's in-edges: u -> v means u can forward to v.
-			ins := append([]graph.Edge(nil), g.In(v)...)
-			sort.Slice(ins, func(i, j int) bool { return ins[i].From < ins[j].From })
-			for _, e := range ins {
-				u := e.From
-				if dist[u] >= 0 {
-					// Already routed; prefer the smaller next hop on
-					// equal distance for determinism.
-					if dist[u] == dist[v]+1 && v < t.next[u] {
-						t.next[u] = v
-					}
-					continue
-				}
-				dist[u] = dist[v] + 1
-				t.next[u] = v
-				next = append(next, u)
-			}
-		}
-		frontier = next
-	}
-	return t
-}
-
-// NextHop returns v's next hop toward the destination, or Invalid.
-func (t *Table) NextHop(v graph.NodeID) graph.NodeID { return t.next[v] }
-
-// PathFrom returns the forwarding path src -> ... -> dst, or
-// graph.ErrNoPath when src cannot reach the destination.
-func (t *Table) PathFrom(src graph.NodeID) (graph.Path, error) {
-	if src == t.Dst {
-		return graph.Path{src}, nil
-	}
-	if t.next[src] == graph.Invalid {
-		return nil, graph.ErrNoPath
-	}
-	p := graph.Path{src}
-	for v := src; v != t.Dst; {
-		v = t.next[v]
-		p = append(p, v)
-	}
-	return p, nil
-}
-
-// Stretch compares a path's length against the minimum-hop distance;
-// 1.0 means shortest. Used to audit externally supplied paths.
-func Stretch(g *graph.Graph, p graph.Path) (float64, error) {
-	short, err := g.ShortestPath(p.Src(), p.Dst())
-	if err != nil {
-		return 0, err
-	}
-	if short.Len() == 0 {
-		return 1, nil
-	}
-	return float64(p.Len()) / float64(short.Len()), nil
 }
 
 // HashSelect picks one of the candidate paths for a flow by a stable

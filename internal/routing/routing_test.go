@@ -164,74 +164,6 @@ func TestECMPPathsUnreachable(t *testing.T) {
 	}
 }
 
-func TestRoutingTable(t *testing.T) {
-	g, ids := diamond()
-	tbl := NewTable(g, ids[3]) // destination d
-	p, err := tbl.PathFrom(ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Len() != 2 || p.Dst() != ids[3] {
-		t.Fatalf("path = %v", p)
-	}
-	// Deterministic tie-break: a forwards to b (smaller ID than c).
-	if tbl.NextHop(ids[0]) != ids[1] {
-		t.Fatalf("NextHop(a) = %d, want b", tbl.NextHop(ids[0]))
-	}
-	self, err := tbl.PathFrom(ids[3])
-	if err != nil || self.Len() != 0 {
-		t.Fatalf("self path = %v err=%v", self, err)
-	}
-}
-
-func TestRoutingTableUnreachable(t *testing.T) {
-	g := graph.New()
-	g.AddNodes(3)
-	g.AddEdge(0, 1)
-	tbl := NewTable(g, 1)
-	if tbl.NextHop(2) != graph.Invalid {
-		t.Fatal("isolated vertex has a next hop")
-	}
-	if _, err := tbl.PathFrom(2); err != graph.ErrNoPath {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-// Property: routing-table paths are always shortest.
-func TestRoutingTableShortest(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 15; trial++ {
-		g := topology.GeneralRandom(4+rng.Intn(30), 0.7, rng.Int63())
-		dst := graph.NodeID(rng.Intn(g.NumNodes()))
-		tbl := NewTable(g, dst)
-		for _, v := range g.Nodes() {
-			p, err := tbl.PathFrom(v)
-			if err != nil {
-				continue
-			}
-			want, err := g.ShortestPath(v, dst)
-			if err != nil {
-				t.Fatalf("table routed unreachable %d", v)
-			}
-			if p.Len() != want.Len() {
-				t.Fatalf("table path %d hops, shortest %d", p.Len(), want.Len())
-			}
-		}
-	}
-}
-
-func TestStretch(t *testing.T) {
-	g, ids := diamond()
-	short := graph.Path{ids[0], ids[1], ids[3]}
-	long := graph.Path{ids[0], ids[4], ids[5], ids[3]}
-	if s, err := Stretch(g, short); err != nil || s != 1 {
-		t.Fatalf("stretch = %v err=%v", s, err)
-	}
-	if s, _ := Stretch(g, long); s != 1.5 {
-		t.Fatalf("stretch = %v, want 1.5", s)
-	}
-}
-
 func TestHashSelectStableAndSpreads(t *testing.T) {
 	g, ids := diamond()
 	paths, err := ECMPPaths(g, ids[0], ids[3], 0)

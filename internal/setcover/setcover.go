@@ -164,15 +164,6 @@ func ToTDMD(in Instance) (*graph.Graph, []traffic.Flow, error) {
 	return g, flows, nil
 }
 
-// FeasibleWithK answers the TDMD-feasibility side of the reduction:
-// whether k middleboxes placed on set vertices can serve all flows of
-// the reduced instance. It simply asks whether a k-cover exists
-// (exhaustively, for test-sized inputs).
-func FeasibleWithK(in Instance, k int) bool {
-	opt := OptimalSize(in)
-	return opt >= 0 && opt <= k
-}
-
 // FromTDMD extracts the set-cover structure of an arbitrary TDMD
 // instance: universe = flows, one set per vertex containing the flows
 // whose paths visit it. A feasible deployment of size k exists iff

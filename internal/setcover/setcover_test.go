@@ -127,8 +127,8 @@ func TestToTDMDFeasibilityEquivalence(t *testing.T) {
 	if tdmd.Feasible(netsim.NewPlan(0, 1)) {
 		t.Fatal("non-cover {S1, S2} must be infeasible")
 	}
-	if !FeasibleWithK(in, 2) || FeasibleWithK(in, 1) {
-		t.Fatal("FeasibleWithK disagrees with the known optimum 2")
+	if got := OptimalSize(in); got != 2 {
+		t.Fatalf("OptimalSize = %d, want the known optimum 2", got)
 	}
 }
 

@@ -77,29 +77,6 @@ func TestMeanHelper(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	if got := Percentile(xs, 0); got != 15 {
-		t.Fatalf("p0 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 50 {
-		t.Fatalf("p100 = %v", got)
-	}
-	if got := Percentile(xs, 50); got != 35 {
-		t.Fatalf("p50 = %v", got)
-	}
-	if got := Percentile(xs, 25); got != 20 {
-		t.Fatalf("p25 = %v", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Fatalf("empty percentile = %v", got)
-	}
-	// Input must not be reordered.
-	if xs[0] != 15 {
-		t.Fatal("Percentile mutated its input")
-	}
-}
-
 func TestDeriveSeedIndependence(t *testing.T) {
 	seen := map[int64]bool{}
 	for exp := uint64(0); exp < 10; exp++ {

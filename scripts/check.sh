@@ -63,18 +63,7 @@ go test -run Serve -race -count=5 ./internal/serve/ ./cmd/tdmdserve/
 echo "==> fuzz smoke (5s per target, auto-discovered)"
 # Every Fuzz* function in the repo gets a short smoke run; new fuzz
 # targets join the gate by existing, not by being listed here.
-FUZZ_FILES=$(grep -rl --include='*_test.go' '^func Fuzz' . | sort)
-if [ -z "$FUZZ_FILES" ]; then
-    echo "no fuzz targets found (expected at least one)" >&2
-    exit 1
-fi
-for f in $FUZZ_FILES; do
-    dir=$(dirname "$f")
-    for target in $(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\).*/\1/p' "$f" | sort); do
-        echo "    $dir: $target"
-        go test -run='^$' -fuzz="^${target}\$" -fuzztime=5s "$dir"
-    done
-done
+scripts/fuzz.sh 5s
 
 echo "==> tdmdlint (full suite incl. solverpurity/detorder/goleak/guardedby/lockorder/holdblock + escape diff, baselines)"
 go run ./cmd/tdmdlint -baseline lint.baseline.json -escape-baseline escape.baseline.json ./...

@@ -143,10 +143,14 @@ func EncodePlan(w io.Writer, p Plan) error {
 	return enc.Encode(spec)
 }
 
-// DecodePlan reads a JSON plan and validates it against g.
+// DecodePlan reads a JSON plan and validates it against g. Unknown
+// fields are rejected, so a misspelled key cannot decode as the empty
+// plan.
 func DecodePlan(r io.Reader, g *Graph) (Plan, error) {
 	var spec PlanSpec
-	if err := json.NewDecoder(r).Decode(&spec); err != nil {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		return Plan{}, fmt.Errorf("tdmd: decoding plan: %w", err)
 	}
 	p := NewPlan()

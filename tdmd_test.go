@@ -344,4 +344,8 @@ func TestPlanSpecRoundTrip(t *testing.T) {
 	if _, err := DecodePlan(bytes.NewBufferString("not json"), g); err == nil {
 		t.Fatal("bad JSON accepted")
 	}
+	// A misspelled key is an error naming the field, not the empty plan.
+	if _, err := DecodePlan(bytes.NewBufferString(`{"vertexes":[1,2]}`), g); err == nil || !strings.Contains(err.Error(), `"vertexes"`) {
+		t.Fatalf("misspelled plan key: err = %v", err)
+	}
 }
