@@ -55,12 +55,7 @@ func fatTree() {
 	fmt.Println("Fat-tree k=4 fabric: IDS placement toward gateway core0")
 	fmt.Printf("%-4s %10s %10s %10s   %s\n", "k", "DP", "HAT", "GTP", "DP plan")
 	for _, k := range []int{1, 2, 4, 8} {
-		dp, err := problem.Solve(context.Background(), tdmd.AlgDP, k)
-		if err != nil {
-			log.Fatal(err)
-		}
-		hat, _ := problem.Solve(context.Background(), tdmd.AlgHAT, k)
-		gtp, _ := problem.Solve(context.Background(), tdmd.AlgGTP, k)
+		dp, hat, gtp := solve(problem, tdmd.AlgDP, k), solve(problem, tdmd.AlgHAT, k), solve(problem, tdmd.AlgGTP, k)
 		names := make([]string, 0, dp.Plan.Size())
 		for _, v := range dp.Plan.Vertices() {
 			names = append(names, st.Name(v))
@@ -70,7 +65,7 @@ func fatTree() {
 
 	// Cross-check the analytic objective against the link-load
 	// simulator on the k=4 optimum.
-	dp4, _ := problem.Solve(context.Background(), tdmd.AlgDP, 4)
+	dp4 := solve(problem, tdmd.AlgDP, 4)
 	loads := problem.Instance().LinkLoads(dp4.Plan)
 	if sum := tdmd.SumLoads(loads); math.Abs(sum-dp4.Bandwidth) > 1e-9 {
 		log.Fatalf("model mismatch: links sum to %v, objective %v", sum, dp4.Bandwidth)
@@ -78,6 +73,15 @@ func fatTree() {
 	key, max := tdmd.MaxLinkLoad(loads)
 	fmt.Printf("link-load check OK; hottest link %s -> %s carries %.1f\n\n",
 		st.Name(key.From), st.Name(key.To), max)
+}
+
+// solve runs alg under budget k, exiting on error.
+func solve(p *tdmd.Problem, alg tdmd.Algorithm, k int) tdmd.Result {
+	res, err := p.Solve(context.Background(), alg, k)
+	if err != nil {
+		log.Fatalf("%s k=%d: %v", alg, k, err)
+	}
+	return res
 }
 
 func bcube() {

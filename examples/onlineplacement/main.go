@@ -89,6 +89,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bw, _ := ctl.Bandwidth()
+	bw, err := ctl.Bandwidth()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("after Compact():   %.1f (moved %d boxes)\n", bw, moved)
 }

@@ -54,26 +54,24 @@ func main() {
 		st.NumNodes(), len(flows), raw)
 	fmt.Printf("%-4s %12s %12s %12s %14s\n", "k", "DP", "HAT", "GTP", "DP spam cut")
 	for k := 1; k <= 10; k++ {
-		dp, err := problem.Solve(context.Background(), tdmd.AlgDP, k)
-		if err != nil {
-			log.Fatalf("DP k=%d: %v", k, err)
-		}
-		hat, err := problem.Solve(context.Background(), tdmd.AlgHAT, k)
-		if err != nil {
-			log.Fatalf("HAT k=%d: %v", k, err)
-		}
-		gtp, err := problem.Solve(context.Background(), tdmd.AlgGTP, k)
-		if err != nil {
-			log.Fatalf("GTP k=%d: %v", k, err)
-		}
+		dp, hat, gtp := solve(problem, tdmd.AlgDP, k), solve(problem, tdmd.AlgHAT, k), solve(problem, tdmd.AlgGTP, k)
 		fmt.Printf("%-4d %12.1f %12.1f %12.1f %13.1f%%\n",
 			k, dp.Bandwidth, hat.Bandwidth, gtp.Bandwidth, 100*(1-dp.Bandwidth/raw))
 	}
 
 	// Where does the optimum put the filters once the budget is tight?
-	dp3, _ := problem.Solve(context.Background(), tdmd.AlgDP, 3)
+	dp3 := solve(problem, tdmd.AlgDP, 3)
 	fmt.Println("\nOptimal 3-filter deployment:")
 	for _, v := range dp3.Plan.Vertices() {
 		fmt.Printf("  filter on %s (depth %d)\n", st.Name(v), tree.Depth(v))
 	}
+}
+
+// solve runs alg under budget k, exiting on error.
+func solve(p *tdmd.Problem, alg tdmd.Algorithm, k int) tdmd.Result {
+	res, err := p.Solve(context.Background(), alg, k)
+	if err != nil {
+		log.Fatalf("%s k=%d: %v", alg, k, err)
+	}
+	return res
 }

@@ -61,7 +61,10 @@ func main() {
 
 	// Budget sweep at λ=0.5: the marginal value of each extra box.
 	fmt.Printf("\n%-4s %14s %12s\n", "k", "GTP bandwidth", "plan size")
-	p05, _ := tdmd.NewProblem(g, flows, 0.5)
+	p05, err := tdmd.NewProblem(g, flows, 0.5)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, k := range []int{4, 6, 8, 10, 14, 18} {
 		res, err := p05.Solve(context.Background(), tdmd.AlgGTP, k)
 		if err != nil {

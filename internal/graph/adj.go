@@ -32,8 +32,8 @@ func NewAdjSet(g *Graph) AdjSet {
 		}
 		// slices.Sort, not sort.Slice: the closure + interface boxing
 		// of sort.Slice allocate twice per row, which at |V| rows put
-		// every bulk-validation caller (netsim.New via traffic.Validate)
-		// hundreds of allocs over budget. The generic sort is
+		// every instance build (netsim.Builder freezes one index per
+		// instance) hundreds of allocs over budget. The generic sort is
 		// allocation-free and yields the same order.
 		slices.Sort(a.to[start:])
 		a.off[v+1] = int32(len(a.to))

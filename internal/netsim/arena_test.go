@@ -21,10 +21,8 @@ func pathsEqual(a, b graph.Path) bool {
 	return true
 }
 
-// arenaFixture returns a path graph a-b-c-d with two flows, both as a
-// []Flow (for New) and as the equivalent CSR arenas (for
-// NewFromArenas).
-func arenaFixture() (*graph.Graph, []traffic.Flow, []int32, []graph.NodeID, []int32) {
+// arenaFixture returns a path graph a-b-c-d with two flows.
+func arenaFixture() (*graph.Graph, []traffic.Flow) {
 	g := graph.New()
 	for _, n := range []string{"a", "b", "c", "d"} {
 		g.AddNode(n)
@@ -36,24 +34,35 @@ func arenaFixture() (*graph.Graph, []traffic.Flow, []int32, []graph.NodeID, []in
 		{ID: 0, Rate: 2, Path: graph.Path{0, 1, 2, 3}},
 		{ID: 1, Rate: 5, Path: graph.Path{3, 2}},
 	}
-	rates := []int32{2, 5}
-	arena := []graph.NodeID{0, 1, 2, 3, 3, 2}
-	off := []int32{0, 4, 6}
-	return g, flows, rates, arena, off
+	return g, flows
 }
 
-// TestNewFromArenasMatchesNew: the arena constructor must produce an
-// instance indistinguishable from the slice-of-flows one.
-func TestNewFromArenasMatchesNew(t *testing.T) {
-	g, flows, rates, arena, off := arenaFixture()
+// buildFlows feeds flows to a Builder one AddFlowPath at a time, the
+// way the streaming decoders do.
+func buildFlows(t *testing.T, g *graph.Graph, flows []traffic.Flow) *Instance {
+	t.Helper()
+	b := NewBuilder(g)
+	for _, f := range flows {
+		if err := b.AddFlowPath(f.Rate, f.Path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in, err := b.Build(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// TestBuilderMatchesNew: a flow-by-flow build must produce an instance
+// indistinguishable from New over the same workload.
+func TestBuilderMatchesNew(t *testing.T) {
+	g, flows := arenaFixture()
 	ref, err := New(g, flows, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewFromArenas(g, 0.5, rates, arena, off)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := buildFlows(t, g, flows)
 	if got.NumFlows() != ref.NumFlows() {
 		t.Fatalf("NumFlows: %d vs %d", got.NumFlows(), ref.NumFlows())
 	}
@@ -81,60 +90,49 @@ func TestNewFromArenasMatchesNew(t *testing.T) {
 	}
 }
 
-// TestNewFromArenasFlowsView: the lazy []Flow view over the arenas
-// must reproduce the flows without copying the paths.
-func TestNewFromArenasFlowsView(t *testing.T) {
-	g, flows, rates, arena, off := arenaFixture()
-	in, err := NewFromArenas(g, 0.5, rates, arena, off)
+// TestBuilderFlowsView: the lazy []Flow view over the arenas must
+// reproduce the flows, numbered by index, without copying the paths —
+// for New and for a flow-by-flow build alike.
+func TestBuilderFlowsView(t *testing.T) {
+	g, flows := arenaFixture()
+	// New numbers flows by index, whatever IDs the caller gave.
+	renumbered := []traffic.Flow{flows[0], flows[1]}
+	renumbered[0].ID, renumbered[1].ID = 40, 41
+	fromNew, err := New(g, renumbered, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := in.Flows()
-	if len(view) != len(flows) {
-		t.Fatalf("view has %d flows, want %d", len(view), len(flows))
-	}
-	for i, f := range view {
-		if f.ID != i || f.Rate != flows[i].Rate || !pathsEqual(f.Path, flows[i].Path) {
-			t.Errorf("view[%d] = %+v, want %+v", i, f, flows[i])
+	for _, in := range []*Instance{fromNew, buildFlows(t, g, flows)} {
+		view := in.Flows()
+		if len(view) != len(flows) {
+			t.Fatalf("view has %d flows, want %d", len(view), len(flows))
 		}
-		if one := in.Flow(i); one.ID != f.ID || one.Rate != f.Rate || !pathsEqual(one.Path, f.Path) {
-			t.Errorf("Flow(%d) = %+v disagrees with Flows()[%d] = %+v", i, one, i, f)
+		for i, f := range view {
+			if f.ID != i || f.Rate != flows[i].Rate || !pathsEqual(f.Path, flows[i].Path) {
+				t.Errorf("view[%d] = %+v, want %+v", i, f, flows[i])
+			}
+			if one := in.Flow(i); one.ID != f.ID || one.Rate != f.Rate || !pathsEqual(one.Path, f.Path) {
+				t.Errorf("Flow(%d) = %+v disagrees with Flows()[%d] = %+v", i, one, i, f)
+			}
+			if &f.Path[0] != &in.FlowPath(i)[0] {
+				t.Errorf("view[%d] path is a copy, not an arena span", i)
+			}
 		}
-	}
-	// The view is built once and cached.
-	if &in.Flows()[0] != &view[0] {
-		t.Error("Flows() rebuilt the view")
-	}
-}
-
-func TestNewFromArenasRejectsMalformed(t *testing.T) {
-	g, _, rates, arena, off := arenaFixture()
-	cases := []struct {
-		name  string
-		rates []int32
-		arena []graph.NodeID
-		off   []int32
-	}{
-		{"empty offsets", rates, arena, nil},
-		{"first offset nonzero", rates, arena, []int32{1, 4, 6}},
-		{"rate/offset length mismatch", []int32{2}, arena, off},
-		{"non-monotone offsets", rates, arena, []int32{0, 6, 4}},
-		{"last offset short of arena", rates, arena, []int32{0, 4, 5}},
-		{"offset past arena", rates, arena, []int32{0, 4, 7}},
-	}
-	for _, tc := range cases {
-		if _, err := NewFromArenas(g, 0.5, tc.rates, tc.arena, tc.off); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		// The view is built once and cached.
+		if &in.Flows()[0] != &view[0] {
+			t.Error("Flows() rebuilt the view")
 		}
 	}
 }
 
-// TestNewFromArenasValidatesFlows: per-flow validation must match the
-// []Flow path — typed PathErrors for bad spans.
-func TestNewFromArenasValidatesFlows(t *testing.T) {
-	g, _, _, _, _ := arenaFixture()
+// TestBuilderValidatesFlows: per-flow validation must match
+// traffic.Validate — typed PathErrors for bad spans — and a rejected
+// flow must leave the builder usable.
+func TestBuilderValidatesFlows(t *testing.T) {
+	g, _ := arenaFixture()
+	b := NewBuilder(g)
 	// 0 -> 2 is not an edge.
-	_, err := NewFromArenas(g, 0.5, []int32{1}, []graph.NodeID{0, 2}, []int32{0, 2})
+	err := b.AddFlowPath(1, graph.Path{0, 2})
 	if err == nil {
 		t.Fatal("non-adjacent hop accepted")
 	}
@@ -146,7 +144,17 @@ func TestNewFromArenasValidatesFlows(t *testing.T) {
 		t.Fatalf("bad PathError: %v", err)
 	}
 	// Zero-length span.
-	if _, err := NewFromArenas(g, 0.5, []int32{1}, nil, []int32{0, 0}); err == nil {
-		t.Fatal("empty span accepted")
+	if err := b.AddFlow(1, nil); !errors.As(err, &pe) || pe.Flow != 0 {
+		t.Fatalf("empty span: %v, want a PathError for flow 0", err)
+	}
+	if err := b.AddFlow(1, []int{0, 1}); err != nil {
+		t.Fatalf("builder unusable after rejections: %v", err)
+	}
+	in, err := b.Build(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.NumFlows() != 1 || !pathsEqual(in.FlowPath(0), graph.Path{0, 1}) {
+		t.Fatalf("built %d flows, first %v; want the one valid flow", in.NumFlows(), in.FlowPath(0))
 	}
 }

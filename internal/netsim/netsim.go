@@ -5,6 +5,9 @@
 // link-load simulator (linkload.go) recomputes consumption edge by
 // edge and is used by tests to validate the closed-form model.
 //
+// Every Instance is built flow by flow through a Builder (builder.go),
+// which validates each flow once as it fills the arenas.
+//
 // Memory layout (DESIGN.md "Memory layout"): the instance's hot-path
 // state lives in contiguous CSR-style arenas — one shared vertex-ID
 // arena holding every flow path as a [start,end) span, a path-class
@@ -32,15 +35,14 @@ import (
 )
 
 // Instance is one TDMD problem instance: a network, a workload, and
-// the middlebox's traffic-changing ratio λ. Build it with New (from a
-// []traffic.Flow workload) or NewFromArenas (from pre-filled rate and
-// path arenas, the streaming-ingestion path that never materializes a
-// flow slice); both validate inputs and precompute the per-vertex flow
-// index used by all algorithms.
+// the middlebox's traffic-changing ratio λ. Every instance comes from a
+// Builder, which validates each flow as it fills the arenas; New is the
+// Builder loop over a []traffic.Flow workload. Construction precomputes
+// the per-vertex flow index used by all algorithms.
 //
 // An Instance is read-only after construction — the only internal
 // mutations are the lazily built cover bitsets and the lazily
-// materialized legacy flow slice, each guarded by a sync.Once — so one
+// materialized flow view, each guarded by a sync.Once — so one
 // Instance may be shared by any number of concurrent solver calls (see
 // placement's concurrency tests). Callers must not mutate G or any
 // slice reachable from the instance after construction.
@@ -54,8 +56,7 @@ type Instance struct {
 	Lambda float64
 
 	// rates is the flat per-flow initial-rate arena (r_f). Together
-	// with pathArena/pathOff it is the entire workload: an arena-built
-	// instance carries no []traffic.Flow at all.
+	// with pathArena/pathOff it is the entire workload.
 	rates []int32
 
 	// flowClass maps every flow to its path class: flows whose paths
@@ -85,12 +86,8 @@ type Instance struct {
 	// rawDemand caches Σ r_f·|p_f|.
 	rawDemand float64
 
-	// flows is the caller's workload slice when built with New
-	// (original IDs preserved; immutable after construction) and nil
-	// for arena-built instances, whose Flows() view materializes
-	// lazily into flowsView under flowsOnce (ID = index, Path = arena
-	// span).
-	flows     []traffic.Flow
+	// flowsView is the Flows() view, materialized lazily under
+	// flowsOnce (ID = index, Path = arena span).
 	flowsOnce sync.Once
 	flowsView []traffic.Flow
 
@@ -121,88 +118,24 @@ type pathClass struct {
 // automatically; the tree algorithms and GTP's guarantee require
 // λ ≤ 1 and enforce it themselves.
 //
-// The caller's flows slice is retained and served back by Flows()
-// (original IDs preserved); the hot path reads only the arenas built
-// here.
+// The flows are copied into exact-sized arenas through a Builder;
+// validation errors name a flow by its ID, while the instance numbers
+// flows by their index in the slice.
 func New(g *graph.Graph, flows []traffic.Flow, lambda float64) (*Instance, error) {
-	if lambda < 0 {
-		return nil, fmt.Errorf("netsim: negative lambda %v", lambda)
-	}
-	if err := traffic.Validate(g, flows); err != nil {
-		return nil, err
-	}
-	inst := &Instance{G: g, flows: flows, Lambda: lambda}
-
-	// Copy the workload into the rate and path arenas (exact-sized, no
-	// append growth), then build the through index over them.
-	totalPath := 0
+	b := NewBuilder(g)
+	hops := 0
 	for _, f := range flows {
-		totalPath += len(f.Path)
+		hops += len(f.Path)
 	}
-	offsets := make([]int32, 2*len(flows)+1) // rates and pathOff share one allocation
-	inst.rates, inst.pathOff = offsets[:len(flows):len(flows)], offsets[len(flows):]
-	inst.pathArena = make([]graph.NodeID, 0, totalPath)
-	for i, f := range flows {
-		if f.Rate > math.MaxInt32 {
-			return nil, fmt.Errorf("netsim: flow %d rate %d overflows the rate arena", f.ID, f.Rate)
-		}
-		inst.rates[i] = int32(f.Rate)
-		inst.pathArena = append(inst.pathArena, f.Path...)
-		inst.pathOff[i+1] = int32(len(inst.pathArena))
-	}
-	if err := inst.buildThrough(); err != nil {
-		return nil, err
-	}
-	updateMemoryGauges(inst)
-	return inst, nil
-}
-
-// NewFromArenas validates and indexes a problem instance directly from
-// pre-filled arenas — the streaming-ingestion constructor: flow i has
-// rate rates[i] and path pathArena[pathOff[i]:pathOff[i+1]]. No
-// []traffic.Flow is ever materialized (Flows() builds one lazily only
-// if some cold path asks). The instance takes ownership of all three
-// slices; the caller must not touch them afterwards.
-//
-// Structural validation (offset monotonicity, slice-length agreement)
-// is always performed; per-flow path validation (adjacency, simple
-// paths, positive rates) matches traffic.Validate and returns the same
-// typed *traffic.PathError values.
-func NewFromArenas(g *graph.Graph, lambda float64, rates []int32, pathArena []graph.NodeID, pathOff []int32) (*Instance, error) {
-	if lambda < 0 {
-		return nil, fmt.Errorf("netsim: negative lambda %v", lambda)
-	}
-	if len(pathOff) == 0 || pathOff[0] != 0 {
-		return nil, fmt.Errorf("netsim: path offset table must start at 0")
-	}
-	nf := len(pathOff) - 1
-	if len(rates) != nf {
-		return nil, fmt.Errorf("netsim: %d rates for %d flows", len(rates), nf)
-	}
-	if int(pathOff[nf]) != len(pathArena) {
-		return nil, fmt.Errorf("netsim: path offsets end at %d, arena holds %d", pathOff[nf], len(pathArena))
-	}
-	for i := 0; i < nf; i++ {
-		if pathOff[i+1] < pathOff[i] {
-			return nil, fmt.Errorf("netsim: path offsets not monotone at flow %d", i)
-		}
-	}
-	adj := graph.NewAdjSet(g)
-	for i := 0; i < nf; i++ {
-		path := graph.Path(pathArena[pathOff[i]:pathOff[i+1]])
-		if err := traffic.ValidateFlow(adj, i, int(rates[i]), path); err != nil {
+	b.Reserve(len(flows), hops)
+	for _, f := range flows {
+		start := len(b.pathArena)
+		b.pathArena = append(b.pathArena, f.Path...)
+		if err := b.commit(f.ID, f.Rate, start); err != nil {
 			return nil, err
 		}
 	}
-	inst := &Instance{
-		G: g, Lambda: lambda,
-		rates: rates, pathArena: pathArena, pathOff: pathOff,
-	}
-	if err := inst.buildThrough(); err != nil {
-		return nil, err
-	}
-	updateMemoryGauges(inst)
-	return inst, nil
+	return b.Build(lambda)
 }
 
 // buildThrough interns the flow paths into path classes and builds the
@@ -339,44 +272,31 @@ func MustNew(g *graph.Graph, flows []traffic.Flow, lambda float64) *Instance {
 // NumFlows reports the workload size |F|.
 //
 //tdmd:hot
-func (in *Instance) NumFlows() int {
-	if len(in.pathOff) == 0 {
-		return 0
-	}
-	return len(in.pathOff) - 1
-}
+func (in *Instance) NumFlows() int { return len(in.pathOff) - 1 }
 
 // FlowRate returns r_f for flow index i, read from the rate arena.
 //
 //tdmd:hot
 func (in *Instance) FlowRate(i int) int { return int(in.rates[i]) }
 
-// Flow returns the struct view of flow i: its rate and its path as a
-// span of the shared arena (never a copy). For arena-built instances
-// the ID is the index; New-built instances preserve the caller's IDs.
+// Flow returns the struct view of flow i: ID i, its rate, and its path
+// as a span of the shared arena (never a copy).
 func (in *Instance) Flow(i int) traffic.Flow {
-	if in.flows != nil {
-		return in.flows[i]
-	}
 	return traffic.Flow{ID: i, Rate: int(in.rates[i]), Path: in.FlowPath(i)}
 }
 
-// Flows returns the workload as a []traffic.Flow: the caller's slice
-// for New-built instances, otherwise a lazily materialized arena view
-// (paths alias the arena; one slice header per flow, no path copies).
-// Cold paths (spec round-trips, simulation templates, scaling) use
-// this; hot paths stay on NumFlows/FlowRate/FlowPath. The returned
-// slice is owned by the instance and must not be mutated.
+// Flows returns the workload as a []traffic.Flow, materialized lazily
+// as Flow(i) for every index (paths alias the arena; one slice header
+// per flow, no path copies). Cold paths (spec round-trips, simulation
+// templates, scaling) use this; hot paths stay on
+// NumFlows/FlowRate/FlowPath. The returned slice is owned by the
+// instance and must not be mutated.
 func (in *Instance) Flows() []traffic.Flow {
-	if in.flows != nil {
-		return in.flows
-	}
 	in.flowsOnce.Do(func() {
-		view := make([]traffic.Flow, in.NumFlows())
-		for i := range view {
-			view[i] = traffic.Flow{ID: i, Rate: int(in.rates[i]), Path: in.FlowPath(i)}
+		in.flowsView = make([]traffic.Flow, in.NumFlows())
+		for i := range in.flowsView {
+			in.flowsView[i] = in.Flow(i)
 		}
-		in.flowsView = view
 	})
 	return in.flowsView
 }
@@ -622,13 +542,13 @@ func (in *Instance) assertAllocation(p Plan, alloc Allocation) {
 		if v == Unserved {
 			for _, u := range path {
 				invariant.Assert(!p.Has(u),
-					"netsim: flow %d unserved although deployed vertex %d is on its path", in.Flow(i).ID, u)
+					"netsim: flow %d unserved although deployed vertex %d is on its path", i, u)
 			}
 			continue
 		}
-		invariant.Assert(p.Has(v), "netsim: flow %d allocated to undeployed vertex %d", in.Flow(i).ID, v)
+		invariant.Assert(p.Has(v), "netsim: flow %d allocated to undeployed vertex %d", i, v)
 		invariant.Assert(path.Downstream(v) >= 0,
-			"netsim: flow %d allocated to off-path vertex %d", in.Flow(i).ID, v)
+			"netsim: flow %d allocated to off-path vertex %d", i, v)
 	}
 }
 

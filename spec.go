@@ -84,38 +84,46 @@ func decodeSpec(r io.Reader) (ProblemSpec, error) {
 
 // Build materializes the spec into a Problem (tree attached when Root
 // is set) ready to Solve. A root beyond the last node is an error; a
-// negative one declares no tree.
+// negative one declares no tree. Vertex i is the i-th name, even under
+// duplicate labels, and the flows go through a ProblemBuilder into
+// exact-sized arenas.
 func (s ProblemSpec) Build() (*Problem, error) {
 	if s.Root >= len(s.Nodes) {
 		return nil, fmt.Errorf("tdmd: spec root %d out of range (%d nodes)", s.Root, len(s.Nodes))
 	}
-	g := NewGraph()
+	b := NewProblemBuilder()
 	for _, name := range s.Nodes {
-		g.AddNode(name)
+		b.g.AddNode(name)
 	}
 	for _, e := range s.Edges {
 		if e[0] < 0 || e[0] >= len(s.Nodes) || e[1] < 0 || e[1] >= len(s.Nodes) {
 			return nil, fmt.Errorf("tdmd: spec edge %v out of range", e)
 		}
-		g.AddEdge(NodeID(e[0]), NodeID(e[1]))
+		b.g.AddEdge(NodeID(e[0]), NodeID(e[1]))
 	}
-	flows := make([]Flow, len(s.Flows))
+	hops := 0
 	for i, fs := range s.Flows {
-		path := make(Path, len(fs.Path))
-		for j, v := range fs.Path {
+		for _, v := range fs.Path {
 			if v < 0 || v >= len(s.Nodes) {
 				return nil, fmt.Errorf("tdmd: spec flow %d path vertex %d out of range", i, v)
 			}
-			path[j] = NodeID(v)
 		}
-		flows[i] = Flow{ID: i, Rate: fs.Rate, Path: path}
+		hops += len(fs.Path)
 	}
-	p, err := NewProblem(g, flows, s.Lambda)
+	b.Reserve(len(s.Flows), hops)
+	for _, fs := range s.Flows {
+		if err := b.AddFlow(fs.Rate, fs.Path); err != nil {
+			return nil, err
+		}
+	}
+	// Unchecked here: netsim rejects a negative λ with NewProblem's text.
+	b.lambda = s.Lambda
+	p, err := b.Build()
 	if err != nil {
 		return nil, err
 	}
 	if s.Root >= 0 {
-		t, err := NewTree(g, NodeID(s.Root))
+		t, err := NewTree(b.g, NodeID(s.Root))
 		if err != nil {
 			return nil, fmt.Errorf("tdmd: spec declares root %d but graph is not a tree: %w", s.Root, err)
 		}

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"unicode/utf8"
 
-	"tdmd/internal/graph"
 	"tdmd/internal/netsim"
 	"tdmd/internal/obs"
 	"tdmd/internal/topology"
@@ -50,7 +49,8 @@ var (
 // point is an error, and every flow is validated against the frozen
 // index as it arrives, so a bad input line fails at that line.
 //
-// The builder writes rates and path hops straight into the arenas the
+// The builder hands flows to a netsim.Builder, which validates each
+// one and writes its rate and hops straight into the arenas the
 // netsim.Instance will own. Build hands them over without copying;
 // the builder is spent afterwards and every subsequent call errors.
 //
@@ -61,19 +61,14 @@ type ProblemBuilder struct {
 	g      *Graph
 	lambda float64
 	root   int
-
-	adj    graph.AdjSet // frozen adjacency; valid once frozen
-	frozen bool
 	built  bool
-
-	rates     []int32
-	pathArena []graph.NodeID
-	pathOff   []int32
+	flows  *netsim.Builder
 }
 
 // NewProblemBuilder returns an empty builder (λ = 0, no root).
 func NewProblemBuilder() *ProblemBuilder {
-	return &ProblemBuilder{g: NewGraph(), root: -1, pathOff: []int32{0}}
+	g := NewGraph()
+	return &ProblemBuilder{g: g, root: -1, flows: netsim.NewBuilder(g)}
 }
 
 // AddNode interns a vertex label and returns its dense id: a repeated
@@ -133,26 +128,10 @@ func (b *ProblemBuilder) SetRoot(root int) { b.root = root }
 // Reserve pre-sizes the arenas for the given flow and total-hop
 // counts, so a bulk fill of known size never regrows them. Optional:
 // without it the arenas grow by the usual doubling.
-func (b *ProblemBuilder) Reserve(flows, pathEntries int) {
-	if cap(b.rates)-len(b.rates) < flows {
-		grown := make([]int32, len(b.rates), len(b.rates)+flows)
-		copy(grown, b.rates)
-		b.rates = grown
-	}
-	if cap(b.pathOff)-len(b.pathOff) < flows {
-		grown := make([]int32, len(b.pathOff), len(b.pathOff)+flows)
-		copy(grown, b.pathOff)
-		b.pathOff = grown
-	}
-	if cap(b.pathArena)-len(b.pathArena) < pathEntries {
-		grown := make([]graph.NodeID, len(b.pathArena), len(b.pathArena)+pathEntries)
-		copy(grown, b.pathArena)
-		b.pathArena = grown
-	}
-}
+func (b *ProblemBuilder) Reserve(flows, pathEntries int) { b.flows.Reserve(flows, pathEntries) }
 
 // NumFlows reports how many flows the builder holds so far.
-func (b *ProblemBuilder) NumFlows() int { return len(b.pathOff) - 1 }
+func (b *ProblemBuilder) NumFlows() int { return b.flows.NumFlows() }
 
 // AddFlow appends one flow given its rate and vertex-id path. The
 // first call freezes the topology. The hops land directly in the
@@ -164,59 +143,20 @@ func (b *ProblemBuilder) NumFlows() int { return len(b.pathOff) - 1 }
 //
 //tdmd:hot
 func (b *ProblemBuilder) AddFlow(rate int, path []int) error {
-	if err := b.freeze(); err != nil {
-		return err
+	if b.built {
+		return errBuilderSpent
 	}
-	start := len(b.pathArena)
-	for _, v := range path {
-		b.pathArena = append(b.pathArena, NodeID(v))
-	}
-	return b.finishFlow(rate, start)
+	return b.flows.AddFlow(rate, path)
 }
 
 // AddFlowPath is AddFlow for callers already holding a NodeID path.
 //
 //tdmd:hot
 func (b *ProblemBuilder) AddFlowPath(rate int, path Path) error {
-	if err := b.freeze(); err != nil {
-		return err
-	}
-	start := len(b.pathArena)
-	b.pathArena = append(b.pathArena, path...)
-	return b.finishFlow(rate, start)
-}
-
-// finishFlow validates the hops appended at [start:] as the next flow
-// and commits them, or rolls the arena back.
-func (b *ProblemBuilder) finishFlow(rate int, start int) error {
-	id := b.NumFlows()
-	span := graph.Path(b.pathArena[start:])
-	if err := traffic.ValidateFlow(b.adj, id, rate, span); err != nil {
-		b.pathArena = b.pathArena[:start]
-		return err
-	}
-	if rate > maxRate {
-		b.pathArena = b.pathArena[:start]
-		return fmt.Errorf("tdmd: flow %d rate %d overflows the rate arena", id, rate)
-	}
-	b.rates = append(b.rates, int32(rate))
-	b.pathOff = append(b.pathOff, int32(len(b.pathArena)))
-	return nil
-}
-
-const maxRate = 1<<31 - 1
-
-// freeze locks the topology and builds the adjacency index on the
-// first flow.
-func (b *ProblemBuilder) freeze() error {
 	if b.built {
 		return errBuilderSpent
 	}
-	if !b.frozen {
-		b.adj = graph.NewAdjSet(b.g)
-		b.frozen = true
-	}
-	return nil
+	return b.flows.AddFlowPath(rate, path)
 }
 
 // mutable rejects topology mutation after the freeze point.
@@ -224,7 +164,7 @@ func (b *ProblemBuilder) mutable(op string) error {
 	if b.built {
 		return errBuilderSpent
 	}
-	if b.frozen {
+	if b.flows.Frozen() {
 		return fmt.Errorf("tdmd: %s after the first AddFlow: the topology is frozen", op)
 	}
 	return nil
@@ -246,7 +186,7 @@ func (b *ProblemBuilder) Build() (*Problem, error) {
 	if b.root >= b.g.NumNodes() {
 		return nil, fmt.Errorf("tdmd: builder root %d out of range (%d nodes)", b.root, b.g.NumNodes())
 	}
-	inst, err := netsim.NewFromArenas(b.g, b.lambda, b.rates, b.pathArena, b.pathOff)
+	inst, err := b.flows.Build(b.lambda)
 	if err != nil {
 		return nil, err
 	}

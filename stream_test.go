@@ -736,7 +736,7 @@ func TestScanFlowLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []FlowSpec{{Rate: 1, Path: []int{0}}, {Rate: 42, Path: []int{0, 17, 3}}, {Rate: maxRate, Path: []int{999999999}}}
+	want := []FlowSpec{{Rate: 1, Path: []int{0}}, {Rate: 42, Path: []int{0, 17, 3}}, {Rate: 1<<31 - 1, Path: []int{999999999}}}
 	for _, fs := range want {
 		p := make(Path, len(fs.Path))
 		for i, v := range fs.Path {

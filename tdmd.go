@@ -168,7 +168,8 @@ type Problem struct {
 }
 
 // NewProblem validates the network, flows and ratio and returns a
-// solvable problem.
+// solvable problem. Validation errors name a flow by its ID; the
+// instance copies the flows and numbers them by position.
 func NewProblem(g *Graph, flows []Flow, lambda float64) (*Problem, error) {
 	inst, err := netsim.New(g, flows, lambda)
 	if err != nil {
