@@ -3,8 +3,10 @@
 // runs the paired solver benchmarks — the root package's
 // FullVsIncremental pair and the netsim SnapState primitives, all at
 // |V|=200 / |F|≈1500, plus the gtp-lazy solve on the scaled bulk
-// shape (placement's BenchmarkGTPLazyBulkShape) and the tree DP on
-// online-cold's default tree cell (BenchmarkTreeDP) — "ingest"
+// shape (placement's BenchmarkGTPLazyBulkShape), the budgeted gtp and
+// gtp-ls solves on the online-hot shape at k = 8 (BenchmarkGTPBudget)
+// and the tree DP on online-cold's default tree cell
+// (BenchmarkTreeDP) — "ingest"
 // (BENCH_ingest.json) runs the streaming-ingestion benchmarks
 // including the million-flow scale row, and "serve" (BENCH_serve.json) sends single /api/solve requests
 // through the placement service's HTTP handler (internal/serve's
@@ -71,6 +73,7 @@ var suiteSets = map[string]suiteSet{
 		{Pkg: "./internal/netsim", Pattern: "BenchmarkSnapState"},
 		{Pkg: "./internal/netsim", Pattern: "BenchmarkNewInstance"},
 		{Pkg: "./internal/placement", Pattern: "BenchmarkGTPLazyBulkShape"},
+		{Pkg: "./internal/placement", Pattern: "BenchmarkGTPBudget"},
 		{Pkg: "./internal/placement", Pattern: "BenchmarkTreeDP"},
 	}},
 	"ingest": {file: "BENCH_ingest.json", suites: []Suite{

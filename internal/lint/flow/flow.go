@@ -39,8 +39,8 @@
 //     free-variable effects folded into the enclosing function; a
 //     literal passed to (*sync.Once).Do is exempt — the lazy,
 //     synchronized, idempotent initialization pattern (for example
-//     netsim's cover bitsets) is the one sanctioned mutation of
-//     otherwise read-only shared state.
+//     netsim's lazily materialized flow view) is the one sanctioned
+//     mutation of otherwise read-only shared state.
 //   - Calls through interface methods and function values are assumed
 //     effect-free; stdlib calls follow the model in external.go
 //     (sort.* writes and orders its slice, sync primitives are

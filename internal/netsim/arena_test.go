@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"tdmd/internal/graph"
@@ -156,5 +158,27 @@ func TestBuilderValidatesFlows(t *testing.T) {
 	}
 	if in.NumFlows() != 1 || !pathsEqual(in.FlowPath(0), graph.Path{0, 1}) {
 		t.Fatalf("built %d flows, first %v; want the one valid flow", in.NumFlows(), in.FlowPath(0))
+	}
+}
+
+// A path arena longer than math.MaxInt32 entries cannot be addressed
+// by the int32 offsets; the check runs on counts, so the boundary is
+// tested without allocating the 8 GiB such an arena would take.
+func TestCheckPathOffset(t *testing.T) {
+	for _, end := range []int64{0, 1, math.MaxInt32} {
+		if err := checkPathOffset(3, end); err != nil {
+			t.Fatalf("end %d rejected: %v", end, err)
+		}
+	}
+	for _, end := range []int64{math.MaxInt32 + 1, math.MaxUint32 + 2} {
+		err := checkPathOffset(3, end)
+		var ae *ArenaOverflowError
+		if !errors.As(err, &ae) || ae.Flow != 3 || ae.End != end {
+			t.Fatalf("end %d: got %v, want an *ArenaOverflowError for flow 3", end, err)
+		}
+		const want = "netsim: flow 3 ends the path arena at "
+		if !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("error text %q, want prefix %q", err, want)
+		}
 	}
 }

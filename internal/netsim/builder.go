@@ -90,12 +90,35 @@ func (b *Builder) commit(id, rate, start int) error {
 	if err == nil && rate > math.MaxInt32 {
 		err = fmt.Errorf("netsim: flow %d rate %d overflows the rate arena", id, rate)
 	}
+	if err == nil {
+		err = checkPathOffset(id, int64(len(b.pathArena)))
+	}
 	if err != nil {
 		b.pathArena = b.pathArena[:start]
 		return err
 	}
 	b.rates = append(b.rates, int32(rate))
 	b.pathOff = append(b.pathOff, int32(len(b.pathArena)))
+	return nil
+}
+
+// ArenaOverflowError rejects a flow whose hops would end the shared
+// path arena past the largest int32 offset.
+type ArenaOverflowError struct {
+	Flow int   // the rejected flow, named as in other validation errors
+	End  int64 // arena length the flow would have produced
+}
+
+func (e *ArenaOverflowError) Error() string {
+	return fmt.Sprintf("netsim: flow %d ends the path arena at %d hops, past its int32 offsets", e.Flow, e.End)
+}
+
+// checkPathOffset rejects flow id if its path would end the arena at
+// end entries, beyond what an int32 offset can address.
+func checkPathOffset(id int, end int64) error {
+	if end > math.MaxInt32 {
+		return &ArenaOverflowError{Flow: id, End: end}
+	}
 	return nil
 }
 

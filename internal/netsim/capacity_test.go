@@ -71,22 +71,16 @@ func TestAllocateCapacitatedExpanding(t *testing.T) {
 	}
 }
 
-func TestCoverSetMatchesCoveredBy(t *testing.T) {
+// On the empty plan every flow is unserved, so the state's per-class
+// coverage count must equal the length of CoveredBy's per-flow list
+// at every vertex: the two coverage views agree.
+func TestUnservedCoveredMatchesCoveredBy(t *testing.T) {
 	in := fig1(t)
 	cov := in.CoveredBy()
-	for v := range cov {
-		set := in.CoverSet(paperfix.V(v + 1))
-		_ = set
-	}
+	s := NewState(in, NewPlan())
 	for _, v := range in.G.Nodes() {
-		set := in.CoverSet(v)
-		if set.Count() != len(cov[v]) {
-			t.Fatalf("vertex %d: bitset %d != list %d", v, set.Count(), len(cov[v]))
-		}
-		for _, f := range cov[v] {
-			if !set.Test(f) {
-				t.Fatalf("vertex %d: flow %d missing from bitset", v, f)
-			}
+		if got := s.UnservedCovered(v); got != len(cov[v]) {
+			t.Fatalf("vertex %d: UnservedCovered %d != CoveredBy list %d", v, got, len(cov[v]))
 		}
 	}
 }

@@ -17,36 +17,39 @@ import "tdmd/internal/obs"
 // miss pays a full rescore anyway. A State abandoned between its last
 // mutation and its last reads may leave a final partial hit batch
 // unreported; the counters are rates for dashboards, not invariants.
+// The budgeted greedy's guard deploys and reverts tentative boxes on
+// the solver's State, so its probes count as mutations, misses and
+// hits too.
 var (
 	stateCacheHits = obs.NewCounter("tdmd_netsim_state_cache_hits_total",
 		"MarginalGain/UnservedCovered queries answered from the per-vertex score cache")
 	stateCacheMisses = obs.NewCounter("tdmd_netsim_state_cache_misses_total",
 		"per-vertex score cache misses (full rescore of one vertex)")
 	stateMutations = obs.NewCounter("tdmd_netsim_state_mutations_total",
-		"State plan mutations (AddBox + RemoveBox)")
+		"State plan mutations (AddBox + RemoveBox), budget-guard probes included")
 	statesBuilt = obs.NewCounter("tdmd_netsim_states_built_total",
 		"incremental States constructed (one full allocation each)")
 )
 
 // Memory gauges for the arena layout: how many bytes the most recently
-// constructed (or cover-materialized) instance retains. Latest-instance
-// semantics — New and the lazy cover build overwrite the gauges, so a
-// process juggling several instances reports the newest one. That is
+// built instance retains. Latest-instance semantics — each Build
+// overwrites the gauges, so a process juggling several instances
+// reports the newest one. That is
 // the right shape for the serve path (one live instance per request
 // burst) and keeps the hot path free of per-instance registries.
 var (
 	instanceBytesGauge = obs.NewGauge("tdmd_instance_bytes",
-		"bytes retained by the latest netsim instance (arenas + cover bitsets)")
+		"bytes retained by the latest netsim instance (its arenas and offset tables; equals tdmd_arena_bytes)")
 	arenaBytesGauge = obs.NewGauge("tdmd_arena_bytes",
 		"bytes retained by the latest instance's through/path arenas and offset tables")
 )
 
-// updateMemoryGauges publishes the instance's MemoryFootprint. Called
-// from New and from the one-time cover-bitset build.
+// updateMemoryGauges publishes the instance's MemoryFootprint to both
+// gauges. Called from Builder.Build.
 func updateMemoryGauges(in *Instance) {
-	inst, arena := in.MemoryFootprint()
-	instanceBytesGauge.Set(inst)
-	arenaBytesGauge.Set(arena)
+	bytes := in.MemoryFootprint()
+	instanceBytesGauge.Set(bytes)
+	arenaBytesGauge.Set(bytes)
 }
 
 // flushCacheHits drains the State's local hit batch into the shared

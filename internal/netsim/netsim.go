@@ -13,10 +13,9 @@
 // arena holding every flow path as a [start,end) span, a path-class
 // table that groups flows with identical paths, one flat []FlowAt
 // through arena over those classes addressed by a per-vertex offset
-// table, and one backing-word arena for the lazily built cover
-// bitsets. Vertex, flow and class IDs are dense, so every
-// per-iteration lookup is a slice index; no map is consulted anywhere
-// on the solver fast path.
+// table. Vertex, flow and class IDs are dense, so every per-iteration
+// lookup is a slice index; no map is consulted anywhere on the solver
+// fast path.
 package netsim
 
 import (
@@ -28,7 +27,6 @@ import (
 	"sync"
 	"unsafe"
 
-	"tdmd/internal/bitset"
 	"tdmd/internal/graph"
 	"tdmd/internal/invariant"
 	"tdmd/internal/traffic"
@@ -41,11 +39,11 @@ import (
 // the per-vertex flow index used by all algorithms.
 //
 // An Instance is read-only after construction — the only internal
-// mutations are the lazily built cover bitsets and the lazily
-// materialized flow view, each guarded by a sync.Once — so one
-// Instance may be shared by any number of concurrent solver calls (see
-// placement's concurrency tests). Callers must not mutate G or any
-// slice reachable from the instance after construction.
+// mutation is the lazily materialized flow view (flowsView, guarded by
+// a sync.Once) — so one Instance may be shared by any number of
+// concurrent solver calls (see placement's concurrency tests). Callers
+// must not mutate G or any slice reachable from the instance after
+// construction.
 //
 // The workload is addressed by dense flow index 0..NumFlows()-1:
 // FlowRate, FlowPath and PathSpan are the hot-path accessors; Flows()
@@ -90,10 +88,6 @@ type Instance struct {
 	// flowsOnce (ID = index, Path = arena span).
 	flowsOnce sync.Once
 	flowsView []traffic.Flow
-
-	coverOnce  sync.Once
-	coverWords []uint64     // single backing arena for every cover bitset
-	cover      []bitset.Set // per-vertex views into coverWords, built lazily
 }
 
 // FlowAt records that a path class visits some vertex with the given
@@ -552,23 +546,6 @@ func (in *Instance) assertAllocation(p Plan, alloc Allocation) {
 	}
 }
 
-// Covers reports whether every flow has a deployed vertex on its
-// path, using the lazily built per-vertex cover bitsets. Coverage
-// equals feasibility in both middlebox regimes, but the word-parallel
-// union is far cheaper than a full Allocate — the random-placement
-// sampler rejection-tests candidate plans with it.
-func (in *Instance) Covers(p Plan) bool {
-	nf := in.NumFlows()
-	if nf == 0 {
-		return true
-	}
-	acc := bitset.New(nf)
-	for _, v := range p.vs {
-		acc.Or(in.CoverSet(v))
-	}
-	return acc.Count() == nf
-}
-
 // Feasible reports whether every flow has a middlebox on its path.
 func (in *Instance) Feasible(p Plan) bool {
 	for c := range in.classes {
@@ -715,48 +692,20 @@ func (in *Instance) CoveredBy() [][]int {
 	return out
 }
 
-// MemoryFootprint reports the memory retained by the instance's
-// hot-path representation, in bytes: arenaBytes covers the through
-// arena, the interned path arena, the rate arena, the path-class
-// tables and the offset tables (the data the bytes/flow budget
-// tracks); instanceBytes additionally counts the cover-bitset word
-// arena when built.
-func (in *Instance) MemoryFootprint() (instanceBytes, arenaBytes int64) {
+// MemoryFootprint reports the memory retained by the instance, in
+// bytes: the through arena, the interned path arena, the rate arena,
+// the path-class tables and the offset tables (the data the bytes/flow
+// budget tracks).
+func (in *Instance) MemoryFootprint() int64 {
 	const (
 		flowAtSize = int64(unsafe.Sizeof(FlowAt{}))
 		nodeIDSize = int64(unsafe.Sizeof(graph.NodeID(0)))
 		classSize  = int64(unsafe.Sizeof(pathClass{}))
 	)
-	arenaBytes = int64(cap(in.through))*flowAtSize +
+	return int64(cap(in.through))*flowAtSize +
 		int64(cap(in.pathArena))*nodeIDSize +
 		int64(cap(in.rates))*4 +
 		int64(cap(in.flowClass))*4 +
 		int64(cap(in.classes))*classSize +
 		int64(cap(in.throughOff)+cap(in.pathOff))*4
-	instanceBytes = arenaBytes + int64(cap(in.coverWords))*8
-	return instanceBytes, arenaBytes
-}
-
-// CoverSet returns the bitset of flow indices covered by v, built
-// lazily once per instance. The budget guard's greedy set cover runs
-// word-parallel over these. All cover bitsets share one backing-word
-// arena; the returned set is a view into it, owned by the instance.
-func (in *Instance) CoverSet(v graph.NodeID) *bitset.Set {
-	in.coverOnce.Do(func() {
-		n := in.G.NumNodes()
-		nf := in.NumFlows()
-		words := (nf + 63) / 64
-		in.coverWords = make([]uint64, n*words)
-		in.cover = make([]bitset.Set, n)
-		for u := 0; u < n; u++ {
-			in.cover[u] = bitset.View(in.coverWords[u*words:(u+1)*words], nf)
-		}
-		for i := 0; i < nf; i++ {
-			for _, u := range in.FlowPath(i) {
-				in.cover[u].Set(i)
-			}
-		}
-		updateMemoryGauges(in)
-	})
-	return &in.cover[v]
 }

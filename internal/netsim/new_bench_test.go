@@ -35,6 +35,6 @@ func BenchmarkNewInstance(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	_, arena := in.MemoryFootprint()
+	arena := in.MemoryFootprint()
 	b.ReportMetric(float64(arena)/float64(len(fl)), "bytes/flow")
 }

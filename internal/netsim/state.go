@@ -3,7 +3,6 @@ package netsim
 import (
 	"math"
 
-	"tdmd/internal/bitset"
 	"tdmd/internal/graph"
 	"tdmd/internal/invariant"
 	"tdmd/internal/stats"
@@ -62,11 +61,6 @@ type State struct {
 	dec      int64        // Σ rate·down over served classes; b(P) = raw − (1−λ)·dec
 	unserved int          // unserved flows: Σ multiplicity over unserved classes
 
-	// unservedBits is the per-flow unserved set, rebuilt from serving
-	// on demand (only the budget guard reads it) when stale.
-	unservedBits  *bitset.Set
-	unservedStale bool
-
 	// Per-vertex greedy-score cache. fresh[v] holds while no class
 	// through v changed serving state since the last recompute.
 	gain  []float64
@@ -83,13 +77,12 @@ type State struct {
 // is cloned; the caller's copy stays untouched.
 func NewState(in *Instance, p Plan) *State {
 	s := &State{
-		in:            in,
-		plan:          p.Clone(),
-		serving:       in.allocateClasses(p),
-		unservedStale: true,
-		gain:          make([]float64, in.G.NumNodes()),
-		cov:           make([]int, in.G.NumNodes()),
-		fresh:         make([]bool, in.G.NumNodes()),
+		in:      in,
+		plan:    p.Clone(),
+		serving: in.allocateClasses(p),
+		gain:    make([]float64, in.G.NumNodes()),
+		cov:     make([]int, in.G.NumNodes()),
+		fresh:   make([]bool, in.G.NumNodes()),
 	}
 	s.plan.reserve(in.G.NumNodes())
 	for c, cs := range s.serving {
@@ -132,25 +125,6 @@ func (s *State) Feasible() bool { return s.unserved == 0 }
 // UnservedCount returns the number of flows with no middlebox on their
 // path.
 func (s *State) UnservedCount() int { return s.unserved }
-
-// UnservedSet returns the bitset of unserved flow indices. The set is
-// owned by the state and rebuilt after AddBox/RemoveBox; callers must
-// Clone it before modifying or holding it across mutations.
-func (s *State) UnservedSet() *bitset.Set {
-	if s.unservedBits == nil {
-		s.unservedBits = bitset.New(s.in.NumFlows())
-	}
-	if s.unservedStale {
-		s.unservedBits.Reset()
-		for i, c := range s.in.flowClass {
-			if s.serving[c].down < 0 {
-				s.unservedBits.Set(i)
-			}
-		}
-		s.unservedStale = false
-	}
-	return s.unservedBits
-}
 
 // Plan returns a copy of the current plan.
 func (s *State) Plan() Plan {
@@ -213,7 +187,6 @@ func (s *State) AddBox(v graph.NodeID) float64 {
 		pc := &s.in.classes[c]
 		if cur < 0 {
 			s.unserved -= int(pc.mult)
-			s.unservedStale = true
 			cur = 0
 		}
 		dd += pc.rate * int64(fa.Downstream-cur)
@@ -251,7 +224,6 @@ func (s *State) RemoveBox(v graph.NodeID) float64 {
 		down := next.down
 		if down < 0 {
 			s.unserved += int(pc.mult)
-			s.unservedStale = true
 			down = 0
 		}
 		dd += pc.rate * int64(down-fa.Downstream)

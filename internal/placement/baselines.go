@@ -17,8 +17,7 @@ import (
 // resampled up to maxAttempts; if none is feasible the sampler falls
 // back to a greedy cover completed with random vertices, so the
 // harness always scores a feasible plan. Draws are rejection-tested
-// with the word-parallel coverage bitsets rather than a full
-// allocation.
+// with Instance.Feasible, which needs no full allocation.
 // RandomPlacement is fail-fast under cancellation: draws are cheap, so
 // an interrupted sampler returns the context error rather than a
 // partial plan.
@@ -43,7 +42,7 @@ func RandomPlacement(ctx context.Context, in *netsim.Instance, k int, rng *rand.
 		for _, idx := range rng.Perm(n)[:k] {
 			p.Add(graph.NodeID(idx))
 		}
-		if in.Covers(p) {
+		if in.Feasible(p) {
 			return finish(in, p), nil
 		}
 	}
@@ -54,7 +53,7 @@ func RandomPlacement(ctx context.Context, in *netsim.Instance, k int, rng *rand.
 		if canceled(ctx) {
 			return Result{}, interruptedErr(ctx)
 		}
-		v := mostCovering(st)
+		v := mostCovering(st, nil)
 		if v == graph.Invalid {
 			return Result{}, ErrInfeasible
 		}
@@ -131,7 +130,7 @@ func BestEffort(ctx context.Context, in *netsim.Instance, k int) (Result, error)
 		}
 		repairs++
 		st.RemoveBox(ranked[drop].v)
-		v := mostCovering(st)
+		v := mostCovering(st, nil)
 		if v == graph.Invalid {
 			return Result{}, ErrInfeasible
 		}
@@ -143,14 +142,19 @@ func BestEffort(ctx context.Context, in *netsim.Instance, k int) (Result, error)
 	return finish(in, st.Plan()), nil
 }
 
-// mostCovering returns the undeployed vertex covering the most
-// unserved flows under the current incremental state.
-func mostCovering(st *netsim.State) graph.NodeID {
+// mostCovering returns the undeployed vertex not marked in skip (nil
+// skips nothing) covering the most unserved flows under the current
+// incremental state, the smaller ID on ties; graph.Invalid when no
+// such vertex covers any. It is the greedy set-cover step of the
+// coverage repairs and of the budget guard (coverFits).
+//
+//tdmd:hot
+func mostCovering(st *netsim.State, skip []bool) graph.NodeID {
 	best := graph.Invalid
 	bestCnt := 0
 	n := st.Instance().G.NumNodes()
 	for v := graph.NodeID(0); int(v) < n; v++ {
-		if st.Has(v) {
+		if st.Has(v) || (skip != nil && skip[v]) {
 			continue
 		}
 		if cnt := st.UnservedCovered(v); cnt > bestCnt {

@@ -13,8 +13,8 @@ import (
 
 // TestConcurrentSolversShareInstance hammers one *netsim.Instance with
 // every solver entry point at once. An Instance is read-only after
-// construction except for the lazily built cover bitsets (guarded by
-// sync.Once), so concurrent solves must be safe; this test is the
+// construction except for the lazily materialized flow view (guarded
+// by sync.Once), so concurrent solves must be safe; this test is the
 // regression net for that contract and is expected to run under
 // `go test -race`.
 func TestConcurrentSolversShareInstance(t *testing.T) {
@@ -54,7 +54,7 @@ func TestConcurrentSolversShareInstance(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			r, err := GTPBudget(context.Background(), in, 4) // races two goroutines into CoverSet's sync.Once
+			r, err := GTPBudget(context.Background(), in, 4) // the budget guard mutates only this solve's own State
 			if (err == nil) != (budgetErr == nil) {
 				t.Errorf("concurrent GTPBudget error mismatch: %v vs %v", err, budgetErr)
 				return

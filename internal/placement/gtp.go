@@ -45,7 +45,7 @@ func GTP(ctx context.Context, in *netsim.Instance) Result {
 			return r
 		}
 		v, ok := bestCandidate(st, nil)
-		if !ok {
+		if !ok || !improves(st, v) {
 			// No vertex covers any unserved flow: cannot happen for
 			// valid instances (each flow's own source qualifies), but
 			// guard against pathological inputs.
@@ -90,24 +90,20 @@ func CompletePlan(ctx context.Context, in *netsim.Instance, base netsim.Plan, k 
 	coverStart := time.Now()
 	st := netsim.NewState(in, base)
 	// The banned set is flattened to a vertex-indexed slice once per
-	// solve: the budget guard probes it for every (candidate, cover
-	// pick) pair, which is O(|V|²) lookups per greedy round.
-	bannedFlat := make([]bool, in.G.NumNodes())
+	// solve: the ranking scans and the guard's cover picks probe it
+	// once per vertex.
+	n := in.G.NumNodes()
+	bannedFlat := make([]bool, n)
 	for v, bad := range banned {
-		if bad && int(v) >= 0 && int(v) < len(bannedFlat) {
+		if bad && int(v) >= 0 && int(v) < n {
 			bannedFlat[v] = true
 		}
 	}
-	// The guard closures are hoisted out of the greedy loops (one
-	// allocation per solve, not per round); the cover guard reads the
-	// remaining budget through the captured variable.
-	remaining := 0 // budget left after the next pick; set each round
-	coverGuard := func(v graph.NodeID) bool {
-		if bannedFlat[v] {
-			return false
-		}
-		return greedyCoverSize(st, v, bannedFlat) <= remaining
-	}
+	// skip is bannedFlat plus the candidates the guard rejected this
+	// round; trail holds the guard's tentative cover boxes. Both are
+	// allocated once per solve.
+	skip := make([]bool, n)
+	trail := make([]graph.NodeID, 0, min(k, n))
 	//tdmd:hot
 	for st.Size() < k && !st.Feasible() {
 		if canceled(ctx) {
@@ -116,9 +112,18 @@ func CompletePlan(ctx context.Context, in *netsim.Instance, base netsim.Plan, k 
 			r.Interrupted = ctx.Err()
 			return r, interruptedErr(ctx)
 		}
-		remaining = k - st.Size() - 1
-		v, ok := bestCandidate(st, coverGuard)
-		if !ok {
+		// (gain, covered, −id) is a total order and the guard only
+		// filters, so the first candidate that passes, taken in that
+		// order, is the best guarded candidate: guard the winner and
+		// re-rank without it on rejection.
+		copy(skip, bannedFlat)
+		remaining := k - st.Size() - 1
+		v, ok := bestCandidate(st, skip)
+		for ok && !coverFits(st, v, bannedFlat, remaining, trail) {
+			skip[v] = true
+			v, ok = bestCandidate(st, skip)
+		}
+		if !ok || !improves(st, v) {
 			return Result{}, ErrInfeasible
 		}
 		st.AddBox(v)
@@ -133,7 +138,6 @@ func CompletePlan(ctx context.Context, in *netsim.Instance, base netsim.Plan, k 
 	// the feasible plan built so far (anytime semantics).
 	spendStart := time.Now()
 	defer func() { sc.phase("spend", spendStart) }()
-	spendGuard := func(v graph.NodeID) bool { return !bannedFlat[v] }
 	//tdmd:hot
 	for st.Size() < k {
 		if canceled(ctx) {
@@ -141,7 +145,7 @@ func CompletePlan(ctx context.Context, in *netsim.Instance, base netsim.Plan, k 
 			r.Interrupted = ctx.Err()
 			return r, nil
 		}
-		v, ok := bestCandidate(st, spendGuard)
+		v, ok := bestCandidate(st, bannedFlat)
 		if !ok || st.MarginalGain(v) <= 0 {
 			break
 		}
@@ -243,15 +247,16 @@ func popBestLazy(st *netsim.State, heap *pq.Heap[graph.NodeID], scratch []lazyCa
 }
 
 // bestCandidate returns the undeployed vertex with the maximum
-// marginal decrement among those passing the guard (nil means no
-// guard), breaking ties toward more unserved flows covered, then the
-// smaller ID. ok is false when no vertex improves the plan: positive
-// marginal, or coverage of at least one unserved flow. Scores come
-// from the state's per-vertex cache, so a round after a deployment
-// recomputes only the vertices the deployment actually affected.
+// marginal decrement among those not marked in skip (nil skips
+// nothing), breaking ties toward more unserved flows covered, then the
+// smaller ID. ok is false only when every vertex is deployed or
+// skipped; whether the winner improves the plan is the caller's check
+// (improves). Scores come from the state's per-vertex cache, so a
+// round after a deployment recomputes only the vertices the deployment
+// actually affected.
 //
 //tdmd:hot
-func bestCandidate(st *netsim.State, guard func(graph.NodeID) bool) (graph.NodeID, bool) {
+func bestCandidate(st *netsim.State, skip []bool) (graph.NodeID, bool) {
 	best := graph.Invalid
 	bestGain := math.Inf(-1)
 	bestCovered := -1
@@ -259,10 +264,7 @@ func bestCandidate(st *netsim.State, guard func(graph.NodeID) bool) (graph.NodeI
 	// same, and the candidate loop stays allocation-free.
 	n := st.Instance().G.NumNodes()
 	for v := graph.NodeID(0); int(v) < n; v++ {
-		if st.Has(v) {
-			continue
-		}
-		if guard != nil && !guard(v) {
+		if st.Has(v) || (skip != nil && skip[v]) {
 			continue
 		}
 		gain := st.MarginalGain(v)
@@ -279,45 +281,43 @@ func bestCandidate(st *netsim.State, guard func(graph.NodeID) bool) (graph.NodeI
 			best, bestGain, bestCovered = v, gain, covered
 		}
 	}
-	if best == graph.Invalid || (bestGain <= 0 && bestCovered == 0) {
-		return graph.Invalid, false
-	}
-	return best, true
+	return best, best != graph.Invalid
 }
 
-// greedyCoverSize estimates how many extra middleboxes (beyond the
-// current plan and the tentative vertex v) are needed to serve the
-// remaining flows, using greedy set cover over per-vertex coverage
-// bitsets. The estimate upper-bounds the true optimum, so admitting a
-// candidate when the estimate fits the budget is always safe. The
-// state keeps the unserved set as a bitset (rebuilt at most once per
-// mutation), so the guard starts from a clone instead of re-deriving
-// it from an allocation (see the BenchmarkAblationBudgetGuard history
-// in DESIGN.md).
+// improves reports whether deploying on v improves the plan: a
+// positive marginal, or coverage of at least one unserved flow.
+func improves(st *netsim.State, v graph.NodeID) bool {
+	return st.MarginalGain(v) > 0 || st.UnservedCovered(v) > 0
+}
+
+// coverFits is the budget guard: it reports whether, after deploying
+// v, greedy set cover serves the remaining flows with at most limit
+// more middleboxes, never picking a banned vertex. The greedy estimate
+// upper-bounds the optimum, so admitting v when it fits is always
+// safe. The cover runs on the solver's own state — v and each
+// mostCovering pick are deployed, then removed in reverse order — and
+// a State is a pure function of its plan, so st is left exactly as it
+// was. Paths are simple, so UnservedCovered(w) is the number of
+// unserved flows w's cover would serve. trail is caller-owned scratch
+// with capacity for limit+1 vertices.
 //
 //tdmd:hot
-func greedyCoverSize(st *netsim.State, v graph.NodeID, banned []bool) int {
-	in := st.Instance()
-	unserved := st.UnservedSet().Clone()
-	unserved.AndNot(in.CoverSet(v))
-	boxes := 0
-	n := in.G.NumNodes()
-	for unserved.Any() {
-		best := graph.Invalid
-		bestCnt := 0
-		for w := graph.NodeID(0); int(w) < n; w++ {
-			if st.Has(w) || w == v || banned[w] {
-				continue
-			}
-			if cnt := unserved.IntersectCount(in.CoverSet(w)); cnt > bestCnt {
-				best, bestCnt = w, cnt
-			}
+func coverFits(st *netsim.State, v graph.NodeID, banned []bool, limit int, trail []graph.NodeID) bool {
+	trail = append(trail[:0], v)
+	st.AddBox(v)
+	fits := true
+	for !st.Feasible() {
+		w := mostCovering(st, banned)
+		if w == graph.Invalid || len(trail) > limit {
+			// Uncoverable, or limit more boxes are already spent.
+			fits = false
+			break
 		}
-		if best == graph.Invalid {
-			return int(^uint(0) >> 1) // remaining flows uncoverable
-		}
-		unserved.AndNot(in.CoverSet(best))
-		boxes++
+		trail = append(trail, w)
+		st.AddBox(w)
 	}
-	return boxes
+	for i := len(trail) - 1; i >= 0; i-- {
+		st.RemoveBox(trail[i])
+	}
+	return fits
 }

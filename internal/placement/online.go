@@ -100,8 +100,9 @@ func (o *OnlineGTP) AddFlow(ctx context.Context, f traffic.Flow) (int, error) {
 		if canceled(ctx) {
 			return 0, interruptedErr(ctx)
 		}
-		v, ok := bestCandidate(netsim.NewState(in, o.plan), nil)
-		if !ok {
+		st := netsim.NewState(in, o.plan)
+		v, ok := bestCandidate(st, nil)
+		if !ok || !improves(st, v) {
 			return 0, ErrInfeasible
 		}
 		o.plan.Add(v)

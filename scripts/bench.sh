@@ -9,9 +9,10 @@
 #           construction (BenchmarkNewInstance) — all at
 #           |V|=200 / |F|≈1500 — the gtp-lazy solve on the
 #           bulk-ingest shape scaled to 20k flows
-#           (BenchmarkGTPLazyBulkShape) and the tree DP on
-#           online-cold's default tree cell, |V|=22, k=8
-#           (BenchmarkTreeDP).
+#           (BenchmarkGTPLazyBulkShape), the budgeted gtp and gtp-ls
+#           solves on the online-hot shape at k=8
+#           (BenchmarkGTPBudget) and the tree DP on online-cold's
+#           default tree cell, |V|=22, k=8 (BenchmarkTreeDP).
 #   ingest  BENCH_ingest.json  the streaming-ingestion benchmarks
 #           (BenchmarkIngest*), including the million-flow scale row;
 #           bytes/flow (the wire format's per-flow cost) is gated
