@@ -2,11 +2,14 @@ package tdmd
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
 // TestBuildErrorTexts pins, byte for byte, the error of every
-// single-fault input through ProblemSpec.Build and NewProblem. The
+// single-fault input through ProblemSpec.Build and NewProblem, and the
+// validation order of repeated paths: a repeat of a valid path has
+// only its rate checked, a repeat of an invalid one is rejected again. The
 // faulty flow is the second one: spec errors name it by index (1),
 // NewProblem errors by the caller's flow ID (7). Faults only a spec
 // can carry (root, edges, tree) have no NewProblem text. The sum
@@ -51,6 +54,13 @@ func TestBuildErrorTexts(t *testing.T) {
 		{"rate 2^31", badFlow(1<<31, 2, 1),
 			"netsim: flow 1 rate 2147483648 overflows the rate arena",
 			"netsim: flow 7 rate 2147483648 overflows the rate arena"},
+		// A repeated path is not validated again, but its flow's rate is.
+		{"rate 0 on a repeated path", badFlow(0, 0, 1, 2),
+			"traffic: flow 1: invalid path: non-positive rate 0",
+			"traffic: flow 7: invalid path: non-positive rate 0"},
+		{"rate 2^31 on a repeated path", badFlow(1<<31, 0, 1, 2),
+			"netsim: flow 1 rate 2147483648 overflows the rate arena",
+			"netsim: flow 7 rate 2147483648 overflows the rate arena"},
 		{"root on a non-tree", func(s *ProblemSpec) {
 			s.Edges = append(s.Edges, [2]int{0, 2}, [2]int{2, 0})
 			s.Root = 0
@@ -87,6 +97,37 @@ func TestBuildErrorTexts(t *testing.T) {
 		if _, err := NewProblem(g, flows, spec.Lambda); errText(err) != tc.problem {
 			t.Errorf("%s: NewProblem error %q, want %q", tc.name, errText(err), tc.problem)
 		}
+	}
+
+	// An invalid path never becomes a path class, so each flow that
+	// carries it is validated and rejected at its own index with the
+	// same text, and the builder stays usable.
+	b := NewProblemBuilder()
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := b.AddNode(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]int{{0, 1}, {1, 2}} {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const bad = "traffic: flow %d: invalid path at hop 0 (0 -> 2): consecutive hops are not joined by an edge"
+	for i := 0; i < 2; i++ {
+		if err := b.AddFlow(1, []int{0, 1, 2}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := errText(b.AddFlow(1, []int{0, 2})), fmt.Sprintf(bad, i+1); got != want {
+			t.Fatalf("repeat %d: error %q, want %q", i, got, want)
+		}
+	}
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in := p.Instance(); in.NumFlows() != 2 || in.NumClasses() != 1 {
+		t.Fatalf("built %d flows in %d classes, want 2 in 1", in.NumFlows(), in.NumClasses())
 	}
 }
 

@@ -70,6 +70,49 @@ func (g *Graph) AddNode(name string) NodeID {
 	return id
 }
 
+// Grow reserves room for n more vertices, so adding them regrows no
+// vertex table.
+func (g *Graph) Grow(n int) {
+	g.names = grow(g.names, n)
+	g.out = grow(g.out, n)
+	g.in = grow(g.in, n)
+}
+
+// grow returns s with room for n more elements.
+func grow[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
+}
+
+// ReserveEdges sizes every vertex's edge lists for edges still to be
+// added: out[v] more outgoing and in[v] more incoming edges at vertex
+// v. Each direction's lists are carved from one allocation, so adding
+// those edges regrows no list; a list that outgrows its share is
+// reallocated, never spilling into its neighbour's.
+func (g *Graph) ReserveEdges(out, in []int32) {
+	reserveLists(g.out, out)
+	reserveLists(g.in, in)
+}
+
+// reserveLists moves each lists[v] into a shared backing array with
+// room for more[v] further edges.
+func reserveLists(lists [][]Edge, more []int32) {
+	total := 0
+	for v, k := range more {
+		total += len(lists[v]) + int(k)
+	}
+	backing := make([]Edge, 0, total)
+	for v, k := range more {
+		start := len(backing)
+		backing = append(backing, lists[v]...)
+		end := len(backing)
+		lists[v] = backing[start : end : end+int(k)]
+		backing = backing[:end+int(k)]
+	}
+}
+
 // AddNodes adds n anonymous vertices named "v0".."v<n-1>" (offset by
 // the current node count) and returns the ID of the first one.
 func (g *Graph) AddNodes(n int) NodeID {

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -30,6 +31,40 @@ func TestAddNodesNamesAndFirstID(t *testing.T) {
 	}
 	if g.Name(2) != "v2" {
 		t.Fatalf("Name(2) = %q, want v2", g.Name(2))
+	}
+}
+
+// TestReserveEdgesKeepsListsApart: reserved edge lists share one
+// backing array per direction, yet keep the edges added before the
+// reservation, fill in insertion order, and never spill into a
+// neighbour's share when a list outgrows its own.
+func TestReserveEdgesKeepsListsApart(t *testing.T) {
+	build := func(reserve bool) *Graph {
+		g := New()
+		g.Grow(4)
+		g.AddNodes(4)
+		g.AddEdge(0, 1) // before the reservation
+		if reserve {
+			g.ReserveEdges([]int32{1, 1, 0, 1}, []int32{1, 1, 1, 0})
+		}
+		g.AddEdge(0, 2)
+		g.AddEdge(1, 0)
+		g.AddEdge(3, 2)
+		g.AddEdge(1, 3) // past vertex 1's out share
+		g.AddEdge(0, 3) // past vertex 0's out share
+		return g
+	}
+	want, got := build(false), build(true)
+	for v := range want.Nodes() {
+		if w, g := want.Out(NodeID(v)), got.Out(NodeID(v)); !slices.Equal(w, g) {
+			t.Errorf("Out(%d) = %v, want %v", v, g, w)
+		}
+		if w, g := want.In(NodeID(v)), got.In(NodeID(v)); !slices.Equal(w, g) {
+			t.Errorf("In(%d) = %v, want %v", v, g, w)
+		}
+	}
+	if got.NumEdges() != 6 {
+		t.Fatalf("NumEdges = %d, want 6", got.NumEdges())
 	}
 }
 

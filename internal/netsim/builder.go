@@ -3,50 +3,128 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tdmd/internal/graph"
 	"tdmd/internal/traffic"
 )
 
-// Builder fills an instance's rate and path arenas one flow at a time.
-// It is the only way an Instance is made: New, the facade's spec and
-// stream builders, the online placer and the scaled DP all feed one,
-// so each flow is validated exactly once, as it arrives. The first
-// flow freezes an adjacency index of the graph; a rejected flow leaves
-// the arenas as they were, so the builder stays usable. Build hands
-// the arenas to the instance without copying; the builder must not be
-// used afterwards.
+// Builder fills an instance's arenas one flow at a time. It is the
+// only way an Instance is made: New, the facade's spec and stream
+// builders, the online placer and the scaled DP all feed one, so each
+// flow is validated exactly once, as it arrives. The first flow freezes
+// an adjacency index of the graph; a rejected flow leaves the arenas as
+// they were, so the builder stays usable. Build hands the arenas to the
+// instance without copying; the builder must not be used afterwards.
+//
+// Paths are interned as they arrive: each distinct path is stored,
+// validated and hashed once, as a path class numbered in order of
+// first occurrence, and every flow keeps only its rate and class id.
 type Builder struct {
 	g      *graph.Graph
 	adj    graph.AdjSet // valid once frozen
 	frozen bool
 
+	// Per flow: rate and path class, two equal-capacity segments of
+	// one allocation that grows by doubling.
 	rates     []int32
+	flowClass []int32
+
+	// Per class: class c's path is pathArena[classOff[c]:classOff[c+1]].
+	// classOff is nil until the first flow arrives.
 	pathArena []graph.NodeID
-	pathOff   []int32
+	classOff  []int32
+
+	// table is the open-addressing intern table over the class paths:
+	// a power-of-two length at least twice the class count, each slot 0
+	// (empty) or 1 + a class id, probed linearly from the path's hash.
+	// It shares one scratch allocation with classOff, which Build
+	// copies out, and it doubles (rehashing the classes) only when a
+	// new class would fill it past half.
+	table []int32
 }
 
 // NewBuilder returns an empty builder over g. The graph may still gain
 // vertices and edges until the first flow is added.
 func NewBuilder(g *graph.Graph) *Builder {
-	return &Builder{g: g, pathOff: []int32{0}}
+	return &Builder{g: g}
 }
 
 // Reserve pre-sizes the arenas for the given flow and total-hop
-// counts, so a bulk fill of known size never regrows them. Optional:
-// without it the arenas grow by the usual doubling.
+// counts. The rate and class arenas and the intern table are sized
+// for that many more flows, all distinct, so they never regrow. The
+// path arena stores each distinct path once, so it is sized for half
+// the hops: it doubles once if more than half are distinct, and Build
+// trims it if less than half of it was used. Optional: without it
+// every arena grows by doubling.
 func (b *Builder) Reserve(flows, pathEntries int) {
-	if cap(b.rates)-len(b.rates) < flows || cap(b.pathOff)-len(b.pathOff) < flows {
-		// The rate and offset arenas share one exact-sized allocation;
-		// the capped rate slice cannot append into the offsets.
-		nr, no := len(b.rates)+flows, len(b.pathOff)+flows
-		grown := make([]int32, nr+no)
-		copy(grown, b.rates)
-		copy(grown[nr:], b.pathOff)
-		b.rates, b.pathOff = grown[:len(b.rates):nr], grown[nr:nr+len(b.pathOff)]
+	if need := len(b.rates) + flows; need > cap(b.rates) {
+		b.growFlows(need)
 	}
-	if cap(b.pathArena)-len(b.pathArena) < pathEntries {
-		b.pathArena = append(make([]graph.NodeID, 0, len(b.pathArena)+pathEntries), b.pathArena...)
+	b.growClasses(b.numClasses() + flows)
+	b.growArena(pathEntries / 2)
+}
+
+// growArena makes room for n more hops in the path arena, at least
+// doubling it when it must grow.
+func (b *Builder) growArena(n int) {
+	if cap(b.pathArena)-len(b.pathArena) < n {
+		grown := make([]graph.NodeID, 0, max(2*cap(b.pathArena), len(b.pathArena)+n))
+		b.pathArena = append(grown, b.pathArena...)
+	}
+}
+
+// growFlows moves the rate and class arenas into one allocation with
+// room for capacity flows.
+func (b *Builder) growFlows(capacity int) {
+	n := len(b.rates)
+	grown := make([]int32, 2*capacity)
+	copy(grown, b.rates)
+	copy(grown[capacity:], b.flowClass)
+	b.rates, b.flowClass = grown[:n:capacity], grown[capacity:capacity+n]
+}
+
+// growClasses makes room for classes path classes: a table of at
+// least twice that many slots, and class offsets behind it in the same
+// allocation. The classes held so far are rehashed into the new table.
+func (b *Builder) growClasses(classes int) {
+	if 2*classes <= len(b.table) {
+		return
+	}
+	size := 64
+	for size < 2*classes {
+		size <<= 1
+	}
+	scratch := make([]int32, size+size/2+1)
+	b.table, b.classOff = scratch[:size], append(scratch[size:size], b.classOff...)
+	if len(b.classOff) == 0 {
+		b.classOff = b.classOff[:1] // class 0 starts at offset 0
+	}
+	for c := range b.numClasses() {
+		slot, _ := b.lookup(b.classPath(int32(c)))
+		b.table[slot] = int32(c) + 1
+	}
+}
+
+// numClasses reports how many distinct paths the builder holds.
+func (b *Builder) numClasses() int { return max(len(b.classOff)-1, 0) }
+
+// classPath returns class c's span of the path arena.
+func (b *Builder) classPath(c int32) graph.Path {
+	return graph.Path(b.pathArena[b.classOff[c]:b.classOff[c+1]])
+}
+
+// lookup finds path in the intern table: its slot and class, or the
+// empty slot it would take and class -1.
+//
+//tdmd:hot
+func (b *Builder) lookup(path graph.Path) (slot uint64, class int32) {
+	mask := uint64(len(b.table) - 1)
+	for slot = hashPath(path) & mask; ; slot = (slot + 1) & mask {
+		c := b.table[slot] - 1
+		if c < 0 || slices.Equal(b.classPath(c), path) {
+			return slot, c
+		}
 	}
 }
 
@@ -55,14 +133,15 @@ func (b *Builder) Reserve(flows, pathEntries int) {
 func (b *Builder) Frozen() bool { return b.frozen }
 
 // NumFlows reports how many flows the builder holds so far.
-func (b *Builder) NumFlows() int { return len(b.pathOff) - 1 }
+func (b *Builder) NumFlows() int { return len(b.rates) }
 
-// AddFlow appends the next flow given its rate and vertex-id path. The
-// hops land directly in the shared path arena. Validation errors are
-// *traffic.PathError values naming the flow by its index.
+// AddFlow appends the next flow given its rate and vertex-id path.
+// Validation errors are *traffic.PathError values naming the flow by
+// its index.
 //
 //tdmd:hot
 func (b *Builder) AddFlow(rate int, path []int) error {
+	b.growArena(len(path))
 	start := len(b.pathArena)
 	for _, v := range path {
 		b.pathArena = append(b.pathArena, graph.NodeID(v))
@@ -74,31 +153,57 @@ func (b *Builder) AddFlow(rate int, path []int) error {
 //
 //tdmd:hot
 func (b *Builder) AddFlowPath(rate int, path graph.Path) error {
-	start := len(b.pathArena)
-	b.pathArena = append(b.pathArena, path...)
-	return b.commit(b.NumFlows(), rate, start)
+	return b.addFlowPath(b.NumFlows(), rate, path)
 }
 
-// commit validates the hops appended at [start:] as the next flow,
-// named id in errors, and commits them, or rolls the arena back.
+// addFlowPath is AddFlowPath naming the flow id in errors.
+func (b *Builder) addFlowPath(id, rate int, path graph.Path) error {
+	b.growArena(len(path))
+	start := len(b.pathArena)
+	b.pathArena = append(b.pathArena, path...)
+	return b.commit(id, rate, start)
+}
+
+// commit interns the hops appended at [start:] as the next flow's
+// path, named id in errors. A path already held is rolled back out of
+// the arena and only the flow's rate is checked; a new path is
+// validated in full and becomes the next class. On error the arena is
+// rolled back and nothing is committed.
 func (b *Builder) commit(id, rate, start int) error {
 	if !b.frozen {
 		b.adj = graph.NewAdjSet(b.g)
 		b.frozen = true
 	}
-	err := traffic.ValidateFlow(b.adj, id, rate, b.pathArena[start:])
+	b.growClasses(b.numClasses() + 1)
+	path := graph.Path(b.pathArena[start:])
+	slot, class := b.lookup(path)
+	var err error
+	if class >= 0 {
+		b.pathArena = b.pathArena[:start]
+		err = traffic.ValidateRate(id, rate)
+	} else {
+		err = traffic.ValidateFlow(b.adj, id, rate, path)
+	}
 	if err == nil && rate > math.MaxInt32 {
 		err = fmt.Errorf("netsim: flow %d rate %d overflows the rate arena", id, rate)
 	}
-	if err == nil {
+	if err == nil && class < 0 {
 		err = checkPathOffset(id, int64(len(b.pathArena)))
 	}
 	if err != nil {
 		b.pathArena = b.pathArena[:start]
 		return err
 	}
+	if class < 0 {
+		class = int32(b.numClasses())
+		b.table[slot] = class + 1
+		b.classOff = append(b.classOff, int32(len(b.pathArena)))
+	}
+	if len(b.rates) == cap(b.rates) {
+		b.growFlows(max(2*len(b.rates), 64))
+	}
 	b.rates = append(b.rates, int32(rate))
-	b.pathOff = append(b.pathOff, int32(len(b.pathArena)))
+	b.flowClass = append(b.flowClass, class)
 	return nil
 }
 
@@ -123,16 +228,21 @@ func checkPathOffset(id int, end int64) error {
 }
 
 // Build indexes the arenas into an instance with traffic-changing
-// ratio λ (see New for its range).
+// ratio λ (see New for its range). A path arena less than half filled
+// by the class paths (Reserve sized it for more distinct hops than
+// came) is trimmed to size first.
 func (b *Builder) Build(lambda float64) (*Instance, error) {
 	if lambda < 0 {
 		return nil, fmt.Errorf("netsim: negative lambda %v", lambda)
 	}
+	if len(b.pathArena) < cap(b.pathArena)/2 {
+		b.pathArena = append(make([]graph.NodeID, 0, len(b.pathArena)), b.pathArena...)
+	}
 	inst := &Instance{
 		G: b.g, Lambda: lambda,
-		rates: b.rates, pathArena: b.pathArena, pathOff: b.pathOff,
+		rates: b.rates, flowClass: b.flowClass, pathArena: b.pathArena,
 	}
-	if err := inst.buildThrough(); err != nil {
+	if err := inst.buildThrough(b.classOff, b.table); err != nil {
 		return nil, err
 	}
 	updateMemoryGauges(inst)

@@ -262,11 +262,15 @@ func TestClassArenaSmallerThanFlowLayout(t *testing.T) {
 	for v := range g.Nodes() {
 		classEntries += len(in.Through(graph.NodeID(v)))
 	}
+	classHops := 0
+	for _, p := range paths {
+		classHops += len(p)
+	}
 	if want := int64(classEntries)*int64(unsafe.Sizeof(FlowAt{})) +
-		int64(hops)*int64(unsafe.Sizeof(graph.NodeID(0))) +
+		int64(classHops)*int64(unsafe.Sizeof(graph.NodeID(0))) + // one span per class
 		int64(len(flows))*(4+4) + // rates, flowClass
 		int64(len(paths))*int64(unsafe.Sizeof(pathClass{})) +
-		int64(g.NumNodes()+1+len(flows)+1)*4; arena != want {
+		int64(g.NumNodes()+1+len(paths)+1)*4; arena != want { // throughOff, classOff
 		t.Fatalf("arena bytes %d, want %d counting the class tables", arena, want)
 	}
 }

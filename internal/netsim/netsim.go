@@ -6,22 +6,22 @@
 // edge and is used by tests to validate the closed-form model.
 //
 // Every Instance is built flow by flow through a Builder (builder.go),
-// which validates each flow once as it fills the arenas.
+// which interns each flow's path as it arrives and validates each
+// distinct path once.
 //
 // Memory layout (DESIGN.md "Memory layout"): the instance's hot-path
-// state lives in contiguous CSR-style arenas — one shared vertex-ID
-// arena holding every flow path as a [start,end) span, a path-class
-// table that groups flows with identical paths, one flat []FlowAt
-// through arena over those classes addressed by a per-vertex offset
-// table. Vertex, flow and class IDs are dense, so every per-iteration
-// lookup is a slice index; no map is consulted anywhere on the solver
-// fast path.
+// state lives in contiguous CSR-style arenas — per flow only a rate
+// and a path-class id, one shared vertex-ID arena holding each
+// distinct path once as a [start,end) span addressed by a per-class
+// offset table, and one flat []FlowAt through arena over those
+// classes addressed by a per-vertex offset table. Vertex, flow and
+// class IDs are dense, so every per-iteration lookup is a slice index;
+// no map is consulted anywhere on the solver fast path.
 package netsim
 
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -46,7 +46,7 @@ import (
 // construction.
 //
 // The workload is addressed by dense flow index 0..NumFlows()-1:
-// FlowRate, FlowPath and PathSpan are the hot-path accessors; Flows()
+// FlowRate and FlowPath are the hot-path accessors; Flows()
 // materializes the []traffic.Flow view for cold paths that want the
 // struct form.
 type Instance struct {
@@ -54,12 +54,13 @@ type Instance struct {
 	Lambda float64
 
 	// rates is the flat per-flow initial-rate arena (r_f). Together
-	// with pathArena/pathOff it is the entire workload.
+	// with flowClass and the class paths it is the entire workload.
 	rates []int32
 
 	// flowClass maps every flow to its path class: flows whose paths
 	// are equal vertex for vertex share one class, numbered in order of
 	// first occurrence. classes holds each class's aggregate demand.
+	// rates and flowClass are two segments of one builder allocation.
 	// Every uncapacitated solver treats the flows of a class alike (the
 	// allocation rule depends only on the path, and b(P) is linear in
 	// rate), so the solver state and the through index work per class.
@@ -74,12 +75,12 @@ type Instance struct {
 	through    []FlowAt
 	throughOff []int32 // len NumNodes+1; CSR row offsets into through
 
-	// pathArena interns every flow path into one shared vertex-ID
-	// arena; flow i's path is pathArena[pathOff[i]:pathOff[i+1]]. The
-	// hot path reads paths exclusively through FlowPath/PathSpan, never
-	// through per-flow Path slices.
+	// pathArena holds each class path once, back to back; class c's
+	// path is pathArena[classOff[c]:classOff[c+1]], and flow i's is its
+	// class's. The hot path reads paths exclusively through
+	// FlowPath/classPath, never through per-flow Path slices.
 	pathArena []graph.NodeID
-	pathOff   []int32 // len NumFlows()+1
+	classOff  []int32 // len NumClasses()+1; shares throughOff's allocation
 
 	// rawDemand caches Σ r_f·|p_f|.
 	rawDemand float64
@@ -101,7 +102,7 @@ type FlowAt struct {
 type pathClass struct {
 	rate int64 // Σ r_f over the member flows
 	mult int32 // number of member flows
-	rep  int32 // first member flow; its span is the class path
+	rep  int32 // first member flow
 }
 
 // New validates and indexes a problem instance. λ may be any
@@ -112,7 +113,7 @@ type pathClass struct {
 // automatically; the tree algorithms and GTP's guarantee require
 // λ ≤ 1 and enforce it themselves.
 //
-// The flows are copied into exact-sized arenas through a Builder;
+// The flows are copied into pre-sized arenas through a Builder;
 // validation errors name a flow by its ID, while the instance numbers
 // flows by their index in the slice.
 func New(g *graph.Graph, flows []traffic.Flow, lambda float64) (*Instance, error) {
@@ -123,45 +124,42 @@ func New(g *graph.Graph, flows []traffic.Flow, lambda float64) (*Instance, error
 	}
 	b.Reserve(len(flows), hops)
 	for _, f := range flows {
-		start := len(b.pathArena)
-		b.pathArena = append(b.pathArena, f.Path...)
-		if err := b.commit(f.ID, f.Rate, start); err != nil {
+		if err := b.addFlowPath(f.ID, f.Rate, f.Path); err != nil {
 			return nil, err
 		}
 	}
 	return b.Build(lambda)
 }
 
-// buildThrough interns the flow paths into path classes and builds the
-// CSR through index and the raw-demand cache from the rate/path
-// arenas. Construction allocates exact sizes only: one scratch slice
-// serves first as the open-addressing intern table and then as the
-// per-vertex counters, a counting pass sizes the through arena, and a
-// fill pass writes it. Nothing grows and no map is built.
+// buildThrough builds the class records, the CSR through index and
+// the raw-demand cache from the builder's arenas. classOff is the
+// builder's class offset table (nil for no flows), copied into one
+// allocation with throughOff; scratch, the spent intern table, serves
+// as the per-vertex counters when it is long enough. A counting pass
+// sizes the through arena and a fill pass writes it. Nothing grows and
+// no map is built.
 //
 // It fails when Σ r_f·|p_f| overflows int64: State keeps the decrement
 // as an exact integer sum bounded by that total.
-func (in *Instance) buildThrough() error {
+func (in *Instance) buildThrough(classOff, scratch []int32) error {
 	n := in.G.NumNodes()
-	nf := in.NumFlows()
+	index := make([]int32, n+1+max(len(classOff), 1))
+	in.throughOff, in.classOff = index[:n+1:n+1], index[n+1:]
+	copy(in.classOff, classOff)
 	var demand int64
-	for i := 0; i < nf; i++ {
+	for i, r := range in.rates {
 		hops := in.flowHops(i)
 		var ok bool
-		if demand, ok = addDemand(demand, in.rates[i], hops); !ok {
+		if demand, ok = addDemand(demand, r, hops); !ok {
 			return fmt.Errorf("netsim: total demand Σ r·|p| overflows int64 at flow %d", i)
 		}
-		in.rawDemand += float64(in.rates[i]) * float64(hops)
+		in.rawDemand += float64(r) * float64(hops)
 	}
 
-	tableLen := 1
-	for tableLen < 2*nf {
-		tableLen <<= 1
+	if len(scratch) < n {
+		scratch = make([]int32, n)
 	}
-	scratch := make([]int32, max(tableLen, n))
-	index := make([]int32, nf+n+1) // flowClass and throughOff share one allocation
-	in.flowClass, in.throughOff = index[:nf:nf], index[nf:]
-	in.classes = make([]pathClass, in.internPaths(scratch[:tableLen]))
+	in.classes = make([]pathClass, len(in.classOff)-1)
 	for i, c := range in.flowClass {
 		pc := &in.classes[c]
 		if pc.mult == 0 {
@@ -208,34 +206,6 @@ func addDemand(sum int64, rate int32, hops int) (int64, bool) {
 	return sum + term, true
 }
 
-// internPaths fills flowClass with each flow's path class, numbering
-// classes in order of first occurrence, and returns the class count.
-// table is zeroed scratch whose power-of-two length is at least twice
-// the flow count; each slot holds 1 + the first flow of a class, and
-// lookups probe linearly from the path's hash.
-func (in *Instance) internPaths(table []int32) int {
-	mask := uint64(len(table) - 1)
-	classes := int32(0)
-	for i := range in.flowClass {
-		path := in.FlowPath(i)
-		//tdmd:hot
-		for slot := hashPath(path) & mask; ; slot = (slot + 1) & mask {
-			rep := table[slot] - 1
-			if rep < 0 {
-				table[slot] = int32(i) + 1
-				in.flowClass[i] = classes
-				classes++
-				break
-			}
-			if slices.Equal(in.FlowPath(int(rep)), path) {
-				in.flowClass[i] = in.flowClass[rep]
-				break
-			}
-		}
-	}
-	return int(classes)
-}
-
 // hashPath hashes a vertex sequence: FNV-1a over the vertex IDs, then
 // a murmur3 finalizer so the low bits the table indexes by depend on
 // every vertex.
@@ -266,7 +236,7 @@ func MustNew(g *graph.Graph, flows []traffic.Flow, lambda float64) *Instance {
 // NumFlows reports the workload size |F|.
 //
 //tdmd:hot
-func (in *Instance) NumFlows() int { return len(in.pathOff) - 1 }
+func (in *Instance) NumFlows() int { return len(in.rates) }
 
 // FlowRate returns r_f for flow index i, read from the rate arena.
 //
@@ -304,24 +274,21 @@ func (in *Instance) Through(v graph.NodeID) []FlowAt {
 	return in.through[in.throughOff[v]:in.throughOff[v+1]]
 }
 
-// FlowPath returns flow i's path as a span of the shared path arena.
-// The slice is owned by the instance and must not be mutated; it
-// compares equal element-for-element with Flows[i].Path.
+// FlowPath returns flow i's path: its class's span of the shared path
+// arena, so flows with equal paths share one slice. The slice is owned
+// by the instance and must not be mutated; it compares equal
+// element-for-element with Flows[i].Path.
 //
 //tdmd:hot
 func (in *Instance) FlowPath(i int) graph.Path {
-	return graph.Path(in.pathArena[in.pathOff[i]:in.pathOff[i+1]])
-}
-
-// PathSpan returns the [start, end) interval of flow i's path inside
-// the shared path arena — the compact per-flow encoding (a flow costs
-// two int32 offsets instead of a slice header).
-func (in *Instance) PathSpan(i int) (start, end int32) {
-	return in.pathOff[i], in.pathOff[i+1]
+	return in.classPath(int(in.flowClass[i]))
 }
 
 // NumClasses reports the number of distinct flow paths.
 func (in *Instance) NumClasses() int { return len(in.classes) }
+
+// FlowClass returns flow i's path class.
+func (in *Instance) FlowClass(i int) int { return int(in.flowClass[i]) }
 
 // ClassFlow returns the first flow of path class c, in flow order.
 func (in *Instance) ClassFlow(c int) int { return int(in.classes[c].rep) }
@@ -329,18 +296,19 @@ func (in *Instance) ClassFlow(c int) int { return int(in.classes[c].rep) }
 // ClassSize returns the number of flows in path class c.
 func (in *Instance) ClassSize(c int) int { return int(in.classes[c].mult) }
 
-// classPath returns class c's path: its first flow's arena span.
+// classPath returns class c's span of the path arena.
 //
 //tdmd:hot
 func (in *Instance) classPath(c int) graph.Path {
-	return in.FlowPath(int(in.classes[c].rep))
+	return graph.Path(in.pathArena[in.classOff[c]:in.classOff[c+1]])
 }
 
-// flowHops returns |p_f| for flow i from the span table.
+// flowHops returns |p_f| for flow i from its class's span.
 //
 //tdmd:hot
 func (in *Instance) flowHops(i int) int {
-	return int(in.pathOff[i+1]-in.pathOff[i]) - 1
+	c := in.flowClass[i]
+	return int(in.classOff[c+1]-in.classOff[c]) - 1
 }
 
 // RawDemand returns Σ r_f·|p_f|, the consumption with no middlebox.
@@ -646,7 +614,7 @@ func (in *Instance) MarginalDecrement(p Plan, alloc Allocation, v graph.NodeID) 
 		served := at != Unserved
 		cur := int32(0) // downstream count at the current serving vertex; 0 is the unserved baseline
 		if served {
-			cur = int32(in.FlowPath(int(pc.rep)).Downstream(at))
+			cur = int32(in.classPath(int(fa.Class)).Downstream(at))
 		}
 		moves := false
 		if in.Lambda <= 1 {
@@ -693,8 +661,8 @@ func (in *Instance) CoveredBy() [][]int {
 }
 
 // MemoryFootprint reports the memory retained by the instance, in
-// bytes: the through arena, the interned path arena, the rate arena,
-// the path-class tables and the offset tables (the data the bytes/flow
+// bytes: the through arena, the class path arena, the rate arena, the
+// path-class tables and the offset tables (the data the bytes/flow
 // budget tracks).
 func (in *Instance) MemoryFootprint() int64 {
 	const (
@@ -707,5 +675,5 @@ func (in *Instance) MemoryFootprint() int64 {
 		int64(cap(in.rates))*4 +
 		int64(cap(in.flowClass))*4 +
 		int64(cap(in.classes))*classSize +
-		int64(cap(in.throughOff)+cap(in.pathOff))*4
+		int64(cap(in.throughOff)+cap(in.classOff))*4
 }

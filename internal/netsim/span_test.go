@@ -10,10 +10,11 @@ import (
 	"tdmd/internal/traffic"
 )
 
-// FuzzPathSpanRoundTrip checks the path-intern invariant: for every
-// flow, decoding the [start,end) span out of the shared arena must
-// reproduce the input path exactly, spans must tile the arena in flow
-// order, and the span-derived hop count must match the flow's.
+// FuzzPathSpanRoundTrip checks the path interning done at ingest on
+// workloads that repeat paths: every flow's class span reads back its
+// input path exactly and yields its hop count, two flows share a class
+// exactly when their paths are equal, and the classes are numbered as
+// referenceClasses numbers them.
 func FuzzPathSpanRoundTrip(f *testing.F) {
 	f.Add(int64(1), 8, 3)
 	f.Add(int64(7), 20, 1)
@@ -27,33 +28,67 @@ func FuzzPathSpanRoundTrip(f *testing.F) {
 		for i := range sources {
 			sources[i] = graph.NodeID(i % size)
 		}
-		flows := traffic.GeneralFlows(g, sources, traffic.GenConfig{
+		base := traffic.GeneralFlows(g, sources, traffic.GenConfig{
 			Density: 0.6, Seed: rng.Int63(), MaxFlows: 40})
-		if len(flows) == 0 {
+		if len(base) == 0 {
 			t.Skip("no flows")
 		}
+		flows := make([]traffic.Flow, 3*len(base))
+		paths := make([]graph.Path, len(flows))
+		for i := range flows {
+			paths[i] = base[rng.Intn(len(base))].Path
+			flows[i] = traffic.Flow{ID: i, Rate: 1 + rng.Intn(9), Path: paths[i]}
+		}
 		in := MustNew(g, flows, 0.5)
-		cursor := int32(0)
+		want := referenceClasses(paths)
 		for i, fl := range flows {
-			start, end := in.PathSpan(i)
-			if start != cursor {
-				t.Fatalf("flow %d: span start %d, arena cursor %d (spans must tile)", i, start, cursor)
-			}
-			if int(end-start) != len(fl.Path) {
-				t.Fatalf("flow %d: span length %d, path length %d", i, end-start, len(fl.Path))
-			}
-			cursor = end
-			got := in.FlowPath(i)
-			for j, v := range fl.Path {
-				if got[j] != v {
-					t.Fatalf("flow %d hop %d: arena %d, input path %d", i, j, got[j], v)
-				}
+			if !pathsEqual(in.FlowPath(i), fl.Path) {
+				t.Fatalf("flow %d: span %v, input path %v", i, in.FlowPath(i), fl.Path)
 			}
 			if in.flowHops(i) != fl.Hops() {
 				t.Fatalf("flow %d: span hops %d, Flow.Hops %d", i, in.flowHops(i), fl.Hops())
 			}
+			if in.FlowClass(i) != int(want[i]) {
+				t.Fatalf("flow %d: class %d, reference interning %d", i, in.FlowClass(i), want[i])
+			}
+			for j := range i {
+				if same := in.FlowClass(i) == in.FlowClass(j); same != pathsEqual(paths[i], paths[j]) {
+					t.Fatalf("flows %d and %d: same class %v, paths %v and %v", j, i, same, paths[j], paths[i])
+				}
+			}
 		}
 	})
+}
+
+// referenceClasses is the interning the instance did before the
+// builder took it over, kept as an oracle: an open-addressing table of
+// at least 2|F| slots maps each path to its first flow, and classes
+// are numbered in order of first occurrence.
+func referenceClasses(paths []graph.Path) []int32 {
+	tableLen := 1
+	for tableLen < 2*len(paths) {
+		tableLen <<= 1
+	}
+	table := make([]int32, tableLen)
+	mask := uint64(tableLen - 1)
+	class := make([]int32, len(paths))
+	classes := int32(0)
+	for i, path := range paths {
+		for slot := hashPath(path) & mask; ; slot = (slot + 1) & mask {
+			rep := table[slot] - 1
+			if rep < 0 {
+				table[slot] = int32(i) + 1
+				class[i] = classes
+				classes++
+				break
+			}
+			if pathsEqual(paths[rep], path) {
+				class[i] = class[rep]
+				break
+			}
+		}
+	}
+	return class
 }
 
 // referenceAllocateCapacitated is the pre-arena implementation of the

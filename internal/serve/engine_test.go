@@ -697,6 +697,75 @@ func TestServeFingerprint(t *testing.T) {
 			t.Errorf("variant %q fingerprints equal to base", name)
 		}
 	}
+
+	// Paths are hashed once per class, then (rate, class) per flow: the
+	// digest must still tell apart every reshuffle of paths and flows.
+	// K4 makes every simple path valid; the base repeats path p.
+	k4 := tdmd.ProblemSpec{Nodes: []string{"a", "b", "c", "d"}, Lambda: 0.5, Root: -1}
+	for u := 0; u < 4; u++ {
+		for v := 0; v < 4; v++ {
+			if u != v {
+				k4.Edges = append(k4.Edges, [2]int{u, v})
+			}
+		}
+	}
+	multi := func(flows ...tdmd.FlowSpec) Submission {
+		spec := k4
+		spec.Flows = flows
+		return build(spec, "gtp", 1, nil)
+	}
+	p, q := []int{0, 1, 2}, []int{1, 2, 3}
+	multiRef := SubmissionFingerprint(multi(
+		tdmd.FlowSpec{Rate: 3, Path: p}, tdmd.FlowSpec{Rate: 5, Path: q}, tdmd.FlowSpec{Rate: 3, Path: p}))
+	for name, sub := range map[string]Submission{
+		"paths of flows 0 and 1 swapped": multi(
+			tdmd.FlowSpec{Rate: 3, Path: q}, tdmd.FlowSpec{Rate: 5, Path: p}, tdmd.FlowSpec{Rate: 3, Path: p}),
+		// Same class paths in the same order and same rates: only the
+		// per-flow class ids tell these apart.
+		"paths of flows 1 and 2 swapped": multi(
+			tdmd.FlowSpec{Rate: 3, Path: p}, tdmd.FlowSpec{Rate: 5, Path: p}, tdmd.FlowSpec{Rate: 3, Path: q}),
+		"flows swapped": multi(
+			tdmd.FlowSpec{Rate: 5, Path: q}, tdmd.FlowSpec{Rate: 3, Path: p}, tdmd.FlowSpec{Rate: 3, Path: p}),
+		"hop changed in every copy of the repeated path": multi(
+			tdmd.FlowSpec{Rate: 3, Path: []int{0, 3, 2}}, tdmd.FlowSpec{Rate: 5, Path: q}, tdmd.FlowSpec{Rate: 3, Path: []int{0, 3, 2}}),
+		"hop changed in one copy of the repeated path": multi(
+			tdmd.FlowSpec{Rate: 3, Path: p}, tdmd.FlowSpec{Rate: 5, Path: q}, tdmd.FlowSpec{Rate: 3, Path: []int{0, 3, 2}}),
+		"repeat replaced by a path with the same hops": multi(
+			tdmd.FlowSpec{Rate: 3, Path: p}, tdmd.FlowSpec{Rate: 5, Path: q}, tdmd.FlowSpec{Rate: 3, Path: []int{2, 1, 0}}),
+	} {
+		if SubmissionFingerprint(sub) == multiRef {
+			t.Errorf("variant %q fingerprints equal to its base", name)
+		}
+	}
+
+	// The same NDJSON bytes decode to the same digest, and to the one
+	// the equivalent spec document gives.
+	var buf bytes.Buffer
+	w, err := tdmd.NewFlowStreamWriter(&buf, tdmd.StreamHeader{Nodes: k4.Nodes, Edges: k4.Edges, Lambda: k4.Lambda, Root: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range [][]int{p, q, p} {
+		if err := w.Add(3, tdmd.Path{tdmd.NodeID(path[0]), tdmd.NodeID(path[1]), tdmd.NodeID(path[2])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	decode := func() Fingerprint {
+		t.Helper()
+		prob, err := tdmd.DecodeStream(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return SubmissionFingerprint(Submission{Problem: prob, Algorithm: "gtp", K: 1})
+	}
+	fromSpec := SubmissionFingerprint(multi(
+		tdmd.FlowSpec{Rate: 3, Path: p}, tdmd.FlowSpec{Rate: 3, Path: q}, tdmd.FlowSpec{Rate: 3, Path: p}))
+	if first, second := decode(), decode(); first != second || first != fromSpec {
+		t.Error("decoding the same NDJSON twice, or its spec form, gives different digests")
+	}
 }
 
 // TestServeIncumbentRecorderMonotone: multistart solvers may emit a

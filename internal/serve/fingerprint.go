@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"hash"
 	"math"
+
+	"tdmd/internal/graph"
 )
 
 // Fingerprint canonically identifies one solve submission: the full
@@ -25,42 +27,65 @@ type Fingerprint [sha256.Size]byte
 // fpVersion guards the hash layout: bump it whenever the byte layout
 // below changes, so plans cached by an old binary can never be
 // replayed against a new layout's colliding hash.
-const fpVersion = "tdmd-fp/1"
+const fpVersion = "tdmd-fp/2"
 
-// fpHasher streams fixed-width values into a sha256 without the
-// reflection cost of encoding/binary.Write.
+// fpHasher streams fixed-width values into a sha256 through a fixed
+// buffer, so a million-flow instance hashes in large writes without
+// the reflection cost of encoding/binary.Write or per-flow
+// allocations.
 type fpHasher struct {
 	h   hash.Hash
-	buf [8]byte
+	n   int
+	buf [1024]byte
 }
 
-// write feeds raw bytes to the digest. hash.Hash writers are
+// reserve makes room for size bytes in the buffer, flushing it to the
+// digest when full, and returns the space. size is at most 8.
+func (f *fpHasher) reserve(size int) []byte {
+	if f.n+size > len(f.buf) {
+		f.flush()
+	}
+	f.n += size
+	return f.buf[f.n-size : f.n]
+}
+
+// flush feeds the buffered bytes to the digest. hash.Hash writers are
 // documented never to return an error; a non-nil one means a broken
 // Hash implementation, which is a programming error, not a condition
 // callers can handle.
-func (f *fpHasher) write(b []byte) {
-	if _, err := f.h.Write(b); err != nil {
+func (f *fpHasher) flush() {
+	if _, err := f.h.Write(f.buf[:f.n]); err != nil {
 		panic(err)
 	}
+	f.n = 0
 }
 
-func (f *fpHasher) u64(v uint64) {
-	binary.LittleEndian.PutUint64(f.buf[:], v)
-	f.write(f.buf[:])
-}
-
+func (f *fpHasher) u32(v uint32)  { binary.LittleEndian.PutUint32(f.reserve(4), v) }
+func (f *fpHasher) u64(v uint64)  { binary.LittleEndian.PutUint64(f.reserve(8), v) }
 func (f *fpHasher) i64(v int64)   { f.u64(uint64(v)) }
 func (f *fpHasher) f64(v float64) { f.u64(math.Float64bits(v)) }
 
 func (f *fpHasher) str(s string) {
 	f.u64(uint64(len(s)))
-	f.write([]byte(s))
+	for len(s) > 0 {
+		if f.n == len(f.buf) {
+			f.flush()
+		}
+		k := copy(f.buf[f.n:], s)
+		f.n += k
+		s = s[k:]
+	}
 }
 
 // SubmissionFingerprint hashes everything that can influence the
 // solve's outcome. Node names are excluded (solvers see only dense
 // ids); wall-clock budgets are excluded (they are server-wide, not
 // per-submission).
+//
+// The workload is hashed as the instance stores it: each distinct path
+// once, in class order (first occurrence), then every flow's rate and
+// class. The flows and this encoding determine each other, so equal
+// digests still mean equal flow sequences.
 func SubmissionFingerprint(sub Submission) Fingerprint {
 	f := &fpHasher{h: sha256.New()}
 	f.str(fpVersion)
@@ -77,12 +102,13 @@ func SubmissionFingerprint(sub Submission) Fingerprint {
 	f.f64(in.Lambda)
 	g := in.G
 	f.i64(int64(g.NumNodes()))
-	edges := g.Edges()
-	f.i64(int64(len(edges)))
-	for _, e := range edges {
-		f.i64(int64(e.From))
-		f.i64(int64(e.To))
-		f.f64(e.Weight)
+	f.i64(int64(g.NumEdges()))
+	for v := range g.NumNodes() { // Edges() order, without its copy
+		for _, e := range g.Out(graph.NodeID(v)) {
+			f.i64(int64(e.From))
+			f.i64(int64(e.To))
+			f.f64(e.Weight)
+		}
 	}
 	if t := sub.Problem.Tree(); t != nil {
 		f.u64(1)
@@ -91,25 +117,22 @@ func SubmissionFingerprint(sub Submission) Fingerprint {
 		f.u64(0)
 	}
 
+	nc := in.NumClasses()
+	f.i64(int64(nc))
+	for c := 0; c < nc; c++ {
+		path := in.FlowPath(in.ClassFlow(c))
+		f.u32(uint32(len(path)))
+		for _, v := range path {
+			f.u32(uint32(v))
+		}
+	}
 	nf := in.NumFlows()
 	f.i64(int64(nf))
-	// Paths are hashed through one reused buffer, 4 bytes per hop, so
-	// a million-flow instance fingerprints without per-flow
-	// allocations.
-	var hopBuf []byte
 	for i := 0; i < nf; i++ {
-		f.i64(int64(in.FlowRate(i)))
-		path := in.FlowPath(i)
-		f.i64(int64(len(path)))
-		if need := 4 * len(path); cap(hopBuf) < need {
-			hopBuf = make([]byte, need)
-		}
-		hopBuf = hopBuf[:4*len(path)]
-		for j, v := range path {
-			binary.LittleEndian.PutUint32(hopBuf[4*j:], uint32(v))
-		}
-		f.write(hopBuf)
+		f.u32(uint32(in.FlowRate(i)))
+		f.u32(uint32(in.FlowClass(i)))
 	}
+	f.flush()
 
 	var fp Fingerprint
 	f.h.Sum(fp[:0])

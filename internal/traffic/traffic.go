@@ -105,8 +105,8 @@ func (e *PathError) Unwrap() error { return ErrInvalidPath }
 // flow's marginal — such paths are rejected, not silently mis-scored).
 // id names the flow in the returned *PathError.
 func ValidateFlow(adj graph.AdjSet, id, rate int, path graph.Path) error {
-	if rate < 1 {
-		return &PathError{Flow: id, Hop: -1, Reason: fmt.Sprintf("non-positive rate %d", rate)}
+	if err := ValidateRate(id, rate); err != nil {
+		return err
 	}
 	switch len(path) {
 	case 0:
@@ -134,6 +134,15 @@ func ValidateFlow(adj graph.AdjSet, id, rate int, path graph.Path) error {
 			return &PathError{Flow: id, Hop: i, From: path[i], To: path[i+1],
 				Reason: "consecutive hops are not joined by an edge"}
 		}
+	}
+	return nil
+}
+
+// ValidateRate is ValidateFlow's per-flow check alone, for a flow
+// whose path is already known valid: a positive rate.
+func ValidateRate(id, rate int) error {
+	if rate < 1 {
+		return &PathError{Flow: id, Hop: -1, Reason: fmt.Sprintf("non-positive rate %d", rate)}
 	}
 	return nil
 }

@@ -85,26 +85,36 @@ func decodeSpec(r io.Reader) (ProblemSpec, error) {
 // Build materializes the spec into a Problem (tree attached when Root
 // is set) ready to Solve. A root beyond the last node is an error; a
 // negative one declares no tree. Vertex i is the i-th name, even under
-// duplicate labels, and the flows go through a ProblemBuilder into
-// exact-sized arenas.
+// duplicate labels. The adjacency lists and the builder's arenas are
+// sized from the spec before they are filled.
 func (s ProblemSpec) Build() (*Problem, error) {
 	if s.Root >= len(s.Nodes) {
 		return nil, fmt.Errorf("tdmd: spec root %d out of range (%d nodes)", s.Root, len(s.Nodes))
 	}
+	n := len(s.Nodes)
 	b := NewProblemBuilder()
+	b.g.Grow(n)
 	for _, name := range s.Nodes {
 		b.g.AddNode(name)
 	}
+	// Size every adjacency list exactly before filling it: appending
+	// edge by edge would regrow each list a few times.
+	deg := make([]int32, 2*n) // out-degrees, then in-degrees
 	for _, e := range s.Edges {
-		if e[0] < 0 || e[0] >= len(s.Nodes) || e[1] < 0 || e[1] >= len(s.Nodes) {
+		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
 			return nil, fmt.Errorf("tdmd: spec edge %v out of range", e)
 		}
+		deg[e[0]]++
+		deg[n+e[1]]++
+	}
+	b.g.ReserveEdges(deg[:n], deg[n:])
+	for _, e := range s.Edges {
 		b.g.AddEdge(NodeID(e[0]), NodeID(e[1]))
 	}
 	hops := 0
 	for i, fs := range s.Flows {
 		for _, v := range fs.Path {
-			if v < 0 || v >= len(s.Nodes) {
+			if v < 0 || v >= n {
 				return nil, fmt.Errorf("tdmd: spec flow %d path vertex %d out of range", i, v)
 			}
 		}

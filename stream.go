@@ -20,9 +20,10 @@ import (
 
 // Streaming ingestion (DESIGN.md §11). A ProblemBuilder accepts a
 // topology declaration followed by any number of flows and assembles
-// the netsim arenas directly: every AddFlow appends its hops to the
-// shared path arena, so no []Flow, no per-flow Path slices and no
-// intermediate ProblemSpec ever exist. The streaming decoders
+// the netsim arenas directly: every AddFlow interns its path into the
+// shared path arena, which holds each distinct path once, so no
+// []Flow, no per-flow Path slices and no intermediate ProblemSpec ever
+// exist. The streaming decoders
 // (ReadStream, DecodeStream) drive a builder from an io.Reader one
 // JSON token, or one NDJSON flow line, at a time, which keeps decoder
 // working memory independent of the flow count — a million-flow
@@ -49,9 +50,10 @@ var (
 // point is an error, and every flow is validated against the frozen
 // index as it arrives, so a bad input line fails at that line.
 //
-// The builder hands flows to a netsim.Builder, which validates each
-// one and writes its rate and hops straight into the arenas the
-// netsim.Instance will own. Build hands them over without copying;
+// The builder hands flows to a netsim.Builder, which writes each
+// flow's rate and path class straight into the arenas the
+// netsim.Instance will own, storing and validating each distinct path
+// once. Build hands them over without copying;
 // the builder is spent afterwards and every subsequent call errors.
 //
 // A zero-value-ish builder from NewProblemBuilder has λ = 0 and no
@@ -127,15 +129,17 @@ func (b *ProblemBuilder) SetRoot(root int) { b.root = root }
 
 // Reserve pre-sizes the arenas for the given flow and total-hop
 // counts, so a bulk fill of known size never regrows them. Optional:
-// without it the arenas grow by the usual doubling.
+// without it the arenas grow by doubling. A path arena that repeated
+// paths leave mostly unused is trimmed by Build.
 func (b *ProblemBuilder) Reserve(flows, pathEntries int) { b.flows.Reserve(flows, pathEntries) }
 
 // NumFlows reports how many flows the builder holds so far.
 func (b *ProblemBuilder) NumFlows() int { return b.flows.NumFlows() }
 
 // AddFlow appends one flow given its rate and vertex-id path. The
-// first call freezes the topology. The hops land directly in the
-// shared path arena; on a validation error the arena is rolled back
+// first call freezes the topology. A path not seen before is validated
+// and lands in the shared path arena; a repeated path costs only its
+// flow's rate check. On a validation error the arena is rolled back
 // and the builder stays usable, so a decoder can report the bad flow
 // and continue or abort as it likes. The returned validation errors
 // are traffic.PathError values (errors.As-able via the facade's
