@@ -277,7 +277,7 @@ func runEscape(dir, baselinePath string, update bool, stderr io.Writer) ([]lint.
 			fmt.Fprintf(stderr, "tdmdlint: %v\n", err)
 			return nil, 2
 		}
-		fmt.Fprintf(stderr, "tdmdlint: escape baseline %s updated (%d findings)\n",
+		fmt.Fprintf(stderr, "tdmdlint: escape baseline %s updated from %d findings\n",
 			baselinePath, len(cur.Findings))
 		return nil, 0
 	}

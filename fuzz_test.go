@@ -80,21 +80,56 @@ func requireSameInstance(t *testing.T, want, got *Problem) {
 	}
 }
 
-// FuzzReadTrace hardens the CSV trace parser.
+// FuzzReadTrace hardens the CSV trace parser: on any input ReadTrace
+// either fails cleanly or returns one flow per record, each running
+// from the record's src to its dst over a minimum-hop path, as a
+// workload NewProblem accepts. The graph is a-b-c with both directions
+// of each link, plus an isolated d, so unroutable pairs occur too.
 func FuzzReadTrace(f *testing.F) {
 	f.Add("a,c,4\nb,c,2\n")
 	f.Add("# comment\n\na,b,0.4\n")
 	f.Add("a,b\n")
 	f.Add("a,zzz,1\n")
 	f.Add(",,,\n")
+	// The cases of internal/traffic/trace_test.go.
+	f.Add("# flows\na,c,4\nb,c,2.6\n\nc,a,1\n")
+	f.Add("a,c\n")
+	f.Add("a,c,abc\n")
+	f.Add("a,a,1\n")
+	f.Add("a,b,0.2\n")
+	f.Add("a,d,1\n")
+	f.Add(" c , a , 1e3 \r\n#x\n\tb,a,-7")
 	f.Fuzz(func(t *testing.T, input string) {
 		g := NewGraph()
 		a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
+		g.AddNode("d")
 		g.AddBiEdge(a, b)
 		g.AddBiEdge(b, c)
 		flows, err := ReadTrace(strings.NewReader(input), g)
 		if err != nil {
 			return
+		}
+		// An accepted trace has one flow per record, in order.
+		var records [][]string
+		for _, line := range strings.Split(input, "\n") {
+			line = strings.TrimSpace(line)
+			if line != "" && !strings.HasPrefix(line, "#") {
+				records = append(records, strings.Split(line, ","))
+			}
+		}
+		if len(flows) != len(records) {
+			t.Fatalf("%d flows from %d records", len(flows), len(records))
+		}
+		for i, fl := range flows {
+			src := g.NodeByName(strings.TrimSpace(records[i][0]))
+			dst := g.NodeByName(strings.TrimSpace(records[i][1]))
+			if fl.Src() != src || fl.Dst() != dst {
+				t.Fatalf("flow %d runs %d -> %d, record %q says %d -> %d", i, fl.Src(), fl.Dst(), records[i], src, dst)
+			}
+			sp, err := g.ShortestPath(src, dst)
+			if err != nil || fl.Path.Len() != sp.Len() {
+				t.Fatalf("flow %d has %d hops, shortest path %v (%v)", i, fl.Path.Len(), sp, err)
+			}
 		}
 		// Whatever parsed must be a valid workload.
 		if _, err := NewProblem(g, flows, 0.5); err != nil {

@@ -20,12 +20,10 @@ type NodeID int
 // Invalid is the zero-information NodeID returned by lookups that fail.
 const Invalid NodeID = -1
 
-// Edge is a directed link between two vertices with a non-negative
-// weight. The TDMD model counts hops, so most callers use weight 1,
-// but Dijkstra-based routing honours arbitrary weights.
+// Edge is a directed link between two vertices. The TDMD model
+// counts hops, so links carry no weight.
 type Edge struct {
 	From, To NodeID
-	Weight   float64
 }
 
 // Graph is a mutable directed graph. The zero value is an empty graph
@@ -96,6 +94,27 @@ func (g *Graph) ReserveEdges(out, in []int32) {
 	reserveLists(g.in, in)
 }
 
+// AddEdges adds the directed edges [from, to] in order, sizing every
+// adjacency list before filling it, so no list regrows. It returns -1,
+// or the index of the first edge naming a vertex outside g, in which
+// case it adds nothing.
+func (g *Graph) AddEdges(edges [][2]int) int {
+	n := len(g.names)
+	deg := make([]int32, 2*n) // out-degrees, then in-degrees
+	for i, e := range edges {
+		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
+			return i
+		}
+		deg[e[0]]++
+		deg[n+e[1]]++
+	}
+	g.ReserveEdges(deg[:n], deg[n:])
+	for _, e := range edges {
+		g.AddEdge(NodeID(e[0]), NodeID(e[1]))
+	}
+	return -1
+}
+
 // reserveLists moves each lists[v] into a shared backing array with
 // room for more[v] further edges.
 func reserveLists(lists [][]Edge, more []int32) {
@@ -146,28 +165,20 @@ func (g *Graph) NodeByName(name string) NodeID {
 // Valid reports whether v is a vertex of g.
 func (g *Graph) Valid(v NodeID) bool { return v >= 0 && int(v) < len(g.names) }
 
-// AddEdge inserts a directed edge from -> to with weight 1.
+// AddEdge inserts a directed edge from -> to. It panics if either
+// endpoint is not a vertex of g: that is programmer error, not a
+// runtime condition.
 func (g *Graph) AddEdge(from, to NodeID) {
-	g.AddWeightedEdge(from, to, 1)
-}
-
-// AddWeightedEdge inserts a directed edge with the given weight.
-// It panics if either endpoint is not a vertex of g or if the weight
-// is negative: both indicate programmer error, not runtime conditions.
-func (g *Graph) AddWeightedEdge(from, to NodeID, w float64) {
 	if !g.Valid(from) || !g.Valid(to) {
 		panic(fmt.Sprintf("graph: edge %d->%d references unknown vertex (n=%d)", from, to, len(g.names)))
 	}
-	if w < 0 {
-		panic(fmt.Sprintf("graph: negative edge weight %v", w))
-	}
-	e := Edge{From: from, To: to, Weight: w}
+	e := Edge{From: from, To: to}
 	g.out[from] = append(g.out[from], e)
 	g.in[to] = append(g.in[to], e)
 	g.edgeCnt++
 }
 
-// AddBiEdge inserts the pair of directed edges from<->to with weight 1.
+// AddBiEdge inserts the pair of directed edges from<->to.
 // The paper assumes every link is bidirectional; generators use this.
 func (g *Graph) AddBiEdge(a, b NodeID) {
 	g.AddEdge(a, b)
@@ -266,7 +277,7 @@ func (g *Graph) RemoveNode(v NodeID) []NodeID {
 		if e.From == v || e.To == v {
 			continue
 		}
-		rebuilt.AddWeightedEdge(remap[e.From], remap[e.To], e.Weight)
+		rebuilt.AddEdge(remap[e.From], remap[e.To])
 	}
 	*g = *rebuilt
 	return remap

@@ -131,17 +131,6 @@ func TestAddEdgePanicsOnUnknownVertex(t *testing.T) {
 	g.AddEdge(0, 7)
 }
 
-func TestAddEdgePanicsOnNegativeWeight(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for negative weight")
-		}
-	}()
-	g := New()
-	a, b := g.AddNode("a"), g.AddNode("b")
-	g.AddWeightedEdge(a, b, -1)
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	g := New()
 	a, b := g.AddNode("a"), g.AddNode("b")
@@ -296,57 +285,62 @@ func TestBFSDistances(t *testing.T) {
 	}
 }
 
-func TestDijkstraPrefersLightPath(t *testing.T) {
-	g := New()
-	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
-	g.AddWeightedEdge(a, c, 10)
-	g.AddWeightedEdge(a, b, 1)
-	g.AddWeightedEdge(b, c, 2)
-	p, w, err := g.DijkstraPath(a, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w != 3 || p.Len() != 2 {
-		t.Fatalf("got weight %v path %v, want weight 3 via b", w, p)
-	}
-}
-
-func TestDijkstraUnreachable(t *testing.T) {
-	g := New()
-	a := g.AddNode("a")
-	b := g.AddNode("b")
-	if _, _, err := g.DijkstraPath(a, b); err != ErrNoPath {
-		t.Fatalf("err = %v, want ErrNoPath", err)
-	}
-}
-
-// Property: on random connected digraphs, BFS hop counts equal
-// Dijkstra weights when all edges weigh 1.
-func TestBFSMatchesUnitDijkstra(t *testing.T) {
+// Property: on random digraphs, BFS hop counts equal the all-pairs
+// hop distances of Floyd–Warshall, unreachable pairs included, and
+// ShortestPath returns a valid path of exactly that length.
+func TestBFSMatchesFloydWarshall(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + rng.Intn(20)
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(20)
 		g := New()
 		g.AddNodes(n)
-		// Random spanning structure plus extra edges, all bidirectional.
-		for i := 1; i < n; i++ {
-			g.AddBiEdge(NodeID(rng.Intn(i)), NodeID(i))
+		// Sparse one-way edges, so some pairs are unreachable.
+		for e := rng.Intn(2 * n); e > 0; e-- {
+			g.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
 		}
-		for e := 0; e < n; e++ {
-			g.AddBiEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n-1)))
+		const inf = math.MaxInt / 2
+		d := make([][]int, n)
+		for i := range d {
+			d[i] = make([]int, n)
+			for j := range d[i] {
+				d[i][j] = inf
+			}
+			d[i][i] = 0
 		}
-		src := NodeID(rng.Intn(n))
-		dist := g.BFSDistances(src)
-		for v := 0; v < n; v++ {
-			if NodeID(v) == src {
-				continue
+		for _, e := range g.Edges() {
+			if e.From != e.To {
+				d[e.From][e.To] = 1
 			}
-			_, w, err := g.DijkstraPath(src, NodeID(v))
-			if err != nil {
-				t.Fatalf("trial %d: dijkstra unreachable in connected graph", trial)
+		}
+		for k := 0; k < n; k++ {
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if d[i][k]+d[k][j] < d[i][j] {
+						d[i][j] = d[i][k] + d[k][j]
+					}
+				}
 			}
-			if int(w) != dist[v] {
-				t.Fatalf("trial %d: BFS %d != Dijkstra %v for %d->%d", trial, dist[v], w, src, v)
+		}
+		for src := 0; src < n; src++ {
+			dist := g.BFSDistances(NodeID(src))
+			for v := 0; v < n; v++ {
+				want := d[src][v]
+				if want == inf {
+					want = math.MaxInt
+				}
+				if dist[v] != want {
+					t.Fatalf("trial %d: BFS dist %d->%d = %d, Floyd–Warshall %d", trial, src, v, dist[v], want)
+				}
+				p, err := g.ShortestPath(NodeID(src), NodeID(v))
+				if want == math.MaxInt {
+					if err != ErrNoPath {
+						t.Fatalf("trial %d: ShortestPath(%d, %d) = %v, %v, want ErrNoPath", trial, src, v, p, err)
+					}
+					continue
+				}
+				if err != nil || !p.Valid(g) || p.Src() != NodeID(src) || p.Dst() != NodeID(v) || p.Len() != want {
+					t.Fatalf("trial %d: ShortestPath(%d, %d) = %v, %v, want a valid %d-hop path", trial, src, v, p, err, want)
+				}
 			}
 		}
 	}

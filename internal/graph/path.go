@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -136,43 +135,6 @@ func (g *Graph) BFSDistances(src NodeID) []int {
 	return dist
 }
 
-// DijkstraPath returns a minimum-weight path from src to dst.
-func (g *Graph) DijkstraPath(src, dst NodeID) (Path, float64, error) {
-	if !g.Valid(src) || !g.Valid(dst) {
-		return nil, 0, fmt.Errorf("graph: DijkstraPath(%d, %d): unknown vertex", src, dst)
-	}
-	n := g.NumNodes()
-	dist := make([]float64, n)
-	prev := make([]NodeID, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = Invalid
-	}
-	dist[src] = 0
-	prev[src] = src
-	pq := &distHeap{{src, 0}}
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(distItem)
-		v := item.node
-		if done[v] {
-			continue
-		}
-		done[v] = true
-		if v == dst {
-			return buildPath(prev, src, dst), dist[dst], nil
-		}
-		for _, e := range g.out[v] {
-			if nd := dist[v] + e.Weight; nd < dist[e.To] {
-				dist[e.To] = nd
-				prev[e.To] = v
-				heap.Push(pq, distItem{e.To, nd})
-			}
-		}
-	}
-	return nil, 0, ErrNoPath
-}
-
 func buildPath(prev []NodeID, src, dst NodeID) Path {
 	var rev Path
 	for v := dst; ; v = prev[v] {
@@ -186,23 +148,4 @@ func buildPath(prev []NodeID, src, dst NodeID) Path {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-type distItem struct {
-	node NodeID
-	dist float64
-}
-
-type distHeap []distItem
-
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

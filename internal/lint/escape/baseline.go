@@ -7,7 +7,9 @@ import (
 	"strings"
 )
 
-// ReadBaseline parses and validates an escape baseline file.
+// ReadBaseline parses and validates an escape baseline file. Findings
+// may carry "line" and "col" (the format before baselines were written
+// key-only); Diff ignores them either way.
 func ReadBaseline(path string) (Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -28,12 +30,21 @@ func ReadBaseline(path string) (Report, error) {
 }
 
 // WriteBaseline writes the report in the checked-in format: indented,
-// position-sorted, trailing newline, findings never null.
+// trailing newline, findings never null. Each finding is reduced to
+// its key fields (kind, file, message), deduplicated, and sorted by
+// file, kind and message: Diff never reads positions, and leaving them
+// out keeps edits that only move lines from rewriting the file.
 func WriteBaseline(path string, rep Report) error {
-	if rep.Findings == nil {
-		rep.Findings = []Finding{}
+	seen := make(map[string]bool, len(rep.Findings))
+	keys := make([]Finding, 0, len(rep.Findings))
+	for _, f := range rep.Findings {
+		if k := f.Key(); !seen[k] {
+			seen[k] = true
+			keys = append(keys, Finding{Kind: f.Kind, File: f.File, Message: f.Message})
+		}
 	}
-	Sort(rep.Findings)
+	Sort(keys) // no positions: by file, kind, message
+	rep.Findings = keys
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err

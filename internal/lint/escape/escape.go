@@ -56,12 +56,13 @@ const (
 	KindNoInline Kind = "noinline"
 )
 
-// Finding is one normalized compiler diagnostic.
+// Finding is one normalized compiler diagnostic. Baseline findings
+// carry no position (Line and Col are 0): only the key is compared.
 type Finding struct {
 	Kind    Kind   `json:"kind"`
 	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
+	Line    int    `json:"line,omitempty"`
+	Col     int    `json:"col,omitempty"`
 	Message string `json:"message"`
 }
 

@@ -136,6 +136,65 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBaselineWritesKeysOnly: the written baseline holds each key once,
+// without positions, sorted by file, kind and message, so moving a
+// line leaves the file byte-identical; the positional form still reads
+// back to the same key set.
+func TestBaselineWritesKeysOnly(t *testing.T) {
+	fs := Parse(sampleOutput)
+	dup := fs[0]
+	dup.Line, dup.Col = dup.Line+100, 1 // same key, another position
+	rep := Report{GoVersion: runtime.Version(), Findings: append(fs, dup)}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "escape.json")
+	if err := WriteBaseline(path, rep); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"line"`) || strings.Contains(string(data), `"col"`) {
+		t.Fatalf("baseline records positions:\n%s", data)
+	}
+	got, err := ReadBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Findings) != len(fs) {
+		t.Fatalf("%d findings written, want %d distinct keys", len(got.Findings), len(fs))
+	}
+	for i := 1; i < len(got.Findings); i++ {
+		a, b := got.Findings[i-1], got.Findings[i]
+		if a.File > b.File || a.File == b.File && (a.Kind > b.Kind || a.Kind == b.Kind && a.Message >= b.Message) {
+			t.Fatalf("findings not sorted by key: %+v before %+v", a, b)
+		}
+	}
+	moved := Report{GoVersion: rep.GoVersion, Findings: append([]Finding(nil), fs...)}
+	for i := range moved.Findings {
+		moved.Findings[i].Line += 7
+	}
+	again := filepath.Join(dir, "moved.json")
+	if err := WriteBaseline(again, moved); err != nil {
+		t.Fatal(err)
+	}
+	if movedData, err := os.ReadFile(again); err != nil || string(movedData) != string(data) {
+		t.Fatalf("moved lines changed the baseline (%v):\n%s", err, movedData)
+	}
+	positional := filepath.Join(dir, "positional.json")
+	writeFile(t, positional, `{"go_version": "`+runtime.Version()+`", "packages": [], "findings": [`+
+		`{"kind": "escape", "file": "internal/netsim/state.go", "line": 101, "col": 2, "message": "moved to heap: s"}]}`)
+	old, err := ReadBaseline(positional)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := Report{GoVersion: runtime.Version(), Findings: []Finding{
+		{Kind: KindEscape, File: "internal/netsim/state.go", Line: 5, Col: 3, Message: "moved to heap: s"}}}
+	if fresh, err := Diff(cur, old); err != nil || len(fresh) != 0 {
+		t.Fatalf("positional baseline misses %v (%v)", fresh, err)
+	}
+}
+
 func TestReadBaselineRejectsUnknownFieldsAndKinds(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.json")

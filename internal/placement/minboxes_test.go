@@ -3,10 +3,12 @@ package placement
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tdmd/internal/graph"
 	"tdmd/internal/netsim"
+	"tdmd/internal/setcover"
 	"tdmd/internal/topology"
 	"tdmd/internal/traffic"
 )
@@ -97,4 +99,82 @@ func TestMinBoxesMatchesSetCoverOptimumSmall(t *testing.T) {
 	if _, err := Exhaustive(context.Background(), in, 1); err == nil {
 		t.Fatal("1 box should not cover Fig. 1")
 	}
+}
+
+// MinBoxes runs the budget guard's greedy step on the incremental
+// state; the classic set-cover greedy over the coverage structure is
+// its reference. Both take the vertex covering the most uncovered
+// flows, ties to the lowest id, so the plans must be equal. Small
+// graphs with many flows to few destinations repeat paths (classes
+// with multiplicity > 1) and tie counts often; trees tie every vertex
+// on a leaf's private branch.
+func TestMinBoxesMatchesSetCoverGreedy(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	ties := 0
+	for trial := 0; trial < 60; trial++ {
+		n := 3 + rng.Intn(14)
+		var flows []traffic.Flow
+		var g *graph.Graph
+		if trial%3 == 0 {
+			g = topology.RandomTree(n, 3, rng.Int63())
+			tr, err := graph.NewTree(g, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flows = traffic.TreeFlows(tr, traffic.GenConfig{Density: 1e9, Seed: rng.Int63(), MaxFlows: 1 + rng.Intn(20)})
+		} else {
+			g = topology.GeneralRandom(n, rng.Float64(), rng.Int63())
+			dsts := []graph.NodeID{0, graph.NodeID(rng.Intn(n))}
+			flows = traffic.GeneralFlows(g, dsts, traffic.GenConfig{Density: 1e9, Seed: rng.Int63(), MaxFlows: 1 + rng.Intn(30)})
+		}
+		in := netsim.MustNew(g, flows, rng.Float64())
+		r, err := MinBoxes(context.Background(), in)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		sc := setcover.FromTDMD(in)
+		want := setcover.Greedy(sc)
+		ties += countTiedRounds(sc, want)
+		var got []int
+		for _, v := range r.Plan.Vertices() {
+			got = append(got, int(v))
+		}
+		slices.Sort(want)
+		if !slices.Equal(got, want) || !r.Feasible {
+			t.Fatalf("trial %d: MinBoxes plan %v (feasible %v), set-cover greedy %v", trial, got, r.Feasible, want)
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no greedy round had a tied count: the tie-break went untested")
+	}
+}
+
+// countTiedRounds replays the greedy choices and counts the rounds in
+// which another set covered as many uncovered elements as the chosen
+// one.
+func countTiedRounds(sc setcover.Instance, chosen []int) int {
+	covered := make([]bool, sc.N)
+	ties := 0
+	for _, c := range chosen {
+		gain := func(s []int) int {
+			k := 0
+			for _, e := range s {
+				if !covered[e] {
+					k++
+				}
+			}
+			return k
+		}
+		best := gain(sc.Sets[c])
+		for si, s := range sc.Sets {
+			if si != c && gain(s) == best {
+				ties++
+				break
+			}
+		}
+		for _, e := range sc.Sets[c] {
+			covered[e] = true
+		}
+	}
+	return ties
 }

@@ -27,7 +27,7 @@ type Fingerprint [sha256.Size]byte
 // fpVersion guards the hash layout: bump it whenever the byte layout
 // below changes, so plans cached by an old binary can never be
 // replayed against a new layout's colliding hash.
-const fpVersion = "tdmd-fp/2"
+const fpVersion = "tdmd-fp/3"
 
 // fpHasher streams fixed-width values into a sha256 through a fixed
 // buffer, so a million-flow instance hashes in large writes without
@@ -107,7 +107,6 @@ func SubmissionFingerprint(sub Submission) Fingerprint {
 		for _, e := range g.Out(graph.NodeID(v)) {
 			f.i64(int64(e.From))
 			f.i64(int64(e.To))
-			f.f64(e.Weight)
 		}
 	}
 	if t := sub.Problem.Tree(); t != nil {

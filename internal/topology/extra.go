@@ -7,51 +7,8 @@ import (
 	"tdmd/internal/graph"
 )
 
-// Additional generators: classic shapes used by edge-case tests
-// (line, star, ring) and two further data-center / WAN fabrics
-// (leaf-spine, Jellyfish) broadening the evaluation beyond the
-// paper's topologies.
-
-// Line returns the path graph v0 - v1 - ... - v(n-1) with
-// bidirectional links; rooted at 0 it is the deepest possible tree.
-func Line(n int) *graph.Graph {
-	if n < 1 {
-		panic("topology: Line needs n >= 1")
-	}
-	g := graph.New()
-	g.AddNodes(n)
-	for i := 0; i+1 < n; i++ {
-		g.AddBiEdge(graph.NodeID(i), graph.NodeID(i+1))
-	}
-	return g
-}
-
-// Star returns a hub (vertex 0) with n-1 leaves — the shallowest tree.
-func Star(n int) *graph.Graph {
-	if n < 1 {
-		panic("topology: Star needs n >= 1")
-	}
-	g := graph.New()
-	g.AddNodes(n)
-	for i := 1; i < n; i++ {
-		g.AddBiEdge(0, graph.NodeID(i))
-	}
-	return g
-}
-
-// Ring returns the n-cycle; the smallest topology where every
-// flow has two candidate directions (general, not a tree, for n >= 3).
-func Ring(n int) *graph.Graph {
-	if n < 3 {
-		panic("topology: Ring needs n >= 3")
-	}
-	g := graph.New()
-	g.AddNodes(n)
-	for i := 0; i < n; i++ {
-		g.AddBiEdge(graph.NodeID(i), graph.NodeID((i+1)%n))
-	}
-	return g
-}
+// Two further data-center / WAN fabrics (leaf-spine, Jellyfish)
+// broadening the evaluation beyond the paper's topologies.
 
 // LeafSpine returns a two-tier Clos fabric: every one of `leaves` leaf
 // switches connects to every one of `spines` spine switches. Spines

@@ -6,64 +6,6 @@ import (
 	"tdmd/internal/graph"
 )
 
-func TestLine(t *testing.T) {
-	g := Line(5)
-	if g.NumNodes() != 5 || g.NumEdges() != 8 {
-		t.Fatalf("|V|=%d |E|=%d", g.NumNodes(), g.NumEdges())
-	}
-	tr, err := graph.NewTree(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Depth(4) != 4 {
-		t.Fatalf("depth = %d", tr.Depth(4))
-	}
-	if g1 := Line(1); g1.NumNodes() != 1 || g1.NumEdges() != 0 {
-		t.Fatal("singleton line broken")
-	}
-}
-
-func TestStar(t *testing.T) {
-	g := Star(6)
-	tr, err := graph.NewTree(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Leaves()) != 5 {
-		t.Fatalf("leaves = %d", len(tr.Leaves()))
-	}
-	for v := 1; v < 6; v++ {
-		if tr.Depth(graph.NodeID(v)) != 1 {
-			t.Fatalf("depth(%d) = %d", v, tr.Depth(graph.NodeID(v)))
-		}
-	}
-}
-
-func TestRing(t *testing.T) {
-	g := Ring(6)
-	if g.NumEdges() != 12 || !g.WeaklyConnected() {
-		t.Fatalf("|E|=%d connected=%v", g.NumEdges(), g.WeaklyConnected())
-	}
-	// Opposite vertices are 3 hops apart.
-	p, err := g.ShortestPath(0, 3)
-	if err != nil || p.Len() != 3 {
-		t.Fatalf("path = %v err=%v", p, err)
-	}
-	// A ring is not a tree.
-	if _, err := graph.NewTree(g, 0); err == nil {
-		t.Fatal("ring accepted as tree")
-	}
-}
-
-func TestRingRejectsSmall(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Ring(2) accepted")
-		}
-	}()
-	Ring(2)
-}
-
 func TestLeafSpine(t *testing.T) {
 	g := LeafSpine(4, 8)
 	if g.NumNodes() != 12 {

@@ -17,7 +17,6 @@ import (
 	"math/rand"
 
 	"tdmd/internal/graph"
-	"tdmd/internal/routing"
 )
 
 // Flow is an unsplittable flow with a predetermined path.
@@ -255,12 +254,6 @@ type GenConfig struct {
 	Seed int64
 	// MaxFlows bounds the workload size (0 means 10× vertex count).
 	MaxFlows int
-	// ECMP routes each flow over one of all equal-cost shortest paths,
-	// selected by a stable hash of the flow ID (instead of always the
-	// single BFS path). Only GeneralFlows honours it.
-	ECMP bool
-	// ECMPLimit caps the enumerated equal-cost set per pair (0 = 16).
-	ECMPLimit int
 }
 
 func (cfg GenConfig) withDefaults(g *graph.Graph) GenConfig {
@@ -364,25 +357,8 @@ func GenerateGeneral(g *graph.Graph, dsts []graph.NodeID, cfg GenConfig, yield f
 		}
 		src := sources[rng.Intn(len(sources))]
 		dst := dsts[rng.Intn(len(dsts))]
-		var p graph.Path
-		if cfg.ECMP {
-			limit := cfg.ECMPLimit
-			if limit <= 0 {
-				limit = 16
-			}
-			candidates, err := routing.ECMPPaths(g, src, dst, limit)
-			if err != nil || len(candidates) == 0 {
-				continue
-			}
-			p = routing.HashSelect(candidates, count)
-		} else {
-			sp, err := g.ShortestPath(src, dst)
-			if err != nil {
-				continue
-			}
-			p = sp
-		}
-		if p.Len() == 0 {
+		p, err := g.ShortestPath(src, dst)
+		if err != nil || p.Len() == 0 {
 			continue
 		}
 		r := cfg.Dist.Sample(rng)

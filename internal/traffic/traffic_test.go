@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -273,48 +272,4 @@ func TestMergePreservesDemandOnTreeWorkload(t *testing.T) {
 	if len(merged) > len(tr.Leaves()) {
 		t.Fatalf("merged %d flows exceed leaf count %d", len(merged), len(tr.Leaves()))
 	}
-}
-
-func TestGeneralFlowsECMP(t *testing.T) {
-	g := topology.FatTree(4)
-	dst := []graph.NodeID{g.NodeByName("edge3.1")}
-	plain := GeneralFlows(g, dst, GenConfig{Density: 0.4, Seed: 7})
-	ecmp := GeneralFlows(g, dst, GenConfig{Density: 0.4, Seed: 7, ECMP: true})
-	if len(ecmp) == 0 {
-		t.Fatal("no ECMP flows")
-	}
-	if err := Validate(g, ecmp); err != nil {
-		t.Fatal(err)
-	}
-	// ECMP paths are still shortest.
-	for _, f := range ecmp {
-		want, err := g.ShortestPath(f.Src(), f.Dst())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Hops() != want.Len() {
-			t.Fatalf("ECMP flow longer than shortest: %d vs %d", f.Hops(), want.Len())
-		}
-	}
-	// On a fat-tree the ECMP workload must actually spread across
-	// multiple distinct paths for repeated (src,dst) pairs, unlike the
-	// deterministic BFS routing.
-	pathsByPair := map[string]map[string]bool{}
-	for _, f := range ecmp {
-		key := fmt.Sprintf("%d->%d", f.Src(), f.Dst())
-		if pathsByPair[key] == nil {
-			pathsByPair[key] = map[string]bool{}
-		}
-		pathsByPair[key][f.Path.String()] = true
-	}
-	spread := false
-	for _, set := range pathsByPair {
-		if len(set) > 1 {
-			spread = true
-		}
-	}
-	if !spread {
-		t.Fatal("ECMP never used an alternate path on a fat-tree")
-	}
-	_ = plain
 }

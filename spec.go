@@ -97,19 +97,8 @@ func (s ProblemSpec) Build() (*Problem, error) {
 	for _, name := range s.Nodes {
 		b.g.AddNode(name)
 	}
-	// Size every adjacency list exactly before filling it: appending
-	// edge by edge would regrow each list a few times.
-	deg := make([]int32, 2*n) // out-degrees, then in-degrees
-	for _, e := range s.Edges {
-		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
-			return nil, fmt.Errorf("tdmd: spec edge %v out of range", e)
-		}
-		deg[e[0]]++
-		deg[n+e[1]]++
-	}
-	b.g.ReserveEdges(deg[:n], deg[n:])
-	for _, e := range s.Edges {
-		b.g.AddEdge(NodeID(e[0]), NodeID(e[1]))
+	if i := b.g.AddEdges(s.Edges); i >= 0 {
+		return nil, fmt.Errorf("tdmd: spec edge %v out of range", s.Edges[i])
 	}
 	hops := 0
 	for i, fs := range s.Flows {

@@ -328,9 +328,11 @@ func (b *ProblemBuilder) ReadStream(r io.Reader) error {
 	return nil
 }
 
-// readStream decodes the leading object token by token; for an NDJSON
-// stream it then reads the flow lines from what dec has buffered
-// followed by the rest of src.
+// readStream decodes the leading object key by key: "nodes" and
+// "edges" with one Decode each, the edges added by graph.AddEdges as
+// in ProblemSpec.Build, and "flows" one element at a time. For an
+// NDJSON stream it then reads the flow lines from what dec has
+// buffered followed by the rest of src.
 func (b *ProblemBuilder) readStream(dec *json.Decoder, src io.Reader) (flows int, err error) {
 	if err := expectDelim(dec, '{'); err != nil {
 		return 0, fmt.Errorf("tdmd: stream: %w", err)
@@ -354,30 +356,31 @@ func (b *ProblemBuilder) readStream(dec *json.Decoder, src io.Reader) (flows int
 		case "nodes":
 			// Positional, like ProblemSpec.Build: vertex i is the i-th
 			// name, even under duplicate labels (edges are index pairs).
-			err := decodeArray(dec, func() error {
-				var name string
-				if err := decodeScalar(dec, &name); err != nil {
-					return err
-				}
+			var names []string
+			if err := dec.Decode(&names); err != nil {
+				return flows, fmt.Errorf("tdmd: stream: %w", err)
+			}
+			if len(names) > 0 {
 				if err := b.mutable("nodes"); err != nil {
-					return err
+					return flows, err
 				}
+			}
+			b.g.Grow(len(names))
+			for _, name := range names {
 				b.g.AddNode(name)
-				return nil
-			})
-			if err != nil {
-				return flows, err
 			}
 		case "edges":
-			err := decodeArray(dec, func() error {
-				var e [2]int
-				if err := dec.Decode(&e); err != nil {
-					return fmt.Errorf("tdmd: stream: decoding edge: %w", err)
+			var edges [][2]int
+			if err := dec.Decode(&edges); err != nil {
+				return flows, fmt.Errorf("tdmd: stream: decoding edges: %w", err)
+			}
+			if len(edges) > 0 {
+				if err := b.mutable("AddEdge"); err != nil {
+					return flows, err
 				}
-				return b.AddEdge(e[0], e[1])
-			})
-			if err != nil {
-				return flows, err
+			}
+			if i := b.g.AddEdges(edges); i >= 0 {
+				return flows, fmt.Errorf("tdmd: builder edge %v out of range (%d nodes)", edges[i], b.g.NumNodes())
 			}
 		case "flows":
 			err := decodeArray(dec, func() error {
