@@ -9,6 +9,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -69,19 +70,12 @@ func (g *Graph) AddNode(name string) NodeID {
 }
 
 // Grow reserves room for n more vertices, so adding them regrows no
-// vertex table.
+// vertex table. The tables grow as append grows them, so repeated
+// calls cost amortized O(n), not a full copy each.
 func (g *Graph) Grow(n int) {
-	g.names = grow(g.names, n)
-	g.out = grow(g.out, n)
-	g.in = grow(g.in, n)
-}
-
-// grow returns s with room for n more elements.
-func grow[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	return append(make([]T, 0, len(s)+n), s...)
+	g.names = slices.Grow(g.names, n)
+	g.out = slices.Grow(g.out, n)
+	g.in = slices.Grow(g.in, n)
 }
 
 // ReserveEdges sizes every vertex's edge lists for edges still to be
@@ -97,8 +91,11 @@ func (g *Graph) ReserveEdges(out, in []int32) {
 // AddEdges adds the directed edges [from, to] in order, sizing every
 // adjacency list before filling it, so no list regrows. It returns -1,
 // or the index of the first edge naming a vertex outside g, in which
-// case it adds nothing.
+// case it adds nothing. An empty list costs nothing.
 func (g *Graph) AddEdges(edges [][2]int) int {
+	if len(edges) == 0 {
+		return -1
+	}
 	n := len(g.names)
 	deg := make([]int32, 2*n) // out-degrees, then in-degrees
 	for i, e := range edges {

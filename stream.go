@@ -329,16 +329,25 @@ func (b *ProblemBuilder) ReadStream(r io.Reader) error {
 }
 
 // readStream decodes the leading object key by key: "nodes" and
-// "edges" with one Decode each, the edges added by graph.AddEdges as
-// in ProblemSpec.Build, and "flows" one element at a time. For an
-// NDJSON stream it then reads the flow lines from what dec has
-// buffered followed by the rest of src.
+// "edges" with one Decode each and "flows" one element at a time. Each
+// edge is range-checked against the vertices named before it, and the
+// edges of every "edges" key are gathered and added by one
+// graph.AddEdges, as in ProblemSpec.Build, before the first flow or at
+// the end. So however many topology keys a document repeats, the
+// topology costs time linear in its size. For an NDJSON stream it then
+// reads the flow lines from what dec has buffered followed by the rest
+// of src.
 func (b *ProblemBuilder) readStream(dec *json.Decoder, src io.Reader) (flows int, err error) {
 	if err := expectDelim(dec, '{'); err != nil {
 		return 0, fmt.Errorf("tdmd: stream: %w", err)
 	}
 	var format string
 	var fs FlowSpec
+	var edges [][2]int // range-checked, not yet added
+	addEdges := func() {
+		b.g.AddEdges(edges) // cannot fail: each edge was checked
+		edges = nil
+	}
 	for dec.More() {
 		tok, err := dec.Token()
 		if err != nil {
@@ -360,33 +369,42 @@ func (b *ProblemBuilder) readStream(dec *json.Decoder, src io.Reader) (flows int
 			if err := dec.Decode(&names); err != nil {
 				return flows, fmt.Errorf("tdmd: stream: %w", err)
 			}
-			if len(names) > 0 {
-				if err := b.mutable("nodes"); err != nil {
-					return flows, err
-				}
+			if len(names) == 0 {
+				continue
+			}
+			if err := b.mutable("nodes"); err != nil {
+				return flows, err
 			}
 			b.g.Grow(len(names))
 			for _, name := range names {
 				b.g.AddNode(name)
 			}
 		case "edges":
-			var edges [][2]int
-			if err := dec.Decode(&edges); err != nil {
+			var more [][2]int
+			if err := dec.Decode(&more); err != nil {
 				return flows, fmt.Errorf("tdmd: stream: decoding edges: %w", err)
 			}
-			if len(edges) > 0 {
-				if err := b.mutable("AddEdge"); err != nil {
-					return flows, err
+			if len(more) == 0 {
+				continue
+			}
+			if err := b.mutable("AddEdge"); err != nil {
+				return flows, err
+			}
+			n := b.g.NumNodes()
+			for _, e := range more {
+				if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
+					return flows, fmt.Errorf("tdmd: builder edge %v out of range (%d nodes)", e, n)
 				}
 			}
-			if i := b.g.AddEdges(edges); i >= 0 {
-				return flows, fmt.Errorf("tdmd: builder edge %v out of range (%d nodes)", edges[i], b.g.NumNodes())
-			}
+			edges = append(edges, more...)
 		case "flows":
 			err := decodeArray(dec, func() error {
 				fs.Rate, fs.Path = 0, fs.Path[:0]
 				if err := dec.Decode(&fs); err != nil {
 					return fmt.Errorf("tdmd: stream: decoding flow %d: %w", flows, err)
+				}
+				if flows == 0 {
+					addEdges() // the first flow freezes the topology
 				}
 				if err := b.AddFlow(fs.Rate, fs.Path); err != nil {
 					return err
@@ -418,6 +436,7 @@ func (b *ProblemBuilder) readStream(dec *json.Decoder, src io.Reader) (flows int
 	if err := expectDelim(dec, '}'); err != nil {
 		return flows, fmt.Errorf("tdmd: stream: %w", err)
 	}
+	addEdges()
 	if format == "" {
 		return flows, nil // spec document: done
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -450,6 +451,56 @@ func TestDecodeStreamWorkingMemoryIndependent(t *testing.T) {
 	// nowhere near the 10x a per-flow object graph would cost.
 	if aBig > aSmall+600 {
 		t.Errorf("decoder allocations scale with flow count: %.0f -> %.0f for 10x flows", aSmall, aBig)
+	}
+}
+
+// TestDecodeStreamRepeatedTopologyKeysLinear bounds the bytes a
+// document allocates when it repeats "nodes" and "edges" keys, empty
+// ones and "flows":[] between them included. Each key must cost in
+// proportion to its own array, not to the topology decoded so far;
+// otherwise a few MiB of repeated keys cost minutes of CPU.
+func TestDecodeStreamRepeatedTopologyKeysLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement in -short mode")
+	}
+	const base, repeats = 2000, 2000
+	var doc bytes.Buffer
+	doc.WriteString(`{"nodes":[`)
+	for i := 0; i < base; i++ {
+		if i > 0 {
+			doc.WriteByte(',')
+		}
+		fmt.Fprintf(&doc, `"v%d"`, i)
+	}
+	doc.WriteString(`],"edges":[[0,1]]`)
+	for i := 0; i < repeats; i++ {
+		fmt.Fprintf(&doc, `,"nodes":["r%d"],"edges":[],"edges":[[%d,%d]],"flows":[],"nodes":[]`, i, i+1, i+2)
+	}
+	doc.WriteString(`,"root":-1,"flows":[{"rate":1,"path":[0,1]}]}`)
+	data := doc.Bytes()
+
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, err := DecodeStream(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := p.Instance().G
+	if g.NumNodes() != base+repeats || g.NumEdges() != 1+repeats {
+		t.Fatalf("decoded %d nodes, %d edges; want %d, %d", g.NumNodes(), g.NumEdges(), base+repeats, 1+repeats)
+	}
+	if e := g.Out(NodeID(repeats))[0]; e.To != NodeID(repeats+1) {
+		t.Fatalf("edge order: out of %d goes to %d, want %d", repeats, e.To, repeats+1)
+	}
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d-byte document: %d bytes allocated (%.1f per input byte)",
+		len(data), allocated, float64(allocated)/float64(len(data)))
+	// Measured ~17 bytes per input byte. Copying the vertex tables or
+	// re-sizing every adjacency list per key costs over 700 per byte here.
+	if budget := uint64(64 * len(data)); allocated > budget {
+		t.Errorf("decoding allocated %d bytes, budget %d (64 per input byte)", allocated, budget)
 	}
 }
 
