@@ -11,8 +11,10 @@
 // including the million-flow scale row, and "serve" (BENCH_serve.json) sends single /api/solve requests
 // through the placement service's HTTP handler (internal/serve's
 // BenchmarkServeSolve: one cache hit, one fresh solve). Each suite
-// goes through `go test -bench` and its ns/op, B/op, allocs/op and
-// the custom bytes/flow metric are parsed out.
+// goes through `go test -bench -count=5`; every benchmark's five rows
+// are reduced to the median ns/op, B/op, allocs/op and custom
+// bytes/flow metric, plus the interquartile range (IQR) of its ns/op,
+// so a recorded time comes with its spread.
 //
 //	benchsnap -update                 rewrite the snapshot from a fresh run
 //	benchsnap -check                  compare a fresh run against the snapshot
@@ -23,7 +25,8 @@
 // lost preallocation) shows up as a count increase far above the
 // tolerance (default 25% + 3 allocs, for b.N-amortized setup noise),
 // and bytes/flow is a property of the wire format, not the machine.
-// ns/op depends on the machine and is reported for information only.
+// ns/op depends on the machine and is reported, with its IQR, for
+// information only.
 // A benchmark missing from either side fails the check: the snapshot
 // is regenerated deliberately with -update, reviewed like any other
 // checked-in change (the same policy as the lint and escape
@@ -43,6 +46,7 @@ import (
 	"os/exec"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,17 +88,23 @@ var suiteSets = map[string]suiteSet{
 	}},
 }
 
-// Entry is one benchmark's recorded metrics. BytesFlow is the custom
-// bytes/flow metric the ingestion benchmarks report (on-disk bytes per
-// encoded flow); it is zero for benchmarks that don't emit it.
+// Entry is one benchmark's recorded metrics, each the median of its
+// benchCount runs. NsIQR is the interquartile range of the runs'
+// ns/op. BytesFlow is the custom bytes/flow metric the ingestion
+// benchmarks report (on-disk bytes per encoded flow); it is zero for
+// benchmarks that don't emit it.
 type Entry struct {
 	Pkg       string  `json:"pkg"`
 	Name      string  `json:"name"`
 	NsOp      float64 `json:"ns_op"`
+	NsIQR     float64 `json:"ns_iqr,omitempty"`
 	BOp       float64 `json:"b_op"`
 	AllocsOp  float64 `json:"allocs_op"`
 	BytesFlow float64 `json:"bytes_flow,omitempty"`
 }
+
+// benchCount is how many times go test runs each benchmark.
+const benchCount = 5
 
 // Snapshot is the BENCH_solver.json document.
 type Snapshot struct {
@@ -172,7 +182,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 func collect(suites []Suite, benchtime string, stderr io.Writer) (Snapshot, error) {
 	snap := Snapshot{GoVersion: runtime.Version()}
 	for _, s := range suites {
-		args := []string{"test", "-run", "^$", "-bench", s.Pattern, "-benchmem"}
+		args := []string{"test", "-run", "^$", "-bench", s.Pattern, "-benchmem", fmt.Sprintf("-count=%d", benchCount)}
 		if benchtime != "" {
 			args = append(args, "-benchtime", benchtime)
 		}
@@ -191,7 +201,7 @@ func collect(suites []Suite, benchtime string, stderr io.Writer) (Snapshot, erro
 		if len(entries) == 0 {
 			return Snapshot{}, fmt.Errorf("suite %q in %s produced no benchmark lines", s.Pattern, s.Pkg)
 		}
-		snap.Entries = append(snap.Entries, entries...)
+		snap.Entries = append(snap.Entries, summarize(entries)...)
 	}
 	sortEntries(snap.Entries)
 	return snap, nil
@@ -238,6 +248,53 @@ func parseBench(pkg, output string) ([]Entry, error) {
 	return out, nil
 }
 
+// summarize reduces the repeated rows of each benchmark to one entry,
+// in order of first appearance: the median of every metric, and the
+// IQR of ns/op.
+func summarize(rows []Entry) []Entry {
+	var keys []string
+	runs := make(map[string][]Entry)
+	for _, e := range rows {
+		if _, ok := runs[e.key()]; !ok {
+			keys = append(keys, e.key())
+		}
+		runs[e.key()] = append(runs[e.key()], e)
+	}
+	out := make([]Entry, 0, len(keys))
+	for _, k := range keys {
+		rs := runs[k]
+		metric := func(get func(Entry) float64) []float64 {
+			vs := make([]float64, len(rs))
+			for i, r := range rs {
+				vs[i] = get(r)
+			}
+			slices.Sort(vs)
+			return vs
+		}
+		ns := metric(func(e Entry) float64 { return e.NsOp })
+		out = append(out, Entry{
+			Pkg: rs[0].Pkg, Name: rs[0].Name,
+			NsOp:      quantile(ns, 0.5),
+			NsIQR:     quantile(ns, 0.75) - quantile(ns, 0.25),
+			BOp:       quantile(metric(func(e Entry) float64 { return e.BOp }), 0.5),
+			AllocsOp:  quantile(metric(func(e Entry) float64 { return e.AllocsOp }), 0.5),
+			BytesFlow: quantile(metric(func(e Entry) float64 { return e.BytesFlow }), 0.5),
+		})
+	}
+	return out
+}
+
+// quantile returns the p-quantile of sorted values, interpolating
+// linearly between the two nearest ranks.
+func quantile(sorted []float64, p float64) float64 {
+	h := p * float64(len(sorted)-1)
+	lo := int(h)
+	if lo+1 >= len(sorted) {
+		return sorted[lo]
+	}
+	return sorted[lo] + (h-float64(lo))*(sorted[lo+1]-sorted[lo])
+}
+
 // key identifies a benchmark across runs.
 func (e Entry) key() string { return e.Pkg + "\x00" + e.Name }
 
@@ -276,8 +333,8 @@ func compare(w io.Writer, cur, snap Snapshot, tolRel, tolAbs float64) int {
 			status = "BYTES/FLOW REGRESSION"
 			problems++
 		}
-		fmt.Fprintf(w, "%-16s %-55s allocs/op %8.0f -> %8.0f (limit %.0f)   ns/op %12.0f -> %12.0f (info)",
-			status, got.Name, want.AllocsOp, got.AllocsOp, limit, want.NsOp, got.NsOp)
+		fmt.Fprintf(w, "%-16s %-55s allocs/op %8.0f -> %8.0f (limit %.0f)   ns/op %12.0f -> %12.0f ± %.0f IQR (info)",
+			status, got.Name, want.AllocsOp, got.AllocsOp, limit, want.NsOp, got.NsOp, got.NsIQR)
 		if want.BytesFlow > 0 || got.BytesFlow > 0 {
 			fmt.Fprintf(w, "   bytes/flow %6.1f -> %6.1f", want.BytesFlow, got.BytesFlow)
 		}

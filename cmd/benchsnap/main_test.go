@@ -240,3 +240,61 @@ func TestCompareGatesBytesFlow(t *testing.T) {
 		t.Fatalf("within-tolerance bytes/flow flagged (%d problems):\n%s", problems, out.String())
 	}
 }
+
+// A -count=5 run prints each benchmark five times, interleaved with
+// the others; summarize keeps one entry per benchmark, in order of
+// first appearance, holding the medians and the ns/op IQR.
+func TestSummarizeRepeatedRows(t *testing.T) {
+	const out = `BenchmarkIngestStream-2   	 100	  5000 ns/op	 32.95 bytes/flow	 900 B/op	 10 allocs/op
+BenchmarkIngestBuilder-2  	 100	   700 ns/op	 500 B/op	 4 allocs/op
+BenchmarkIngestStream-2   	 100	  1000 ns/op	 32.95 bytes/flow	 800 B/op	 12 allocs/op
+BenchmarkIngestStream-2   	 100	  3000 ns/op	 32.95 bytes/flow	 800 B/op	 10 allocs/op
+BenchmarkIngestBuilder-2  	 100	   900 ns/op	 500 B/op	 4 allocs/op
+BenchmarkIngestStream-2   	 100	  2000 ns/op	 32.95 bytes/flow	 700 B/op	 11 allocs/op
+BenchmarkIngestStream-2   	 100	  4000 ns/op	 32.95 bytes/flow	 800 B/op	 10 allocs/op
+`
+	rows, err := parseBench(".", out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 7 {
+		t.Fatalf("parsed %d rows, want 7", len(rows))
+	}
+	got := summarize(rows)
+	want := []Entry{
+		// ns/op 1000..5000: median 3000, quartiles 2000 and 4000.
+		{Pkg: ".", Name: "BenchmarkIngestStream", NsOp: 3000, NsIQR: 2000, BOp: 800, AllocsOp: 10, BytesFlow: 32.95},
+		// Two runs: the median and quartiles interpolate.
+		{Pkg: ".", Name: "BenchmarkIngestBuilder", NsOp: 800, NsIQR: 100, BOp: 500, AllocsOp: 4},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("summarized %d entries, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("entry %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+func TestQuantile(t *testing.T) {
+	for _, tc := range []struct {
+		sorted []float64
+		p      float64
+		want   float64
+	}{
+		{[]float64{7}, 0.25, 7},
+		{[]float64{7}, 0.75, 7},
+		{[]float64{1, 2, 3, 4, 5}, 0.5, 3},
+		{[]float64{1, 2, 3, 4, 5}, 0.25, 2},
+		{[]float64{1, 2, 3, 4, 5}, 0.75, 4},
+		{[]float64{1, 2, 3, 4}, 0.5, 2.5},
+		{[]float64{1, 2, 3, 4}, 0.25, 1.75},
+		{[]float64{1, 2, 3, 4}, 0.75, 3.25},
+		{[]float64{1, 2, 3, 4}, 1, 4},
+	} {
+		if got := quantile(tc.sorted, tc.p); got != tc.want {
+			t.Errorf("quantile(%v, %v) = %v, want %v", tc.sorted, tc.p, got, tc.want)
+		}
+	}
+}

@@ -166,9 +166,9 @@ func (b *Builder) addFlowPath(id, rate int, path graph.Path) error {
 
 // commit interns the hops appended at [start:] as the next flow's
 // path, named id in errors. A path already held is rolled back out of
-// the arena and only the flow's rate is checked; a new path is
-// validated in full and becomes the next class. On error the arena is
-// rolled back and nothing is committed.
+// the arena and the flow joins its class through addClassFlow; a new
+// path is validated in full and becomes the next class. On error the
+// arena is rolled back and nothing is committed.
 func (b *Builder) commit(id, rate, start int) error {
 	if !b.frozen {
 		b.adj = graph.NewAdjSet(b.g)
@@ -177,34 +177,72 @@ func (b *Builder) commit(id, rate, start int) error {
 	b.growClasses(b.numClasses() + 1)
 	path := graph.Path(b.pathArena[start:])
 	slot, class := b.lookup(path)
-	var err error
 	if class >= 0 {
 		b.pathArena = b.pathArena[:start]
-		err = traffic.ValidateRate(id, rate)
-	} else {
-		err = traffic.ValidateFlow(b.adj, id, rate, path)
+		return b.addClassFlow(id, rate, class)
 	}
-	if err == nil && rate > math.MaxInt32 {
-		err = fmt.Errorf("netsim: flow %d rate %d overflows the rate arena", id, rate)
+	err := traffic.ValidateFlow(b.adj, id, rate, path)
+	if err == nil {
+		err = checkRate(id, rate)
 	}
-	if err == nil && class < 0 {
+	if err == nil {
 		err = checkPathOffset(id, int64(len(b.pathArena)))
 	}
 	if err != nil {
 		b.pathArena = b.pathArena[:start]
 		return err
 	}
-	if class < 0 {
-		class = int32(b.numClasses())
-		b.table[slot] = class + 1
-		b.classOff = append(b.classOff, int32(len(b.pathArena)))
+	class = int32(b.numClasses())
+	b.table[slot] = class + 1
+	b.classOff = append(b.classOff, int32(len(b.pathArena)))
+	b.appendFlow(rate, class)
+	return nil
+}
+
+// FlowClass reports the path class of flow i, numbered in order of
+// first occurrence as the instance will number it.
+func (b *Builder) FlowClass(i int) int { return int(b.flowClass[i]) }
+
+// AddClassFlow appends the next flow on the path of class, which
+// must be the class of an earlier flow (see FlowClass). Only the rate
+// is checked, exactly as for an AddFlow whose path repeats an earlier
+// one, with the same errors.
+//
+//tdmd:hot
+func (b *Builder) AddClassFlow(rate, class int) error {
+	return b.addClassFlow(b.NumFlows(), rate, int32(class))
+}
+
+// addClassFlow is AddClassFlow naming the flow id in errors.
+//
+//tdmd:hot
+func (b *Builder) addClassFlow(id, rate int, class int32) error {
+	if err := checkRate(id, rate); err != nil {
+		return err
 	}
+	b.appendFlow(rate, class)
+	return nil
+}
+
+// checkRate is the check every flow's rate passes: positive, and
+// small enough for the int32 rate arena.
+func checkRate(id, rate int) error {
+	if err := traffic.ValidateRate(id, rate); err != nil {
+		return err
+	}
+	if rate > math.MaxInt32 {
+		return fmt.Errorf("netsim: flow %d rate %d overflows the rate arena", id, rate)
+	}
+	return nil
+}
+
+// appendFlow stores one checked flow's rate and class.
+func (b *Builder) appendFlow(rate int, class int32) {
 	if len(b.rates) == cap(b.rates) {
 		b.growFlows(max(2*len(b.rates), 64))
 	}
 	b.rates = append(b.rates, int32(rate))
 	b.flowClass = append(b.flowClass, class)
-	return nil
 }
 
 // ArenaOverflowError rejects a flow whose hops would end the shared

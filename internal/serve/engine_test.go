@@ -629,18 +629,20 @@ func TestServeDrainWithInflightJobs(t *testing.T) {
 		closed <- s.Close(ctx)
 	}()
 
-	// Admission shuts off as soon as Close marks the engine closed.
+	// Admission shuts off as soon as Close marks the engine closed. A
+	// probe sent before that would be admitted and queue behind the
+	// parked job, so wait for the mark first.
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		r := post(t, srv, "/api/solve", blockReq(42))
-		r.Body.Close()
-		if r.StatusCode == http.StatusServiceUnavailable {
-			break
-		}
+	for !engineClosed(s.eng) {
 		if time.Now().After(deadline) {
-			t.Fatalf("draining engine still admitted solves (last status %d)", r.StatusCode)
+			t.Fatal("Close never marked the engine closed")
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(time.Millisecond)
+	}
+	r := post(t, srv, "/api/solve", blockReq(42))
+	r.Body.Close()
+	if r.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("draining engine admitted a solve (status %d)", r.StatusCode)
 	}
 
 	ctl.releaseAll()
@@ -660,6 +662,13 @@ func TestServeDrainWithInflightJobs(t *testing.T) {
 	if jr.State != JobDone || jr.Result == nil {
 		t.Fatalf("in-flight job after drain: %+v", jr)
 	}
+}
+
+// engineClosed reports whether Close has marked e closed.
+func engineClosed(e *Engine) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.closed
 }
 
 // TestServeFingerprint: equal submissions hash equal; every

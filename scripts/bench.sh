@@ -24,8 +24,11 @@
 #           hit and one fresh solve. Only allocs/op is gated. It takes
 #           seconds, so scripts/check.sh runs its check on every change.
 #
-# All three snapshots are checked in, so the repository's performance
-# trajectory is reviewable history rather than folklore.
+# Every benchmark runs five times (go test -count=5); a snapshot row
+# holds the medians of ns/op, B/op and allocs/op and the interquartile
+# range of ns/op (ns_iqr). All three snapshots are checked in, so the
+# repository's performance trajectory is reviewable history rather
+# than folklore.
 #
 # Usage: scripts/bench.sh [suite]           rewrite the snapshot(s)
 #        scripts/bench.sh -check [suite]    fail if allocs/op (or

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"strconv"
@@ -28,7 +29,10 @@ import (
 // JSON token, or one NDJSON flow line, at a time, which keeps decoder
 // working memory independent of the flow count — a million-flow
 // problem ingests in the same few kilobytes of transient state as a
-// ten-flow one, with the arenas the only O(|F|) allocations.
+// ten-flow one, with the arenas the only O(|F|) allocations. The one
+// transient structure that grows, the NDJSON decoder's line table,
+// holds one text per distinct path, within the path arena's size plus
+// a constant per path.
 
 // Ingest metrics, on the default obs registry next to the solver and
 // netsim series. Totals accumulate across ingests; the bytes/flow
@@ -288,16 +292,19 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// DecodeStream reads a problem from r in O(1) decoder working memory
-// and returns it built. Both wire formats are accepted and
-// distinguished by their leading object: a ProblemSpec document
-// (flows decoded one at a time, never as a []FlowSpec) or an NDJSON
-// flow stream (StreamHeader line, then one flow per line). Flow lines
+// DecodeStream reads a problem from r with decoder working memory
+// independent of the flow count and returns it built. Both wire
+// formats are accepted and distinguished by their leading object: a
+// ProblemSpec document (flows decoded one at a time, never as a
+// []FlowSpec) or an NDJSON flow stream (StreamHeader line, then one
+// flow per line). Flow lines
 // in the exact shape FlowStreamWriter writes are scanned without
-// encoding/json; any other line, and the rest of the stream after it,
-// is decoded by encoding/json, so the accepted inputs and the error
-// texts are the same either way. Unknown fields are rejected with an
-// error naming the field.
+// encoding/json, and a line that repeats an earlier line's path byte
+// for byte is known by those bytes, through a table the decode drops
+// when it returns: only its rate is parsed. Any other line, and the
+// rest of the stream after it, is decoded by encoding/json, so the
+// accepted inputs and the error texts are the same either way.
+// Unknown fields are rejected with an error naming the field.
 func DecodeStream(r io.Reader) (*Problem, error) {
 	b := NewProblemBuilder()
 	if err := b.ReadStream(r); err != nil {
@@ -443,20 +450,27 @@ func (b *ProblemBuilder) readStream(dec *json.Decoder, src io.Reader) (flows int
 	if format != StreamFormat {
 		return flows, fmt.Errorf("tdmd: stream: unsupported format %q (want %q)", format, StreamFormat)
 	}
-	return b.readFlowLines(io.MultiReader(dec.Buffered(), src), fs, flows)
+	return b.readFlowLines(io.MultiReader(dec.Buffered(), src), fs, flows, new(lineTable))
 }
 
 // readFlowLines ingests the NDJSON tail, one line at a time, into a
-// reused FlowSpec, so working memory stays O(longest line). Lines in
-// the canonical shape FlowStreamWriter writes are parsed in place by
-// scanFlowLine, and whitespace-only lines (the first is the header's
-// own newline) are skipped. The first line that is anything else —
-// or longer than the read buffer, or cut short by a read error — is
-// handed, with everything after it, to readFlowValues, so every
-// non-canonical input is accepted or rejected exactly as
-// encoding/json decides. flows counts the flows read so far.
-func (b *ProblemBuilder) readFlowLines(r io.Reader, fs FlowSpec, flows int) (int, error) {
+// reused FlowSpec, so working memory stays O(longest line) plus the
+// line table. Whitespace-only lines (the first is the header's own
+// newline) are skipped. A line that opens with a canonical
+// `{"rate":R` and whose remaining bytes equal a text in lines repeats
+// that text's path: it joins the path's class with only its rate
+// checked, and its hops are never parsed. Any other line in the
+// canonical shape FlowStreamWriter writes is parsed in place by
+// scanFlowPath and added through AddFlow, and its text after the rate
+// then enters lines with the class the builder gave its path. The
+// first line that is anything else — or longer than the read buffer,
+// or cut short by a read error — is handed, with everything after it,
+// to readFlowValues, so every non-canonical input is accepted or
+// rejected exactly as encoding/json decides. flows counts the flows
+// read so far.
+func (b *ProblemBuilder) readFlowLines(r io.Reader, fs FlowSpec, flows int, lines *lineTable) (int, error) {
 	br := bufio.NewReader(r)
+	//tdmd:hot
 	for {
 		line, err := br.ReadSlice('\n')
 		if isJSONSpace(line) {
@@ -467,20 +481,32 @@ func (b *ProblemBuilder) readFlowLines(r io.Reader, fs FlowSpec, flows int) (int
 				return flows, nil
 			}
 		}
-		if scanFlowLine(line, &fs) {
-			if err := b.AddFlow(fs.Rate, fs.Path); err != nil {
-				return flows, err
+		rate, at, ok := scanFlowRate(line)
+		if ok {
+			if class := lines.find(line[at:]); class >= 0 {
+				if err := b.flows.AddClassFlow(rate, class); err != nil {
+					return flows, err
+				}
+				flows++
+				continue
 			}
-			flows++
-			continue
+			fs.Rate = rate
+			ok = scanFlowPath(line[at:], &fs)
 		}
-		// ReadSlice hands back a read error only once; replay it after
-		// the line so the decoder reports it at the same point.
-		rest := io.Reader(br)
-		if err != nil && err != io.EOF && err != bufio.ErrBufferFull {
-			rest = errReader{err}
+		if !ok {
+			// ReadSlice hands back a read error only once; replay it
+			// after the line so the decoder reports it at the same point.
+			rest := io.Reader(br)
+			if err != nil && err != io.EOF && err != bufio.ErrBufferFull {
+				rest = errReader{err}
+			}
+			return b.readFlowValues(io.MultiReader(bytes.NewReader(line), rest), fs, flows)
 		}
-		return b.readFlowValues(io.MultiReader(bytes.NewReader(line), rest), fs, flows)
+		if err := b.AddFlow(fs.Rate, fs.Path); err != nil {
+			return flows, err
+		}
+		lines.add(line[at:], len(fs.Path), b.flows.FlowClass(b.flows.NumFlows()-1))
+		flows++
 	}
 }
 
@@ -505,37 +531,136 @@ func (b *ProblemBuilder) readFlowValues(r io.Reader, fs FlowSpec, flows int) (in
 	}
 }
 
-// scanFlowLine parses one canonical flow line into fs, reusing
-// fs.Path: exactly the bytes FlowStreamWriter writes,
-// {"rate":R,"path":[v1,...,vn]} and a newline, where every number is
-// unsigned, at most 18 digits long and has no leading zero. It
+// scanFlowRate parses the `{"rate":R` that opens a canonical flow
+// line and returns R with the index just past it. R is unsigned, at
+// most 18 digits long and has no leading zero.
+//
+//tdmd:hot
+func scanFlowRate(line []byte) (rate, next int, ok bool) {
+	if !hasLiteral(line, 0, `{"rate":`) {
+		return 0, 0, false
+	}
+	return scanJSONUint(line, len(`{"rate":`))
+}
+
+// scanFlowPath parses the rest of a canonical flow line into fs.Path,
+// reusing it: exactly the bytes FlowStreamWriter writes after the
+// rate, `,"path":[v1,...,vn]}` and a newline, where every hop is what
+// scanJSONUint accepts. With scanFlowRate it claims exactly the lines
+// {"rate":R,"path":[v1,...,vn]} that FlowStreamWriter writes and
 // reports false for anything else, so it never claims a line that
 // encoding/json would decode to a different flow or reject.
 //
 //tdmd:hot
-func scanFlowLine(line []byte, fs *FlowSpec) bool {
-	if !hasLiteral(line, 0, `{"rate":`) {
+func scanFlowPath(tail []byte, fs *FlowSpec) bool {
+	if !hasLiteral(tail, 0, `,"path":[`) {
 		return false
 	}
-	rate, i, ok := scanJSONUint(line, len(`{"rate":`))
-	if !ok || !hasLiteral(line, i, `,"path":[`) {
-		return false
-	}
-	i += len(`,"path":[`)
-	fs.Rate, fs.Path = rate, fs.Path[:0]
+	i := len(`,"path":[`)
+	fs.Path = fs.Path[:0]
 	for {
-		v, next, ok := scanJSONUint(line, i)
+		v, next, ok := scanJSONUint(tail, i)
 		if !ok {
 			return false
 		}
 		fs.Path = append(fs.Path, v)
 		i = next
-		if i < len(line) && line[i] == ',' {
+		if i < len(tail) && tail[i] == ',' {
 			i++
 			continue
 		}
-		return string(line[i:]) == "]}\n"
+		return string(tail[i:]) == "]}\n"
 	}
+}
+
+// lineTable maps the text of canonical flow lines after the rate,
+// `,"path":[v1,...,vn]}` and the newline, to the path class the
+// builder gave that path. Only scanFlowPath's canonical form enters,
+// one text per path, so a text in the table is a complete canonical
+// line's and a byte-equal tail names the same path. It is an
+// open-addressing table of int32 entry ids over one byte arena, with
+// no pointers to scan. A text enters only after the builder accepted
+// its path, and only if it is at most the path's span of the builder's
+// path arena (hopBytes per hop) plus lineSyntax bytes, so the table's
+// text never outgrows the path arena by more than lineSyntax bytes per
+// class. A decode builds one table and drops it when it returns.
+type lineTable struct {
+	seed    maphash.Seed
+	slots   []int32 // power-of-two length ≥ 2× the entries; 0 empty, else 1 + entry
+	entries []lineEntry
+	text    []byte // entry e's text ends at entries[e].end, where e−1's ends
+}
+
+// lineEntry is one stored text's end offset and path class.
+type lineEntry struct{ end, class int32 }
+
+const (
+	// hopBytes is what one hop takes in the builder's path arena (a
+	// NodeID is an int).
+	hopBytes = strconv.IntSize / 8
+	// lineSyntax is the text's fixed part, `,"path":[` and `]}\n`;
+	// each hop adds its digits and at most one comma.
+	lineSyntax = len(`,"path":[`) + len("]}\n")
+)
+
+// find returns the class stored for text, or -1.
+//
+//tdmd:hot
+func (t *lineTable) find(text []byte) int {
+	if len(t.slots) == 0 {
+		return -1
+	}
+	mask := uint64(len(t.slots) - 1)
+	for slot := maphash.Bytes(t.seed, text) & mask; ; slot = (slot + 1) & mask {
+		e := t.slots[slot] - 1
+		if e < 0 {
+			return -1
+		}
+		if bytes.Equal(t.textOf(e), text) {
+			return int(t.entries[e].class)
+		}
+	}
+}
+
+// textOf returns entry e's text.
+func (t *lineTable) textOf(e int32) []byte {
+	start := int32(0)
+	if e > 0 {
+		start = t.entries[e-1].end
+	}
+	return t.text[start:t.entries[e].end]
+}
+
+// add stores text, which find does not know, for the class of a path
+// of hops hops. A text longer than the memory bound allows, or one
+// that would take the arena past int32 offsets, is left out: its
+// lines are parsed each time they occur.
+func (t *lineTable) add(text []byte, hops, class int) {
+	if len(text) > hops*hopBytes+lineSyntax || len(t.text)+len(text) > math.MaxInt32 {
+		return
+	}
+	if 2*(len(t.entries)+1) > len(t.slots) {
+		if len(t.slots) == 0 {
+			t.seed = maphash.MakeSeed()
+		}
+		t.slots = make([]int32, max(64, 2*len(t.slots)))
+		for e := range t.entries {
+			t.insert(int32(e))
+		}
+	}
+	t.text = append(t.text, text...)
+	t.entries = append(t.entries, lineEntry{end: int32(len(t.text)), class: int32(class)})
+	t.insert(int32(len(t.entries) - 1))
+}
+
+// insert puts entry e into the first free slot of its probe sequence.
+func (t *lineTable) insert(e int32) {
+	mask := uint64(len(t.slots) - 1)
+	slot := maphash.Bytes(t.seed, t.textOf(e)) & mask
+	for t.slots[slot] != 0 {
+		slot = (slot + 1) & mask
+	}
+	t.slots[slot] = e + 1
 }
 
 // ScanCanonicalSpec parses the canonical spec document at the start of

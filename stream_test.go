@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -542,23 +544,48 @@ func TestIngestMetricsExposed(t *testing.T) {
 	}
 }
 
+// streamDecodeSeeds are FuzzStreamDecode's seed inputs: spec
+// documents and NDJSON streams, well-formed and not.
+var streamDecodeSeeds = []string{
+	`{"nodes":["a","b"],"edges":[[0,1]],"flows":[{"rate":1,"path":[0,1]}],"lambda":0.5,"root":-1}`,
+	`{"format":"tdmd-flows/1","nodes":["a","b"],"edges":[[0,1],[1,0]],"lambda":0.5,"root":-1}` + "\n" +
+		`{"rate":1,"path":[0,1]}` + "\n" + `{"rate":2,"path":[1,0]}` + "\n",
+	`{"format":"tdmd-flows/1","nodes":["a","b"],"edges":[[0,1],[1,0]],"lambda":0.5,"root":-1}` + "\n" +
+		`{"rate":1,"path":[0,1]}` + "\n" + `{"rate":2,"path":[1,0]}` + "\n" + `{"rate":3,"path":[0,1]}` + "\n" +
+		`{"rate":4,"path":[1,0]}` + "\n" + `{"rate":0,"path":[0,1]}` + "\n",
+	`{"format":"tdmd-flows/1","nodes":["a","b"],"edges":[[0,1]],"lambda":0.5,"root":-1}` + "\n" +
+		`{"rate":1,"path":[0,1]}` + "\n" + `{"rate":2147483648,"path":[0,1]}` + "\n",
+	`{"format":"tdmd-flows/1","nodes":["a","b"],"edges":[[0,1]],"lambda":0.5,"root":-1}` + "\n" + `{"rate":1,"pa`,
+	`{"format":"tdmd-flows/2","nodes":[],"edges":[],"lambda":0,"root":-1}`,
+	`{"format":"tdmd-flows/1","nodes":["a"],"edges":null,"lambda":0,"root":0}`,
+	`{"nodes":["a","b"],"edges":[[0,1]],"flows":null,"lambda":0.5,"root":-1}`,
+	`{"flows":[{"rate":1,"path":[0,1]}],"nodes":["a","b"]}`,
+	`{"nodes":["a","b"],"edges":[[0,1]],"surprise":1}`,
+	``,
+	`[]`,
+	`{`,
+}
+
+// TestStreamDecodeSeedsMatchJSON: every FuzzStreamDecode seed that is
+// an NDJSON stream decodes through DecodeStream exactly as through
+// the encoding/json reference.
+func TestStreamDecodeSeedsMatchJSON(t *testing.T) {
+	for i, seed := range streamDecodeSeeds {
+		if !strings.HasPrefix(seed, `{"format":"tdmd-flows/1"`) {
+			continue
+		}
+		requireSameAsJSON(t, fmt.Sprintf("seed %d", i), func() io.Reader { return strings.NewReader(seed) })
+	}
+}
+
 // FuzzStreamDecode hardens the streaming decoder the way FuzzDecodeSpec
 // hardens the document path: arbitrary bytes — malformed NDJSON,
 // truncated streams, wrong formats — must fail cleanly or produce a
 // solvable problem, never panic, never hang.
 func FuzzStreamDecode(f *testing.F) {
-	f.Add(`{"nodes":["a","b"],"edges":[[0,1]],"flows":[{"rate":1,"path":[0,1]}],"lambda":0.5,"root":-1}`)
-	f.Add(`{"format":"tdmd-flows/1","nodes":["a","b"],"edges":[[0,1],[1,0]],"lambda":0.5,"root":-1}` + "\n" +
-		`{"rate":1,"path":[0,1]}` + "\n" + `{"rate":2,"path":[1,0]}` + "\n")
-	f.Add(`{"format":"tdmd-flows/1","nodes":["a","b"],"edges":[[0,1]],"lambda":0.5,"root":-1}` + "\n" + `{"rate":1,"pa`)
-	f.Add(`{"format":"tdmd-flows/2","nodes":[],"edges":[],"lambda":0,"root":-1}`)
-	f.Add(`{"format":"tdmd-flows/1","nodes":["a"],"edges":null,"lambda":0,"root":0}`)
-	f.Add(`{"nodes":["a","b"],"edges":[[0,1]],"flows":null,"lambda":0.5,"root":-1}`)
-	f.Add(`{"flows":[{"rate":1,"path":[0,1]}],"nodes":["a","b"]}`)
-	f.Add(`{"nodes":["a","b"],"edges":[[0,1]],"surprise":1}`)
-	f.Add(``)
-	f.Add(`[]`)
-	f.Add(`{`)
+	for _, seed := range streamDecodeSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		// Bound adversarial blow-up the same way FuzzDecodeSpec does.
 		if len(input) > 1<<16 {
@@ -641,13 +668,15 @@ func requireSameAsJSON(t *testing.T, name string, newStream func() io.Reader) {
 		return
 	}
 	gi, wi := got.Instance(), want.Instance()
-	if gi.NumFlows() != wi.NumFlows() {
-		t.Fatalf("%s: %d flows, encoding/json decodes %d", name, gi.NumFlows(), wi.NumFlows())
+	if gi.NumFlows() != wi.NumFlows() || gi.NumClasses() != wi.NumClasses() {
+		t.Fatalf("%s: %d flows in %d classes, encoding/json decodes %d in %d", name,
+			gi.NumFlows(), gi.NumClasses(), wi.NumFlows(), wi.NumClasses())
 	}
 	for i := 0; i < gi.NumFlows(); i++ {
-		if gi.FlowRate(i) != wi.FlowRate(i) || gi.FlowPath(i).String() != wi.FlowPath(i).String() {
-			t.Fatalf("%s: flow %d is (%d, %v), encoding/json decodes (%d, %v)", name, i,
-				gi.FlowRate(i), gi.FlowPath(i), wi.FlowRate(i), wi.FlowPath(i))
+		if gi.FlowRate(i) != wi.FlowRate(i) || gi.FlowClass(i) != wi.FlowClass(i) ||
+			gi.FlowPath(i).String() != wi.FlowPath(i).String() {
+			t.Fatalf("%s: flow %d is (%d, class %d, %v), encoding/json decodes (%d, class %d, %v)", name, i,
+				gi.FlowRate(i), gi.FlowClass(i), gi.FlowPath(i), wi.FlowRate(i), wi.FlowClass(i), wi.FlowPath(i))
 		}
 	}
 }
@@ -692,6 +721,21 @@ var flowTailCases = []struct{ name, tail string }{
 	{"bad hop after hand-off", "\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":1, \"path\":[1,2]}\n{\"rate\":1,\"path\":[0,2]}\n"},
 	{"hop outside graph", "\n{\"rate\":1,\"path\":[0,9]}\n"},
 	{"repeated hop", "\n{\"rate\":1,\"path\":[0,1,0]}\n"},
+	{"repeated paths", "\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":2,\"path\":[1,2,3]}\n" +
+		"{\"rate\":3,\"path\":[0,1]}\n{\"rate\":4,\"path\":[1,2]}\n{\"rate\":5,\"path\":[1,2,3]}\n"},
+	{"repeat with rate 0", "\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":0,\"path\":[0,1]}\n"},
+	{"repeat with rate 2^31", "\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":2147483648,\"path\":[0,1]}\n"},
+	{"repeat with rate 2^31-1", "\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":2147483647,\"path\":[0,1]}\n"},
+	{"repeat with no final newline", "\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":2,\"path\":[0,1]}"},
+	{"repeat with trailing space", "\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":2,\"path\":[0,1]} \n{\"rate\":3,\"path\":[0,1]}\n"},
+	{"repeat with crlf", "\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":2,\"path\":[0,1]}\r\n"},
+	{"repeat with leading zero rate", "\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":02,\"path\":[0,1]}\n"},
+	{"repeat then a second object", "\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":2,\"path\":[0,1]}{\"rate\":3,\"path\":[1,2]}\n"},
+	{"repeat then junk", "\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":2,\"path\":[0,1]}x\n"},
+	{"repeat after hand-off", "\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":2, \"path\":[1,2]}\n{\"rate\":3,\"path\":[0,1]}\n"},
+	{"repeat after a leading zero rate", "\n{\"rate\":01,\"path\":[0,1]}\n{\"rate\":1,\"path\":[0,1]}\n"},
+	{"repeat after a rejected flow", "\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":1,\"path\":[0,2]}\n{\"rate\":1,\"path\":[0,1]}\n"},
+	{"prefix of a known path", "\n{\"rate\":1,\"path\":[0,1,2]}\n{\"rate\":1,\"path\":[0,1]}\n{\"rate\":1,\"path\":[0,1,2,3]}\n"},
 }
 
 // TestStreamFlowLinesMatchJSON is the table half of the differential
@@ -707,7 +751,7 @@ func TestStreamFlowLinesMatchJSON(t *testing.T) {
 	// errors.As still finds it (the service's 413 depends on that),
 	// even from a source that reports it only once.
 	errSource := errors.New("source failed")
-	for _, cut := range []string{"", `{"rate":1,"pa`, `{"rate":2,"path":[1,2]}`} {
+	for _, cut := range []string{"", `{"rate":1,"pa`, `{"rate":2,"path":[1,2]}`, `{"rate":2,"path":[0,1]}`} {
 		newStream := func() io.Reader {
 			return io.MultiReader(strings.NewReader(flowDiffHeader+"\n{\"rate\":1,\"path\":[0,1]}\n"+cut),
 				&onceErrReader{errSource})
@@ -832,6 +876,163 @@ func TestScanFlowLine(t *testing.T) {
 			t.Errorf("scanner claimed non-canonical line %q", line)
 		}
 	}
+}
+
+// lineTableOf feeds tail through readFlowLines to a builder over the
+// line 0 -> 1 -> ... -> n-1 and returns the built problem with the
+// line table the decode used.
+func lineTableOf(t *testing.T, n int, tail string) (*Problem, *lineTable) {
+	t.Helper()
+	b := NewProblemBuilder()
+	for i := 0; i < n; i++ {
+		if _, err := b.AddNode(fmt.Sprint("v", i)); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			if err := b.AddEdge(i-1, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var lines lineTable
+	if _, err := b.readFlowLines(strings.NewReader(tail), FlowSpec{}, 0, &lines); err != nil {
+		t.Fatal(err)
+	}
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, &lines
+}
+
+// TestStreamLineTableBound pins the line table's memory on counts: one
+// entry per distinct path at most, and text bytes within the path
+// arena's bytes plus lineSyntax per class, whatever the repetition.
+func TestStreamLineTableBound(t *testing.T) {
+	const n = 20000 // five-digit vertex ids, the widest text per hop here
+	var distinct, repeated strings.Builder
+	for i := 0; i+6 <= n; i += 3 {
+		fmt.Fprintf(&distinct, "{\"rate\":%d,\"path\":[%d,%d,%d,%d,%d,%d]}\n", i+1, i, i+1, i+2, i+3, i+4, i+5)
+		fmt.Fprintf(&repeated, "{\"rate\":%d,\"path\":[9998,9999,10000,10001]}\n", i+1)
+	}
+
+	p, lines := lineTableOf(t, n, distinct.String())
+	inst := p.Instance()
+	arena := 0
+	for c := 0; c < inst.NumClasses(); c++ {
+		arena += len(inst.FlowPath(inst.ClassFlow(c))) * hopBytes
+	}
+	if inst.NumClasses() != inst.NumFlows() || len(lines.entries) != inst.NumClasses() {
+		t.Fatalf("distinct paths: %d flows, %d classes, %d table entries; want all equal",
+			inst.NumFlows(), inst.NumClasses(), len(lines.entries))
+	}
+	if limit := arena + lineSyntax*inst.NumClasses(); len(lines.text) > limit {
+		t.Fatalf("distinct paths: %d text bytes, over the %d-byte arena plus %d per class",
+			len(lines.text), arena, lineSyntax)
+	}
+
+	p, lines = lineTableOf(t, n, repeated.String())
+	if inst := p.Instance(); inst.NumClasses() != 1 || len(lines.entries) != 1 {
+		t.Fatalf("one repeated path: %d classes, %d table entries; want 1 and 1",
+			inst.NumClasses(), len(lines.entries))
+	}
+
+	// A text wider than its path's arena span plus lineSyntax stays out.
+	lines.add([]byte(`,"path":[12345678901,12345678902]}`+"\n"), 2, 0)
+	if len(lines.entries) != 1 {
+		t.Fatalf("an over-wide text entered the table: %d entries", len(lines.entries))
+	}
+}
+
+// bulkShapedStream renders perfbench's bulk-ingest shape at a given
+// flow count: 2,000 vertices, and every flow on the shortest path from
+// a random vertex to one of three hubs, so paths repeat heavily.
+func bulkShapedStream(tb testing.TB, flows int) []byte {
+	tb.Helper()
+	const nodes = 2000
+	g := GeneralRandom(nodes, 0.5, 11)
+	into := make([][]NodeID, nodes) // in-neighbours
+	for _, e := range g.Edges() {
+		into[e.To] = append(into[e.To], e.From)
+	}
+	hubs := []NodeID{0, 1, 2}
+	next := make([][]NodeID, len(hubs)) // next hop towards each hub, -1 if none
+	for h, hub := range hubs {
+		next[h] = make([]NodeID, nodes)
+		for v := range next[h] {
+			next[h][v] = -1
+		}
+		next[h][hub] = hub
+		for queue := []NodeID{hub}; len(queue) > 0; queue = queue[1:] {
+			for _, u := range into[queue[0]] {
+				if next[h][u] < 0 {
+					next[h][u] = queue[0]
+					queue = append(queue, u)
+				}
+			}
+		}
+	}
+	var buf bytes.Buffer
+	w, err := NewFlowStreamWriter(&buf, ingestHeader(g))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var path Path
+	for w.Flows() < flows {
+		src := NodeID(len(hubs) + rng.Intn(nodes-len(hubs)))
+		h := rng.Intn(len(hubs))
+		if next[h][src] < 0 {
+			continue
+		}
+		path = append(path[:0], src)
+		for v := src; v != hubs[h]; {
+			v = next[h][v]
+			path = append(path, v)
+		}
+		if err := w.Add(1+rng.Intn(1000), path); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestStreamBulkShapeMatchesJSON: a bulk-shaped stream, where nearly
+// every line repeats an earlier path, decodes through DecodeStream to
+// the problem the encoding/json reference decodes: rates, paths and
+// class ids flow by flow, and the bits of the raw demand.
+func TestStreamBulkShapeMatchesJSON(t *testing.T) {
+	stream := bulkShapedStream(t, 100_000)
+	requireSameAsJSON(t, "bulk shape", func() io.Reader { return bytes.NewReader(stream) })
+	got, err := DecodeStream(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := jsonFlowStream(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gi, wi := got.Instance(), want.Instance()
+	if math.Float64bits(gi.RawDemand()) != math.Float64bits(wi.RawDemand()) {
+		t.Fatalf("raw demand %v, encoding/json decodes %v", gi.RawDemand(), wi.RawDemand())
+	}
+	if gi.NumClasses() > gi.NumFlows()/10 {
+		t.Fatalf("%d classes for %d flows: the fixture should repeat paths heavily", gi.NumClasses(), gi.NumFlows())
+	}
+}
+
+// scanFlowLine parses one whole line the way readFlowLines does
+// without its line table: scanFlowRate, then scanFlowPath.
+func scanFlowLine(line []byte, fs *FlowSpec) bool {
+	rate, at, ok := scanFlowRate(line)
+	if !ok {
+		return false
+	}
+	fs.Rate = rate
+	return scanFlowPath(line[at:], fs)
 }
 
 // FuzzStreamFlowLines is the generated half of the differential
