@@ -8,7 +8,6 @@ import (
 
 	"tdmd/internal/graph"
 	"tdmd/internal/netsim"
-	"tdmd/internal/pq"
 )
 
 // GTP is the paper's Algorithm 1 (General Topology Placement): starting
@@ -168,22 +167,20 @@ func GTPLazy(ctx context.Context, in *netsim.Instance) Result {
 		sc.phase("cover", coverStart)
 	}()
 	st := netsim.NewState(in, netsim.NewPlan())
-	heap := pq.NewMax[graph.NodeID]()
-	for _, v := range in.G.Nodes() {
-		heap.Push(v, st.MarginalGain(v))
-	}
+	heap := newLazyHeap(in.G.NumNodes(), st.MarginalGain)
 	// One refresh buffer for the whole solve: popBestLazy can pop at
 	// most every heap entry, so |V| capacity means the per-deployment
-	// refresh loop never grows a slice.
+	// refresh loop never grows a slice. The heap only gets back what
+	// popBestLazy popped, so it never regrows either.
 	scratch := make([]lazyCand, 0, in.G.NumNodes())
 	//tdmd:hot
-	for !st.Feasible() && heap.Len() > 0 {
+	for !st.Feasible() && len(heap) > 0 {
 		if canceled(ctx) {
 			r := finish(in, st.Plan())
 			r.Interrupted = ctx.Err()
 			return r
 		}
-		v, ok := popBestLazy(st, heap, scratch)
+		v, ok := popBestLazy(st, &heap, scratch)
 		if !ok {
 			break
 		}
@@ -207,17 +204,15 @@ type lazyCand struct {
 // owned refresh buffer (reused across calls, overwritten every call).
 //
 //tdmd:hot
-func popBestLazy(st *netsim.State, heap *pq.Heap[graph.NodeID], scratch []lazyCand) (graph.NodeID, bool) {
+func popBestLazy(st *netsim.State, heap *lazyHeap, scratch []lazyCand) (graph.NodeID, bool) {
 	fresh := scratch[:0]
 	best := math.Inf(-1)
 	// Pop while a stale entry could still beat or tie the best fresh
 	// value (stale priorities never underestimate, by submodularity).
-	for heap.Len() > 0 {
-		_, stalePri, _ := heap.Peek()
-		if stalePri < best {
-			break
-		}
-		v, _, _ := heap.Pop()
+	// Entries with equal stale gains are popped all or none, so the
+	// popped set does not depend on the heap's layout.
+	for len(*heap) > 0 && !((*heap)[0].gain < best) {
+		v := heap.pop()
 		g := st.MarginalGain(v)
 		fresh = append(fresh, lazyCand{v, g, st.UnservedCovered(v)})
 		if g > best {
@@ -237,13 +232,84 @@ func popBestLazy(st *netsim.State, heap *pq.Heap[graph.NodeID], scratch []lazyCa
 	// Re-insert the losers with their refreshed values.
 	for _, c := range fresh {
 		if c.v != chosen.v {
-			heap.Push(c.v, c.gain)
+			heap.push(lazyEntry{c.gain, c.v})
 		}
 	}
 	if chosen.v == graph.Invalid || (best <= 0 && chosen.covered == 0) {
 		return graph.Invalid, false
 	}
 	return chosen.v, true
+}
+
+// lazyHeap is GTPLazy's max-heap of (stale gain, vertex) entries. It
+// keeps no position index: the lazy greedy only pushes and pops.
+type lazyHeap []lazyEntry
+
+type lazyEntry struct {
+	gain float64
+	v    graph.NodeID
+}
+
+// newLazyHeap holds vertices 0..n-1 at their gains.
+func newLazyHeap(n int, gain func(graph.NodeID) float64) lazyHeap {
+	h := make(lazyHeap, n)
+	for v := range h {
+		h[v] = lazyEntry{gain(graph.NodeID(v)), graph.NodeID(v)}
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	return h
+}
+
+// push adds e. The heap never holds more entries than it was made
+// with, so it grows within its capacity.
+//
+//tdmd:hot
+func (h *lazyHeap) push(e lazyEntry) {
+	*h = (*h)[:len(*h)+1]
+	s, i := *h, len(*h)-1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if s[parent].gain >= e.gain {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = e
+}
+
+// pop removes the top entry and returns its vertex.
+//
+//tdmd:hot
+func (h *lazyHeap) pop() graph.NodeID {
+	s := *h
+	top, last := s[0].v, len(s)-1
+	s[0] = s[last]
+	*h = s[:last]
+	h.down(0)
+	return top
+}
+
+// down moves entry i toward the leaves until no child outranks it.
+//
+//tdmd:hot
+func (h lazyHeap) down(i int) {
+	for {
+		best, l := i, 2*i+1
+		if l < len(h) && h[l].gain > h[best].gain {
+			best = l
+		}
+		if r := l + 1; r < len(h) && h[r].gain > h[best].gain {
+			best = r
+		}
+		if best == i {
+			return
+		}
+		h[i], h[best] = h[best], h[i]
+		i = best
+	}
 }
 
 // bestCandidate returns the undeployed vertex with the maximum

@@ -124,6 +124,45 @@ func TestGTPLazyMatchesGTPRandom(t *testing.T) {
 	}
 }
 
+// Property: GTPLazy's heap pops every entry once, in non-increasing
+// gain order, after any rounds of popping entries and pushing them
+// back with lower gains, as popBestLazy does (gains repeat, so ties
+// are exercised).
+func TestLazyHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		gains := make([]float64, rng.Intn(60))
+		for v := range gains {
+			gains[v] = float64(rng.Intn(8))
+		}
+		h := newLazyHeap(len(gains), func(v graph.NodeID) float64 { return gains[v] })
+		for round := rng.Intn(5); round > 0; round-- {
+			var popped []graph.NodeID
+			for k := rng.Intn(len(h) + 1); k > 0; k-- {
+				popped = append(popped, h.pop())
+			}
+			for _, v := range popped {
+				gains[v] -= float64(rng.Intn(3))
+				h.push(lazyEntry{gains[v], v})
+			}
+		}
+		seen := make([]bool, len(gains))
+		last := math.Inf(1)
+		for len(h) > 0 {
+			v := h.pop()
+			if seen[v] || gains[v] > last {
+				t.Fatalf("trial %d: popped %d (gain %v) after gain %v, seen before %v", trial, v, gains[v], last, seen[v])
+			}
+			seen[v], last = true, gains[v]
+		}
+		for v, ok := range seen {
+			if !ok {
+				t.Fatalf("trial %d: vertex %d never popped", trial, v)
+			}
+		}
+	}
+}
+
 // Property: GTP always returns a feasible plan on valid instances
 // (every flow's source can host a middlebox).
 func TestGTPAlwaysFeasible(t *testing.T) {

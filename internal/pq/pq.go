@@ -1,17 +1,14 @@
-// Package pq implements an indexed binary heap: a priority queue that
-// supports O(log n) update/removal of arbitrary items by key.
+// Package pq implements an indexed binary min-heap: a priority queue
+// that supports O(log n) update/removal of arbitrary items by key.
 //
-// Two consumers drive the design. The lazy-greedy variant of GTP keeps
-// an upper bound per candidate vertex and needs decrease-key; HAT keeps
-// one entry per middlebox pair and needs to delete all pairs touching a
-// merged vertex. Both are served by Update and Remove.
+// HAT drives the design: it keeps one entry per middlebox pair and
+// must delete every pair touching a merged vertex (Remove) and
+// re-price the pairs of the merged LCA (Update).
 package pq
 
-// Heap is an indexed binary heap over items identified by a comparable
-// key. If Max is true it is a max-heap, otherwise a min-heap.
-// The zero value (plus choosing Max) is ready to use.
+// Heap is an indexed binary min-heap over items identified by a
+// comparable key. The zero value is ready to use.
 type Heap[K comparable] struct {
-	Max   bool
 	items []entry[K]
 	pos   map[K]int
 }
@@ -24,26 +21,8 @@ type entry[K comparable] struct {
 // NewMin returns an empty min-heap.
 func NewMin[K comparable]() *Heap[K] { return &Heap[K]{} }
 
-// NewMax returns an empty max-heap.
-func NewMax[K comparable]() *Heap[K] { return &Heap[K]{Max: true} }
-
 // Len reports the number of items in the heap.
 func (h *Heap[K]) Len() int { return len(h.items) }
-
-// Contains reports whether key is present.
-func (h *Heap[K]) Contains(key K) bool {
-	_, ok := h.pos[key]
-	return ok
-}
-
-// Priority returns the priority of key; ok is false if absent.
-func (h *Heap[K]) Priority(key K) (pri float64, ok bool) {
-	i, ok := h.pos[key]
-	if !ok {
-		return 0, false
-	}
-	return h.items[i].pri, true
-}
 
 // Push inserts key with the given priority. It panics if key is
 // already present; use Update for upserts.
@@ -64,7 +43,7 @@ func (h *Heap[K]) Update(key K, pri float64) {
 	if i, ok := h.pos[key]; ok {
 		old := h.items[i].pri
 		h.items[i].pri = pri
-		if h.less(pri, old) {
+		if pri < old {
 			h.up(i)
 		} else {
 			h.down(i)
@@ -105,15 +84,6 @@ func (h *Heap[K]) Remove(key K) bool {
 	return true
 }
 
-// Keys returns all keys in heap (arbitrary) order.
-func (h *Heap[K]) Keys() []K {
-	out := make([]K, len(h.items))
-	for i, it := range h.items {
-		out[i] = it.key
-	}
-	return out
-}
-
 func (h *Heap[K]) removeAt(i int) {
 	last := len(h.items) - 1
 	delete(h.pos, h.items[i].key)
@@ -128,18 +98,10 @@ func (h *Heap[K]) removeAt(i int) {
 	}
 }
 
-// less reports whether priority a should sit above b.
-func (h *Heap[K]) less(a, b float64) bool {
-	if h.Max {
-		return a > b
-	}
-	return a < b
-}
-
 func (h *Heap[K]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.items[i].pri, h.items[parent].pri) {
+		if !(h.items[i].pri < h.items[parent].pri) {
 			return
 		}
 		h.swap(i, parent)
@@ -152,10 +114,10 @@ func (h *Heap[K]) down(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		best := i
-		if l < n && h.less(h.items[l].pri, h.items[best].pri) {
+		if l < n && h.items[l].pri < h.items[best].pri {
 			best = l
 		}
-		if r < n && h.less(h.items[r].pri, h.items[best].pri) {
+		if r < n && h.items[r].pri < h.items[best].pri {
 			best = r
 		}
 		if best == i {

@@ -23,24 +23,6 @@ func TestMinHeapOrder(t *testing.T) {
 	}
 }
 
-func TestMaxHeapOrder(t *testing.T) {
-	h := NewMax[int]()
-	for i, p := range []float64{5, 1, 9, 3} {
-		h.Push(i, p)
-	}
-	var got []float64
-	for h.Len() > 0 {
-		_, p, _ := h.Pop()
-		got = append(got, p)
-	}
-	want := []float64{9, 5, 3, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("max order = %v", got)
-		}
-	}
-}
-
 func TestPeekDoesNotRemove(t *testing.T) {
 	h := NewMin[int]()
 	h.Push(7, 1.5)
@@ -101,26 +83,6 @@ func TestRemove(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("remaining = %v, want %v", got, want)
 		}
-	}
-}
-
-func TestContainsPriorityKeys(t *testing.T) {
-	h := NewMax[string]()
-	h.Push("a", 4)
-	h.Push("b", 2)
-	if !h.Contains("a") || h.Contains("c") {
-		t.Fatal("Contains broken")
-	}
-	if p, ok := h.Priority("b"); !ok || p != 2 {
-		t.Fatalf("Priority(b) = %v %v", p, ok)
-	}
-	if _, ok := h.Priority("zz"); ok {
-		t.Fatal("Priority of absent key reported ok")
-	}
-	keys := h.Keys()
-	sort.Strings(keys)
-	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
-		t.Fatalf("Keys = %v", keys)
 	}
 }
 

@@ -777,6 +777,39 @@ func TestServeFingerprint(t *testing.T) {
 	}
 }
 
+// TestServeFingerprintGolden pins the fingerprint's byte layout: the
+// digest of a fixed submission (a 15-vertex tree with a root, a seed,
+// and 300 flows over 14 repeated paths, enough to refill the hasher's
+// buffer several times) was recorded from the per-value encoder. A
+// layout change must bump fpVersion and re-record this digest.
+func TestServeFingerprintGolden(t *testing.T) {
+	spec := tdmd.ProblemSpec{Lambda: 0.25, Root: 0}
+	for v := 0; v < 15; v++ {
+		spec.Nodes = append(spec.Nodes, fmt.Sprint("v", v))
+		if v > 0 {
+			spec.Edges = append(spec.Edges, [2]int{v, (v - 1) / 2})
+		}
+	}
+	for i := 0; i < 300; i++ {
+		path := []int{1 + i*5%14}
+		for v := path[0]; v > 0; {
+			v = (v - 1) / 2
+			path = append(path, v)
+		}
+		spec.Flows = append(spec.Flows, tdmd.FlowSpec{Rate: 1 + i*13%17, Path: path})
+	}
+	p, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := int64(42)
+	fp := SubmissionFingerprint(Submission{Problem: p, Algorithm: "gtp-lazy", K: 3, Seed: &seed})
+	const want = "1de4c18df63944df41f8b48c0aea7aa6e737bcf120feeaf51a66c0c37adf03fa"
+	if got := fmt.Sprintf("%x", fp[:]); got != want {
+		t.Errorf("fingerprint %s, want %s (%s layout)", got, want, fpVersion)
+	}
+}
+
 // TestServeIncumbentRecorderMonotone: multistart solvers may emit a
 // later, worse incumbent; the recorder must keep the best.
 func TestServeIncumbentRecorderMonotone(t *testing.T) {

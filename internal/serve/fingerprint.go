@@ -127,9 +127,19 @@ func SubmissionFingerprint(sub Submission) Fingerprint {
 	}
 	nf := in.NumFlows()
 	f.i64(int64(nf))
-	for i := 0; i < nf; i++ {
-		f.u32(uint32(in.FlowRate(i)))
-		f.u32(uint32(in.FlowClass(i)))
+	// Whole (rate, class) pairs a buffer-load at a time: one bounds
+	// check per chunk instead of two reserve calls per flow.
+	for i := 0; i < nf; {
+		if f.n+8 > len(f.buf) {
+			f.flush()
+		}
+		m := min(nf-i, (len(f.buf)-f.n)/8)
+		for chunk := f.buf[f.n : f.n+8*m]; len(chunk) >= 8; chunk = chunk[8:] {
+			binary.LittleEndian.PutUint32(chunk[:4], uint32(in.FlowRate(i)))
+			binary.LittleEndian.PutUint32(chunk[4:8], uint32(in.FlowClass(i)))
+			i++
+		}
+		f.n += 8 * m
 	}
 	f.flush()
 

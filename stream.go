@@ -372,8 +372,8 @@ func (b *ProblemBuilder) readStream(dec *json.Decoder, src io.Reader) (flows int
 		case "nodes":
 			// Positional, like ProblemSpec.Build: vertex i is the i-th
 			// name, even under duplicate labels (edges are index pairs).
-			var names []string
-			if err := dec.Decode(&names); err != nil {
+			names, err := decodeList(dec, (*specScanner).nodes)
+			if err != nil {
 				return flows, fmt.Errorf("tdmd: stream: %w", err)
 			}
 			if len(names) == 0 {
@@ -387,8 +387,8 @@ func (b *ProblemBuilder) readStream(dec *json.Decoder, src io.Reader) (flows int
 				b.g.AddNode(name)
 			}
 		case "edges":
-			var more [][2]int
-			if err := dec.Decode(&more); err != nil {
+			more, err := decodeList(dec, (*specScanner).edges)
+			if err != nil {
 				return flows, fmt.Errorf("tdmd: stream: decoding edges: %w", err)
 			}
 			if len(more) == 0 {
@@ -453,6 +453,12 @@ func (b *ProblemBuilder) readStream(dec *json.Decoder, src io.Reader) (flows int
 	return b.readFlowLines(io.MultiReader(dec.Buffered(), src), fs, flows, new(lineTable))
 }
 
+// flowLineBuffer is readFlowLines' read buffer size, so also the
+// longest flow line it scans in place. On a socket each fill is a read
+// call: over loopback TCP, an 8.9 MB, 200k-flow stream took 165 reads
+// at 64 KiB and 2,180 at bufio's 4 KiB default.
+const flowLineBuffer = 64 << 10
+
 // readFlowLines ingests the NDJSON tail, one line at a time, into a
 // reused FlowSpec, so working memory stays O(longest line) plus the
 // line table. Whitespace-only lines (the first is the header's own
@@ -469,7 +475,7 @@ func (b *ProblemBuilder) readStream(dec *json.Decoder, src io.Reader) (flows int
 // rejected exactly as encoding/json decides. flows counts the flows
 // read so far.
 func (b *ProblemBuilder) readFlowLines(r io.Reader, fs FlowSpec, flows int, lines *lineTable) (int, error) {
-	br := bufio.NewReader(r)
+	br := bufio.NewReaderSize(r, flowLineBuffer)
 	//tdmd:hot
 	for {
 		line, err := br.ReadSlice('\n')
@@ -686,38 +692,11 @@ func ScanCanonicalSpec(data []byte) (s ProblemSpec, n int, ok bool) {
 	if !sc.lit(`{"nodes":`) {
 		return ProblemSpec{}, 0, false
 	}
-	start, names := sc.i, 0
-	null, ok := sc.list(func() bool { names++; return sc.str() })
-	if !ok {
+	if s.Nodes, ok = sc.nodes(); !ok || !sc.lit(`,"edges":`) {
 		return ProblemSpec{}, 0, false
 	}
-	if !null {
-		// One string holds every name; the nodes slice views into it.
-		s.Nodes = splitNames(string(data[start:sc.i]), make([]string, 0, names))
-	}
-	if !sc.lit(`,"edges":`) {
+	if s.Edges, ok = sc.edges(); !ok || !sc.lit(`,"flows":`) {
 		return ProblemSpec{}, 0, false
-	}
-	// Each edge opens one bracket before the flows key, which ends the
-	// list in a canonical document.
-	list := data[sc.i:]
-	if end := bytes.Index(list, []byte(`,"flows":`)); end >= 0 {
-		list = list[:end]
-	}
-	s.Edges = make([][2]int, 0, max(bytes.Count(list, []byte("["))-1, 0))
-	null, ok = sc.list(func() bool {
-		var e [2]int
-		if !sc.lit("[") || !sc.int(&e[0]) || !sc.lit(",") || !sc.int(&e[1]) || !sc.lit("]") {
-			return false
-		}
-		s.Edges = append(s.Edges, e)
-		return true
-	})
-	if !ok || !sc.lit(`,"flows":`) {
-		return ProblemSpec{}, 0, false
-	}
-	if null {
-		s.Edges = nil
 	}
 	// Every flow opens one brace. Every hop of a path is preceded by a
 	// comma, the first by the one before "path", and the commas after
@@ -735,7 +714,7 @@ func ScanCanonicalSpec(data []byte) (s ProblemSpec, n int, ok bool) {
 		hops = append(hops, v)
 		return ok
 	}
-	null, ok = sc.list(func() bool {
+	null, ok := sc.list(func() bool {
 		var f FlowSpec
 		if !sc.lit(`{"rate":`) || !sc.int(&f.Rate) || !sc.lit(`,"path":`) {
 			return false
@@ -760,10 +739,47 @@ func ScanCanonicalSpec(data []byte) (s ProblemSpec, n int, ok bool) {
 	return s, sc.i, true
 }
 
-// specScanner is ScanCanonicalSpec's cursor over the document.
+// specScanner is ScanCanonicalSpec's cursor over the document. The
+// stream decoder also runs its nodes and edges on the raw values of
+// those keys.
 type specScanner struct {
 	data []byte
 	i    int
+}
+
+// nodes consumes a node list: null (nil) or an array of strings that
+// str accepts. One string holds every name; the slice views into it.
+func (sc *specScanner) nodes() ([]string, bool) {
+	start, names := sc.i, 0
+	null, ok := sc.list(func() bool { names++; return sc.str() })
+	if !ok || null {
+		return nil, ok
+	}
+	return splitNames(string(sc.data[start:sc.i]), make([]string, 0, names)), true
+}
+
+// edges consumes an edge list: null (nil) or an array of [u,v]
+// integer pairs.
+func (sc *specScanner) edges() ([][2]int, bool) {
+	// Each edge opens one bracket before the flows key, which ends the
+	// list in a canonical document.
+	list := sc.data[sc.i:]
+	if end := bytes.Index(list, []byte(`,"flows":`)); end >= 0 {
+		list = list[:end]
+	}
+	edges := make([][2]int, 0, max(bytes.Count(list, []byte("["))-1, 0))
+	null, ok := sc.list(func() bool {
+		var e [2]int
+		if !sc.lit("[") || !sc.int(&e[0]) || !sc.lit(",") || !sc.int(&e[1]) || !sc.lit("]") {
+			return false
+		}
+		edges = append(edges, e)
+		return true
+	})
+	if !ok || null {
+		return nil, ok
+	}
+	return edges, true
 }
 
 // lit consumes lit if the input continues with it.
@@ -970,6 +986,24 @@ func decodeArray(dec *json.Decoder, elem func() error) error {
 		return fmt.Errorf("tdmd: stream: %w", err)
 	}
 	return nil
+}
+
+// decodeList decodes the next value as a T: with scan when it takes
+// the whole value, otherwise with encoding/json on the same bytes.
+// The value is read whole first, as a direct Decode into a T reads
+// it, so read and syntax errors come at the same point either way.
+func decodeList[T any](dec *json.Decoder, scan func(*specScanner) (T, bool)) (T, error) {
+	var raw json.RawMessage
+	var v T
+	if err := dec.Decode(&raw); err != nil {
+		return v, err
+	}
+	sc := specScanner{data: raw}
+	if v, ok := scan(&sc); ok && sc.i == len(raw) {
+		return v, nil
+	}
+	err := json.Unmarshal(raw, &v)
+	return v, err
 }
 
 // decodeScalar decodes one scalar value into v.

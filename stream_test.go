@@ -544,37 +544,111 @@ func TestIngestMetricsExposed(t *testing.T) {
 	}
 }
 
-// streamDecodeSeeds are FuzzStreamDecode's seed inputs: spec
-// documents and NDJSON streams, well-formed and not.
-var streamDecodeSeeds = []string{
-	`{"nodes":["a","b"],"edges":[[0,1]],"flows":[{"rate":1,"path":[0,1]}],"lambda":0.5,"root":-1}`,
-	`{"format":"tdmd-flows/1","nodes":["a","b"],"edges":[[0,1],[1,0]],"lambda":0.5,"root":-1}` + "\n" +
-		`{"rate":1,"path":[0,1]}` + "\n" + `{"rate":2,"path":[1,0]}` + "\n",
-	`{"format":"tdmd-flows/1","nodes":["a","b"],"edges":[[0,1],[1,0]],"lambda":0.5,"root":-1}` + "\n" +
+// streamDecodeSeeds are FuzzStreamDecode's seed inputs, spec
+// documents and NDJSON streams, well-formed and not, each with what
+// DecodeStream makes of it (streamOutcome). The outcomes were recorded
+// from the decoder that read "nodes" and "edges" with encoding/json
+// alone, so they pin that the header scanners change neither what is
+// accepted nor an error text: escapes, non-ASCII and invalid UTF-8,
+// null and [], whitespace, short, long and float edges, leading zeros,
+// -0, 19-digit integers, out-of-range edges and repeated keys.
+var streamDecodeSeeds = []struct{ in, want string }{
+	{`{"nodes":["a","b"],"edges":[[0,1]],"flows":[{"rate":1,"path":[0,1]}],"lambda":0.5,"root":-1}`, "nodes [\"a\" \"b\"] edges [[0 1]] flows 1"},
+	{`{"format":"tdmd-flows/1","nodes":["a","b"],"edges":[[0,1],[1,0]],"lambda":0.5,"root":-1}` + "\n" +
+		`{"rate":1,"path":[0,1]}` + "\n" + `{"rate":2,"path":[1,0]}` + "\n", "nodes [\"a\" \"b\"] edges [[0 1] [1 0]] flows 2"},
+	{`{"format":"tdmd-flows/1","nodes":["a","b"],"edges":[[0,1],[1,0]],"lambda":0.5,"root":-1}` + "\n" +
 		`{"rate":1,"path":[0,1]}` + "\n" + `{"rate":2,"path":[1,0]}` + "\n" + `{"rate":3,"path":[0,1]}` + "\n" +
-		`{"rate":4,"path":[1,0]}` + "\n" + `{"rate":0,"path":[0,1]}` + "\n",
-	`{"format":"tdmd-flows/1","nodes":["a","b"],"edges":[[0,1]],"lambda":0.5,"root":-1}` + "\n" +
-		`{"rate":1,"path":[0,1]}` + "\n" + `{"rate":2147483648,"path":[0,1]}` + "\n",
-	`{"format":"tdmd-flows/1","nodes":["a","b"],"edges":[[0,1]],"lambda":0.5,"root":-1}` + "\n" + `{"rate":1,"pa`,
-	`{"format":"tdmd-flows/2","nodes":[],"edges":[],"lambda":0,"root":-1}`,
-	`{"format":"tdmd-flows/1","nodes":["a"],"edges":null,"lambda":0,"root":0}`,
-	`{"nodes":["a","b"],"edges":[[0,1]],"flows":null,"lambda":0.5,"root":-1}`,
-	`{"flows":[{"rate":1,"path":[0,1]}],"nodes":["a","b"]}`,
-	`{"nodes":["a","b"],"edges":[[0,1]],"surprise":1}`,
-	``,
-	`[]`,
-	`{`,
+		`{"rate":4,"path":[1,0]}` + "\n" + `{"rate":0,"path":[0,1]}` + "\n", "error: traffic: flow 4: invalid path: non-positive rate 0"},
+	{`{"format":"tdmd-flows/1","nodes":["a","b"],"edges":[[0,1]],"lambda":0.5,"root":-1}` + "\n" +
+		`{"rate":1,"path":[0,1]}` + "\n" + `{"rate":2147483648,"path":[0,1]}` + "\n", "error: netsim: flow 1 rate 2147483648 overflows the rate arena"},
+	{`{"format":"tdmd-flows/1","nodes":["a","b"],"edges":[[0,1]],"lambda":0.5,"root":-1}` + "\n" + `{"rate":1,"pa`, "error: tdmd: stream: decoding flow 0: unexpected EOF"},
+	{`{"format":"tdmd-flows/2","nodes":[],"edges":[],"lambda":0,"root":-1}`, "error: tdmd: stream: unsupported format \"tdmd-flows/2\" (want \"tdmd-flows/1\")"},
+	{`{"format":"tdmd-flows/1","nodes":["a"],"edges":null,"lambda":0,"root":0}`, "nodes [\"a\"] edges [] flows 0"},
+	{`{"nodes":["a","b"],"edges":[[0,1]],"flows":null,"lambda":0.5,"root":-1}`, "nodes [\"a\" \"b\"] edges [[0 1]] flows 0"},
+	{`{"flows":[{"rate":1,"path":[0,1]}],"nodes":["a","b"]}`, "error: traffic: flow 0: invalid path at hop 0 (0 -> 0): vertex 0 outside graph (n=0)"},
+	{`{"nodes":["a","b"],"edges":[[0,1]],"surprise":1}`, "error: tdmd: stream: unknown field \"surprise\""},
+	{``, "error: tdmd: stream: EOF"},
+	{`[]`, "error: tdmd: stream: expected \"{\", got ["},
+	{`{`, "error: tdmd: stream: EOF"},
+	{oneFlowStream(`["a\u003cb","c\\\"d"]`, `[[0,1]]`), "nodes [\"a<b\" \"c\\\\\\\"d\"] edges [[0 1]] flows 1"},
+	{oneFlowStream(`["é","ß"]`, `[[0,1]]`), "nodes [\"é\" \"ß\"] edges [[0 1]] flows 1"},
+	{oneFlowStream("[\"\xff\",\"b\"]", `[[0,1]]`), "nodes [\"�\" \"b\"] edges [[0 1]] flows 1"},
+	{oneFlowStream(`["a","b","a"]`, `[[0,1]]`), "nodes [\"a\" \"b\" \"a\"] edges [[0 1]] flows 1"},
+	{oneFlowStream(`null`, `null`), "error: traffic: flow 0: invalid path at hop 0 (0 -> 0): vertex 0 outside graph (n=0)"},
+	{oneFlowStream(`[]`, `[]`), "error: traffic: flow 0: invalid path at hop 0 (0 -> 0): vertex 0 outside graph (n=0)"},
+	{oneFlowStream(`["a","b"]`, `null`), "error: traffic: flow 0: invalid path at hop 0 (0 -> 1): consecutive hops are not joined by an edge"},
+	{oneFlowStream(`["a","b"]`, `[]`), "error: traffic: flow 0: invalid path at hop 0 (0 -> 1): consecutive hops are not joined by an edge"},
+	{oneFlowStream(`[ "a" , "b" ]`, `[ [ 0 , 1 ] ]`), "nodes [\"a\" \"b\"] edges [[0 1]] flows 1"},
+	{oneFlowStream("[\"a\",\n\t\"b\"]", "[[0,1],\r\n[1,0]]"), "nodes [\"a\" \"b\"] edges [[0 1] [1 0]] flows 1"},
+	{oneFlowStream(`["a","b"]`, `[[0,1,1]]`), "nodes [\"a\" \"b\"] edges [[0 1]] flows 1"},
+	{oneFlowStream(`["a","b"]`, `[[0,1],[1]]`), "nodes [\"a\" \"b\"] edges [[0 1] [1 0]] flows 1"},
+	{oneFlowStream(`["a","b"]`, `[null,[0,1]]`), "nodes [\"a\" \"b\"] edges [[0 0] [0 1]] flows 1"},
+	{oneFlowStream(`["a","b"]`, `[[0.0,1]]`), "error: tdmd: stream: decoding edges: json: cannot unmarshal number 0.0 into Go value of type int"},
+	{oneFlowStream(`["a","b"]`, `[[0,1e0]]`), "error: tdmd: stream: decoding edges: json: cannot unmarshal number 1e0 into Go value of type int"},
+	{oneFlowStream(`["a","b"]`, `[[00,1]]`), "error: tdmd: stream: decoding edges: invalid character '0' after array element"},
+	{oneFlowStream(`["a","b"]`, `[[0,01]]`), "error: tdmd: stream: decoding edges: invalid character '1' after array element"},
+	{oneFlowStream(`["a","b"]`, `[[-0,1]]`), "nodes [\"a\" \"b\"] edges [[0 1]] flows 1"},
+	{oneFlowStream(`["a","b"]`, `[[0,1000000000000000000]]`), "error: tdmd: builder edge [0 1000000000000000000] out of range (2 nodes)"},
+	{oneFlowStream(`["a","b"]`, `[[0,9999999999999999999]]`), "error: tdmd: stream: decoding edges: json: cannot unmarshal number 9999999999999999999 into Go value of type int"},
+	{oneFlowStream(`["a","b"]`, `[[0,-9223372036854775808]]`), "error: tdmd: builder edge [0 -9223372036854775808] out of range (2 nodes)"},
+	{oneFlowStream(`["a","b"]`, `[[0,2]]`), "error: tdmd: builder edge [0 2] out of range (2 nodes)"},
+	{oneFlowStream(`["a","b"]`, `[[-1,0]]`), "error: tdmd: builder edge [-1 0] out of range (2 nodes)"},
+	{oneFlowStream(`["a",1]`, `[[0,1]]`), "error: tdmd: stream: json: cannot unmarshal number into Go value of type string"},
+	{oneFlowStream(`{"a":1}`, `[[0,1]]`), "error: tdmd: stream: json: cannot unmarshal object into Go value of type []string"},
+	{oneFlowStream(`"a"`, `[[0,1]]`), "error: tdmd: stream: json: cannot unmarshal string into Go value of type []string"},
+	{oneFlowStream(`["a","b"]`, `[["0",1]]`), "error: tdmd: stream: decoding edges: json: cannot unmarshal string into Go value of type int"},
+	{oneFlowStream(`["a","b"]`, `{}`), "error: tdmd: stream: decoding edges: json: cannot unmarshal object into Go value of type [][2]int"},
+	{oneFlowStream(`["a","b",]`, `[[0,1]]`), "error: tdmd: stream: invalid character ']' looking for beginning of value"},
+	{oneFlowStream(`["a","b"]`, `[[0,1],]`), "error: tdmd: stream: decoding edges: invalid character ']' looking for beginning of value"},
+	{`{"format":"tdmd-flows/1","nodes":["a"],"edges":[],"nodes":["b"],"edges":[[0,1]],"lambda":0.5,"root":-1}` + "\n" +
+		`{"rate":1,"path":[0,1]}` + "\n", "nodes [\"a\" \"b\"] edges [[0 1]] flows 1"},
+	{`{"format":"tdmd-flows/1","nodes":["a","b"],"edges":[[0,1]],"edges":[[1,0]],"nodes":["c"],"edges":[[2,0]],"lambda":0.5,"root":-1}` + "\n" +
+		`{"rate":1,"path":[2,0,1]}` + "\n", "nodes [\"a\" \"b\" \"c\"] edges [[0 1] [1 0] [2 0]] flows 1"},
+	{`{"format":"tdmd-flows/1","edges":[[0,1]],"nodes":["a","b"],"lambda":0.5,"root":-1}` + "\n", "error: tdmd: builder edge [0 1] out of range (0 nodes)"},
+	{`{"nodes":["a\u003cb","c"],"edges":[[0,1]],"flows":[{"rate":1,"path":[0,1]}],"lambda":0.5,"root":-1}`, "nodes [\"a<b\" \"c\"] edges [[0 1]] flows 1"},
+	{`{"nodes":["a","b"],"edges":[[0,1]],"flows":[{"rate":1,"path":[0,1]}],"nodes":["c"],"lambda":0.5,"root":-1}`, "error: tdmd: nodes after the first AddFlow: the topology is frozen"},
+	{`{"nodes":["a","b"],"edges":[[0,1]],"flows":[{"rate":1,"path":[0,1]}],"edges":[[1,0]],"lambda":0.5,"root":-1}`, "error: tdmd: AddEdge after the first AddFlow: the topology is frozen"},
+	{`{"nodes":["a","b"],"edges":[[0,1]` + "\n", "error: tdmd: stream: decoding edges: unexpected EOF"},
+	{`{"nodes":["a","b"`, "error: tdmd: stream: unexpected EOF"},
+}
+
+// oneFlowStream is an NDJSON stream with the given "nodes" and "edges"
+// values and one flow line, 0 -> 1.
+func oneFlowStream(nodes, edges string) string {
+	return `{"format":"tdmd-flows/1","nodes":` + nodes + `,"edges":` + edges + `,"lambda":0.5,"root":-1}` + "\n" +
+		`{"rate":1,"path":[0,1]}` + "\n"
+}
+
+// streamOutcome is DecodeStream's verdict on input: the error text, or
+// the decoded names, edges and flow count.
+func streamOutcome(input string) string {
+	p, err := DecodeStream(strings.NewReader(input))
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	g := p.Instance().G
+	return fmt.Sprintf("nodes %q edges %v flows %d", specNodes(g), specEdges(g), p.Instance().NumFlows())
+}
+
+// TestStreamDecodeSeedsOutcome: every FuzzStreamDecode seed decodes to
+// its recorded outcome.
+func TestStreamDecodeSeedsOutcome(t *testing.T) {
+	for i, seed := range streamDecodeSeeds {
+		if got := streamOutcome(seed.in); got != seed.want {
+			t.Errorf("seed %d %q:\n got %s\nwant %s", i, seed.in, got, seed.want)
+		}
+	}
 }
 
 // TestStreamDecodeSeedsMatchJSON: every FuzzStreamDecode seed that is
-// an NDJSON stream decodes through DecodeStream exactly as through
-// the encoding/json reference.
+// an NDJSON stream with a header the encoding/json reference takes
+// decodes through DecodeStream exactly as through the reference.
 func TestStreamDecodeSeedsMatchJSON(t *testing.T) {
 	for i, seed := range streamDecodeSeeds {
-		if !strings.HasPrefix(seed, `{"format":"tdmd-flows/1"`) {
+		if !strings.HasPrefix(seed.in, `{"format":"tdmd-flows/1"`) || !jsonTakesHeader(seed.in) {
 			continue
 		}
-		requireSameAsJSON(t, fmt.Sprintf("seed %d", i), func() io.Reader { return strings.NewReader(seed) })
+		requireSameAsJSON(t, fmt.Sprintf("seed %d", i), func() io.Reader { return strings.NewReader(seed.in) })
 	}
 }
 
@@ -584,7 +658,7 @@ func TestStreamDecodeSeedsMatchJSON(t *testing.T) {
 // solvable problem, never panic, never hang.
 func FuzzStreamDecode(f *testing.F) {
 	for _, seed := range streamDecodeSeeds {
-		f.Add(seed)
+		f.Add(seed.in)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
 		// Bound adversarial blow-up the same way FuzzDecodeSpec does.
@@ -646,6 +720,28 @@ func jsonFlowStream(r io.Reader) (*Problem, error) {
 			return nil, err
 		}
 	}
+}
+
+// jsonTakesHeader reports whether stream's first line is a header
+// jsonFlowStream reads as DecodeStream does: a StreamHeader exactly as
+// json.Marshal writes it (so each key once, in field order) with
+// unique node names.
+func jsonTakesHeader(stream string) bool {
+	line, _, _ := strings.Cut(stream, "\n")
+	var h StreamHeader
+	if json.Unmarshal([]byte(line), &h) != nil {
+		return false
+	}
+	if canon, err := json.Marshal(h); err != nil || string(canon) != line {
+		return false
+	}
+	b := NewProblemBuilder()
+	for _, name := range h.Nodes {
+		if _, err := b.AddNode(name); err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // flowDiffHeader is a 4-vertex ring plus one back edge, with no
@@ -791,7 +887,9 @@ func TestStreamFlowIndexAfterHeaderFlows(t *testing.T) {
 // buffer is handed to encoding/json whole, and canonical lines after
 // it still decode the same.
 func TestStreamFlowLineLongerThanBuffer(t *testing.T) {
-	const n = 2000 // a 0 -> n-1 hop list of ~9 KB, past the 4 KB reader buffer
+	// A 0 -> n-1 hop list: with most hops 5 or 6 bytes long, it runs
+	// past the line reader's buffer (checked below).
+	const n = flowLineBuffer / 4
 	g := NewGraph()
 	for i := 0; i < n; i++ {
 		g.AddNode(fmt.Sprint("v", i))
@@ -817,6 +915,13 @@ func TestStreamFlowLineLongerThanBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := buf.Bytes()
+	longest := 0
+	for _, line := range bytes.Split(stream, []byte("\n")) {
+		longest = max(longest, len(line))
+	}
+	if longest <= flowLineBuffer {
+		t.Fatalf("longest line is %d bytes, not past the %d-byte buffer", longest, flowLineBuffer)
+	}
 	requireSameAsJSON(t, "long line", func() io.Reader { return bytes.NewReader(stream) })
 	repeated := bytes.Replace(stream, []byte("[0,1]"), []byte("[0,1,0]"), 1)
 	requireSameAsJSON(t, "long line after a bad flow", func() io.Reader { return bytes.NewReader(repeated) })
