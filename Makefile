@@ -18,10 +18,10 @@ race:
 
 # The full analyzer suite (per-package rules plus the interprocedural
 # solverpurity/detorder/goleak/guardedby/lockorder/holdblock and the
-# compiler escape-analysis diff) against the checked-in baselines —
-# identical to the tdmdlint step in scripts/check.sh.
+# compiler escape-analysis diff against the checked-in escape baseline)
+# — identical to the tdmdlint step in scripts/check.sh.
 lint:
-	go run ./cmd/tdmdlint -baseline lint.baseline.json -escape-baseline escape.baseline.json ./...
+	go run ./cmd/tdmdlint -escape-baseline escape.baseline.json ./...
 
 # The concurrency-discipline analyzers alone (guarded-by inference,
 # lock ordering, no-blocking-under-lock), plus the lock-order graph
@@ -30,11 +30,9 @@ locklint:
 	go run ./cmd/tdmdlint -only guardedby,lockorder,holdblock ./...
 	go run ./cmd/tdmdlint -only lockorder -lockgraph lockgraph.dot ./...
 
-# Machine-readable findings in the baseline format (deterministic,
-# position-sorted; feed the output back via -baseline to accept
-# findings from the baselinable analyzers).
+# Machine-readable findings as JSON (deterministic, position-sorted).
 lint-json:
-	go run ./cmd/tdmdlint -baseline lint.baseline.json -escape-baseline escape.baseline.json -json ./...
+	go run ./cmd/tdmdlint -escape-baseline escape.baseline.json -json ./...
 
 # Repeated race-enabled run of the solver-cancellation tests (the
 # DESIGN.md "Cancellation & anytime contract" suite).

@@ -3,7 +3,6 @@ package tdmd
 import (
 	"context"
 	"io"
-	"math/rand"
 
 	"tdmd/internal/netsim"
 	"tdmd/internal/placement"
@@ -43,22 +42,6 @@ type SimMetrics = sim.Metrics
 // Evaluate's bandwidth exactly.
 func (p *Problem) Simulate(plan Plan, cfg SimConfig) (SimMetrics, error) {
 	return sim.Run(p.inst.G, plan, p.inst.Lambda, cfg)
-}
-
-// SolveCapacitated places middleboxes when each box can process at
-// most `capacity` total initial rate (the paper assumes unlimited
-// capacity; this is the capacitated extension, scored under the
-// first-fit-decreasing assignment of netsim's capacitated model).
-// capacity <= 0 means unlimited.
-func (p *Problem) SolveCapacitated(ctx context.Context, k, capacity int) (Result, error) {
-	return placement.GTPCapacitated(ctx, p.inst, k, capacity)
-}
-
-// MultiStartLocalSearch runs the greedy + 1-swap pipeline from several
-// seeds (greedy plus starts−1 random restarts) and returns the best
-// local optimum; the quality/time knob beyond AlgGTPLS.
-func (p *Problem) MultiStartLocalSearch(ctx context.Context, k, starts int) (Result, error) {
-	return placement.MultiStartLocalSearch(ctx, p.inst, k, starts, rand.New(rand.NewSource(p.seed)))
 }
 
 // FailureImpact quantifies the loss of one deployed middlebox.
@@ -113,18 +96,3 @@ type State = netsim.State
 // enabled every mutation cross-checks against the full model
 // recomputation.
 func (p *Problem) NewState(plan Plan) *State { return netsim.NewState(p.inst, plan) }
-
-// BnBOpts configures SolveExact's branch-and-bound.
-type BnBOpts = placement.BnBOpts
-
-// ExactResult is SolveExact's outcome, including whether the search
-// exhausted the space (a certified optimum) and how many nodes it
-// explored.
-type ExactResult = placement.BnBResult
-
-// SolveExact runs branch-and-bound with the submodular pruning bound:
-// exact optima well beyond AlgExhaustive's reach (the paper's
-// evaluation sizes solve in milliseconds). Requires λ ≤ 1.
-func (p *Problem) SolveExact(ctx context.Context, k int, opts BnBOpts) (ExactResult, error) {
-	return placement.BranchAndBound(ctx, p.inst, k, opts)
-}

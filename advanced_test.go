@@ -3,10 +3,12 @@ package tdmd
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"tdmd/internal/paperfix"
+	"tdmd/internal/placement"
 )
 
 func TestSolveScaledDP(t *testing.T) {
@@ -89,26 +91,63 @@ func TestResilienceFacade(t *testing.T) {
 	}
 }
 
-func TestMultiStartFacade(t *testing.T) {
-	p := fig1Problem(t)
-	r, err := p.WithSeed(3).MultiStartLocalSearch(context.Background(), 3, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Bandwidth != 8 || !r.Feasible {
-		t.Fatalf("multi-start = %+v, want optimum 8", r)
+// TestFacadeReachesEveryRegisteredSolver: Problem.Solve is the one
+// facade entry to the registry, so for every registered name it must
+// return exactly what placement.Solve returns, error text included,
+// given the options the solver consumes. Fig. 1 has no tree, so the
+// tree-only solvers must fail the same way on both paths there; its
+// k=3 optimum is 8, which bnb certifies and multistart-ls reaches.
+func TestFacadeReachesEveryRegisteredSolver(t *testing.T) {
+	const k, seed, rounds, starts, capacity = 3, 3, 2, 4, 6
+	for _, p := range []*Problem{fig1Problem(t), fig5Problem(t)} {
+		for _, name := range placement.Names() {
+			s, _ := placement.Lookup(name)
+			consumes := s.Traits().Consumes
+			var facade []SolveOption
+			var direct []placement.Option
+			solveK := 0
+			if consumes&placement.OptK != 0 {
+				solveK = k
+				direct = append(direct, placement.WithK(k))
+			}
+			if consumes&placement.OptSeed != 0 {
+				facade = append(facade, WithSolveSeed(seed))
+				direct = append(direct, placement.WithSeed(seed))
+			}
+			if consumes&placement.OptTree != 0 && p.Tree() != nil {
+				direct = append(direct, placement.WithTree(p.Tree()))
+			}
+			if consumes&placement.OptRounds != 0 {
+				facade = append(facade, WithRounds(rounds))
+				direct = append(direct, placement.WithRounds(rounds))
+			}
+			if consumes&placement.OptStarts != 0 {
+				facade = append(facade, WithStarts(starts))
+				direct = append(direct, placement.WithStarts(starts))
+			}
+			if consumes&placement.OptCapacity != 0 {
+				facade = append(facade, WithCapacity(capacity))
+				direct = append(direct, placement.WithCapacity(capacity))
+			}
+			got, gerr := p.Solve(context.Background(), Algorithm(name), solveK, facade...)
+			want, werr := placement.Solve(context.Background(), name, p.Instance(), placement.NewOptions(direct...))
+			if g, w := describeSolve(got, gerr), describeSolve(want, werr); g != w {
+				t.Errorf("%s (tree %v): facade %s, registry %s", name, p.Tree() != nil, g, w)
+			}
+			if p.Tree() == nil && (name == string(AlgBnB) || name == string(AlgMultiStartLS)) {
+				if gerr != nil || got.Bandwidth != 8 || got.Optimal != (name == string(AlgBnB)) {
+					t.Errorf("%s on Fig. 1 = %s, want bandwidth 8", name, describeSolve(got, gerr))
+				}
+			}
+		}
 	}
 }
 
-func TestSolveExactFacade(t *testing.T) {
-	p := fig1Problem(t)
-	r, err := p.SolveExact(context.Background(), 3, BnBOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Exact || r.Bandwidth != 8 {
-		t.Fatalf("exact solve = %+v, want certified 8", r)
-	}
+// describeSolve renders a solve's outcome with the bandwidth's bits,
+// so equal strings mean bit-identical results.
+func describeSolve(r Result, err error) string {
+	return fmt.Sprintf("plan %v bw %#x feasible %v optimal %v interrupted %v err %s",
+		r.Plan, math.Float64bits(r.Bandwidth), r.Feasible, r.Optimal, r.Interrupted, errText(err))
 }
 
 func TestNewStateFacade(t *testing.T) {

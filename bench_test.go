@@ -249,7 +249,7 @@ func allocFeasible(alloc netsim.Allocation) bool {
 // gtpFullRecompute is GTP's pre-refactor inner loop, replicated
 // faithfully: every round pays a full Allocate, then scores each
 // candidate with MarginalDecrement against that fresh allocation.
-// Tie-breaking matches the shipping implementation (coverage, then
+// Tie-breaking matches the shipping GTPLazy (coverage, then
 // vertex ID), so both variants pick the same plan.
 func gtpFullRecompute(in *netsim.Instance) netsim.Plan {
 	p := netsim.NewPlan()
@@ -331,7 +331,7 @@ func BenchmarkFullVsIncrementalGTP(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		reportAllocsPerOp(b, func() {
 			for i := 0; i < b.N; i++ {
-				if r := placement.GTP(context.Background(), in); !r.Feasible {
+				if r := placement.GTPLazy(context.Background(), in); !r.Feasible {
 					b.Fatal("GTP produced an infeasible plan")
 				}
 			}
@@ -341,7 +341,7 @@ func BenchmarkFullVsIncrementalGTP(b *testing.B) {
 
 func BenchmarkFullVsIncrementalLocalSearch(b *testing.B) {
 	in := incrBenchInstance(b, 3)
-	seed := placement.GTP(context.Background(), in)
+	seed := placement.GTPLazy(context.Background(), in)
 	if !seed.Feasible {
 		b.Fatal("greedy seed infeasible")
 	}

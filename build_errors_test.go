@@ -3,6 +3,7 @@ package tdmd
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -34,8 +35,17 @@ func TestBuildErrorTexts(t *testing.T) {
 			"tdmd: spec flow 1 path vertex 3 out of range",
 			"traffic: flow 7: invalid path at hop 1 (3 -> 3): vertex 3 outside graph (n=3)"},
 		{"negative lambda", func(s *ProblemSpec) { s.Lambda = -0.5 },
-			"netsim: negative lambda -0.5",
-			"netsim: negative lambda -0.5"},
+			"netsim: lambda must be finite and non-negative, got -0.5",
+			"netsim: lambda must be finite and non-negative, got -0.5"},
+		{"NaN lambda", func(s *ProblemSpec) { s.Lambda = math.NaN() },
+			"netsim: lambda must be finite and non-negative, got NaN",
+			"netsim: lambda must be finite and non-negative, got NaN"},
+		{"+Inf lambda", func(s *ProblemSpec) { s.Lambda = math.Inf(1) },
+			"netsim: lambda must be finite and non-negative, got +Inf",
+			"netsim: lambda must be finite and non-negative, got +Inf"},
+		{"-Inf lambda", func(s *ProblemSpec) { s.Lambda = math.Inf(-1) },
+			"netsim: lambda must be finite and non-negative, got -Inf",
+			"netsim: lambda must be finite and non-negative, got -Inf"},
 		{"rate 0", badFlow(0, 2, 1),
 			"traffic: flow 1: invalid path: non-positive rate 0",
 			"traffic: flow 7: invalid path: non-positive rate 0"},
@@ -97,6 +107,21 @@ func TestBuildErrorTexts(t *testing.T) {
 		if _, err := NewProblem(g, flows, spec.Lambda); errText(err) != tc.problem {
 			t.Errorf("%s: NewProblem error %q, want %q", tc.name, errText(err), tc.problem)
 		}
+	}
+
+	// The builder's and the online placer's λ setters share that check
+	// and its text; λ > 1 (an expanding middlebox) stays legal.
+	for _, lambda := range []float64{-0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		want := fmt.Sprintf("netsim: lambda must be finite and non-negative, got %v", lambda)
+		if got := errText(NewProblemBuilder().SetLambda(lambda)); got != want {
+			t.Errorf("SetLambda(%v) error %q, want %q", lambda, got, want)
+		}
+		if _, err := NewOnlinePlacer(NewGraph(), lambda, 1); errText(err) != want {
+			t.Errorf("NewOnlinePlacer(λ=%v) error %q, want %q", lambda, errText(err), want)
+		}
+	}
+	if err := NewProblemBuilder().SetLambda(2); err != nil {
+		t.Errorf("SetLambda(2): %v", err)
 	}
 
 	// An invalid path never becomes a path class, so each flow that

@@ -29,7 +29,7 @@ func main() {
 	var (
 		specPath = flag.String("spec", "", "path to a JSON problem spec (default: stdin)")
 		stream   = flag.Bool("stream", false, "ingest the input with the streaming decoder (accepts spec documents and NDJSON flow streams; O(1) decoder memory)")
-		algName  = flag.String("alg", string(tdmd.AlgGTP), "algorithm: gtp, gtp-lazy, gtp-ls, dp, hat, random, best-effort, exhaustive")
+		algName  = flag.String("alg", string(tdmd.AlgGTP), "algorithm: gtp, gtp-lazy, gtp-ls, dp, hat, random, best-effort, exhaustive, min-boxes, bnb, capacitated")
 		k        = flag.Int("k", 10, "middlebox budget")
 		seed     = flag.Int64("seed", 1, "seed for randomized algorithms")
 		quiet    = flag.Bool("q", false, "print only the total bandwidth")
@@ -128,7 +128,7 @@ func runCapacitated(ctx context.Context, load loadFunc, k, capacity int, out io.
 	if err != nil {
 		return err
 	}
-	res, err := problem.SolveCapacitated(ctx, k, capacity)
+	res, err := problem.Solve(ctx, tdmd.AlgCapacitated, k, tdmd.WithCapacity(capacity))
 	if err != nil {
 		return err
 	}

@@ -2,15 +2,13 @@
 // analyzers (internal/lint) over the module and exits non-zero when
 // any finding survives. It is part of the tier-1 verification gate:
 //
-//	go run ./cmd/tdmdlint -baseline lint.baseline.json ./...
+//	go run ./cmd/tdmdlint -escape-baseline escape.baseline.json ./...
 //
 // Flags:
 //
 //	-list                  print the analyzers and exit
 //	-only a,b              run only the named analyzers
-//	-skip a,b              run all analyzers except the named ones
-//	-json                  emit findings as JSON (the baseline format)
-//	-baseline file         suppress findings recorded in the baseline file
+//	-json                  emit findings as JSON
 //	-lockgraph file        also write the module lock-order graph as
 //	                       deterministic DOT to file ("-" for stdout)
 //	-escape-baseline file  also run the compiler escape/inlining diff
@@ -19,25 +17,16 @@
 //	                       diffing (requires -escape-baseline)
 //
 // Findings print sorted by (file, line, column, analyzer, message),
-// so output is byte-identical across runs; -json emits the same order
-// and round-trips through -baseline: a finding is suppressed when the
-// baseline holds an entry with the same analyzer, file and message
-// (line numbers drift with unrelated edits and do not participate).
-//
-// The interprocedural contract analyzers — solverpurity, detorder,
-// goleak, guardedby, lockorder, holdblock — cannot be baselined:
-// their findings are contract violations that must be fixed, not
-// recorded. A baseline file containing entries for them is itself an
-// error. The same holds for "escape": compiler
+// so output is byte-identical across runs; -json emits the same order.
+// Every finding fails the run: there is no suppression list. Compiler
 // escape regressions are accepted only by regenerating the dedicated
-// escape baseline (-escape-update), never by suppressing them in the
-// analyzer baseline.
+// escape baseline (-escape-update).
 //
 // Exit codes:
 //
-//	0  clean — no findings, or every finding matched the baseline
-//	1  findings not covered by the baseline were reported
-//	2  load failure, usage error, or an invalid baseline file
+//	0  clean — no findings
+//	1  findings were reported
+//	2  load failure, usage error, or an invalid escape baseline
 package main
 
 import (
@@ -58,19 +47,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// noBaseline lists the analyzers whose findings may never be
-// baselined (see the package comment).
-var noBaseline = map[string]bool{
-	"solverpurity": true,
-	"detorder":     true,
-	"goleak":       true,
-	"guardedby":    true,
-	"lockorder":    true,
-	"holdblock":    true,
-	"escape":       true,
-}
-
-// jsonFinding is one finding in the -json / baseline format.
+// jsonFinding is one finding in the -json format.
 type jsonFinding struct {
 	Analyzer string `json:"analyzer"`
 	File     string `json:"file"`
@@ -79,7 +56,7 @@ type jsonFinding struct {
 	Message  string `json:"message"`
 }
 
-// report is the top-level -json / baseline document.
+// report is the top-level -json document.
 type report struct {
 	Findings []jsonFinding `json:"findings"`
 }
@@ -89,14 +66,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "print the analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	skip := fs.String("skip", "", "comma-separated analyzer names to skip")
-	asJSON := fs.Bool("json", false, "emit findings as JSON (the baseline format)")
-	baselinePath := fs.String("baseline", "", "baseline file of findings to suppress")
+	asJSON := fs.Bool("json", false, "emit findings as JSON")
 	lockGraph := fs.String("lockgraph", "", "write the module lock-order graph as DOT to this file (\"-\" for stdout)")
 	escapeBaseline := fs.String("escape-baseline", "", "escape baseline file; enables the compiler escape/inlining diff")
 	escapeUpdate := fs.Bool("escape-update", false, "regenerate the escape baseline instead of diffing")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: tdmdlint [-list] [-only a,b] [-skip a,b] [-json] [-baseline file] [-lockgraph file] [-escape-baseline file [-escape-update]] [packages]")
+		fmt.Fprintln(stderr, "usage: tdmdlint [-list] [-only a,b] [-json] [-lockgraph file] [-escape-baseline file [-escape-update]] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -110,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	analyzers, ok := selectAnalyzers(analyzers, *only, *skip, stderr)
+	analyzers, ok := selectAnalyzers(analyzers, *only, stderr)
 	if !ok {
 		return 2
 	}
@@ -118,16 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *escapeUpdate && *escapeBaseline == "" {
 		fmt.Fprintln(stderr, "tdmdlint: -escape-update requires -escape-baseline")
 		return 2
-	}
-
-	var baseline map[baselineKey]bool
-	if *baselinePath != "" {
-		var err error
-		baseline, err = readBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "tdmdlint: %v\n", err)
-			return 2
-		}
 	}
 
 	dir, err := os.Getwd()
@@ -163,7 +128,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Relativizing can reorder file names; restore the canonical order
 	// so output bytes are stable regardless of the working directory.
 	lint.SortFindings(findings)
-	findings, suppressed := applyBaseline(findings, baseline)
 
 	if *asJSON {
 		if err := writeJSON(stdout, findings); err != nil {
@@ -175,9 +139,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, f)
 		}
 	}
-	if suppressed > 0 {
-		fmt.Fprintf(stderr, "tdmdlint: %d finding(s) suppressed by baseline\n", suppressed)
-	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "tdmdlint: %d finding(s)\n", len(findings))
 		return 1
@@ -185,43 +146,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// selectAnalyzers applies -only/-skip to the full suite. The two
-// flags compose (-only picks the set, -skip then removes from it);
-// either flag naming an unknown analyzer is a usage error.
-func selectAnalyzers(all []*lint.Analyzer, only, skip string, stderr io.Writer) ([]*lint.Analyzer, bool) {
+// selectAnalyzers applies -only to the full suite; naming an unknown
+// analyzer is a usage error.
+func selectAnalyzers(all []*lint.Analyzer, only string, stderr io.Writer) ([]*lint.Analyzer, bool) {
+	if only == "" {
+		return all, true
+	}
 	byName := make(map[string]*lint.Analyzer, len(all))
 	for _, a := range all {
 		byName[a.Name] = a
 	}
-	selected := all
-	if only != "" {
-		selected = nil
-		for _, name := range strings.Split(only, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(stderr, "tdmdlint: unknown analyzer %q (see -list)\n", name)
-				return nil, false
-			}
-			selected = append(selected, a)
+	var selected []*lint.Analyzer
+	for _, name := range strings.Split(only, ",") {
+		a, ok := byName[strings.TrimSpace(name)]
+		if !ok {
+			fmt.Fprintf(stderr, "tdmdlint: unknown analyzer %q (see -list)\n", name)
+			return nil, false
 		}
-	}
-	if skip != "" {
-		drop := make(map[string]bool)
-		for _, name := range strings.Split(skip, ",") {
-			name = strings.TrimSpace(name)
-			if _, ok := byName[name]; !ok {
-				fmt.Fprintf(stderr, "tdmdlint: unknown analyzer %q (see -list)\n", name)
-				return nil, false
-			}
-			drop[name] = true
-		}
-		kept := make([]*lint.Analyzer, 0, len(selected))
-		for _, a := range selected {
-			if !drop[a.Name] {
-				kept = append(kept, a)
-			}
-		}
-		selected = kept
+		selected = append(selected, a)
 	}
 	return selected, true
 }
@@ -298,55 +240,8 @@ func runEscape(dir, baselinePath string, update bool, stderr io.Writer) ([]lint.
 	return out, 0
 }
 
-// baselineKey identifies a finding across unrelated edits: the line
-// moves, the analyzer/file/message triple does not.
-type baselineKey struct {
-	analyzer, file, message string
-}
-
-// readBaseline parses and validates a baseline file.
-func readBaseline(path string) (map[baselineKey]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %v", err)
-	}
-	var rep report
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rep); err != nil {
-		return nil, fmt.Errorf("baseline %s: %v", path, err)
-	}
-	keys := make(map[baselineKey]bool, len(rep.Findings))
-	for _, f := range rep.Findings {
-		if noBaseline[f.Analyzer] {
-			return nil, fmt.Errorf("baseline %s: analyzer %q findings cannot be baselined — fix the violation instead",
-				path, f.Analyzer)
-		}
-		keys[baselineKey{f.Analyzer, f.File, f.Message}] = true
-	}
-	return keys, nil
-}
-
-// applyBaseline drops findings recorded in the baseline, reporting
-// how many were suppressed.
-func applyBaseline(findings []lint.Finding, baseline map[baselineKey]bool) ([]lint.Finding, int) {
-	if len(baseline) == 0 {
-		return findings, 0
-	}
-	kept := findings[:0]
-	suppressed := 0
-	for _, f := range findings {
-		if baseline[baselineKey{f.Analyzer, f.Pos.Filename, f.Message}] {
-			suppressed++
-			continue
-		}
-		kept = append(kept, f)
-	}
-	return kept, suppressed
-}
-
-// writeJSON emits the findings in the baseline format. The findings
-// array is always present (never null) so an empty run round-trips.
+// writeJSON emits the findings as JSON. The findings array is always
+// present (never null), so an empty run still decodes to a report.
 func writeJSON(w io.Writer, findings []lint.Finding) error {
 	rep := report{Findings: make([]jsonFinding, 0, len(findings))}
 	for _, f := range findings {

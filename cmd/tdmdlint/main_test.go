@@ -1,12 +1,11 @@
 package main
 
 import (
-	"go/token"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 
@@ -38,39 +37,19 @@ func TestUnknownAnalyzer(t *testing.T) {
 	}
 }
 
-func TestUnknownSkipAnalyzer(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-skip", "nope"}, &out, &errOut); code != 2 {
-		t.Fatalf("run(-skip nope) = %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "unknown analyzer") {
-		t.Errorf("stderr should mention the unknown analyzer: %s", errOut.String())
-	}
-}
-
 func TestSelectAnalyzers(t *testing.T) {
 	all := lint.Analyzers()
 	var errOut strings.Builder
 
-	got, ok := selectAnalyzers(all, "floateq,goleak", "", &errOut)
+	if got, ok := selectAnalyzers(all, "", &errOut); !ok || len(got) != len(all) {
+		t.Fatalf("no -only selected %d of %d", len(got), len(all))
+	}
+	got, ok := selectAnalyzers(all, "floateq, goleak", &errOut)
 	if !ok || len(got) != 2 || got[0].Name != "floateq" || got[1].Name != "goleak" {
 		t.Fatalf("-only floateq,goleak selected %v", names(got))
 	}
-
-	got, ok = selectAnalyzers(all, "", "floateq, goleak", &errOut)
-	if !ok || len(got) != len(all)-2 {
-		t.Fatalf("-skip floateq,goleak kept %d of %d", len(got), len(all))
-	}
-	for _, a := range got {
-		if a.Name == "floateq" || a.Name == "goleak" {
-			t.Fatalf("-skip left %s in the selection", a.Name)
-		}
-	}
-
-	// -only and -skip compose: pick three, drop one.
-	got, ok = selectAnalyzers(all, "floateq,goleak,holdblock", "goleak", &errOut)
-	if !ok || len(got) != 2 || got[0].Name != "floateq" || got[1].Name != "holdblock" {
-		t.Fatalf("-only + -skip selected %v", names(got))
+	if _, ok := selectAnalyzers(all, "floateq,nope", &errOut); ok {
+		t.Fatal("-only with an unknown name accepted")
 	}
 }
 
@@ -125,110 +104,16 @@ func TestJSONOutputDeterministicAndRoundTrips(t *testing.T) {
 		t.Fatalf("-json output not byte-identical across runs:\n%s\n---\n%s", out1.String(), out2.String())
 	}
 
-	// The JSON output IS the baseline format: feeding it back in must
-	// parse (round-trip), and an empty run must still carry the
-	// findings array.
+	// The output decodes back into its report type, and an empty run
+	// still carries the findings array.
 	if !strings.Contains(out1.String(), `"findings"`) {
 		t.Fatalf("-json output missing findings array:\n%s", out1.String())
 	}
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := os.WriteFile(path, []byte(out1.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readBaseline(path); err != nil {
-		t.Fatalf("-json output does not round-trip as a baseline: %v", err)
-	}
-}
-
-func TestBaselineSuppressesByAnalyzerFileMessage(t *testing.T) {
-	findings := []lint.Finding{
-		{Analyzer: "floateq", Pos: token.Position{Filename: "a.go", Line: 3}, Message: "m1"},
-		{Analyzer: "floateq", Pos: token.Position{Filename: "a.go", Line: 9}, Message: "m2"},
-	}
-	baseline := map[baselineKey]bool{
-		{"floateq", "a.go", "m1"}: true, // line differs from the finding: must still match
-	}
-	kept, suppressed := applyBaseline(findings, baseline)
-	if suppressed != 1 || len(kept) != 1 || kept[0].Message != "m2" {
-		t.Fatalf("applyBaseline kept %v (suppressed %d), want only m2", kept, suppressed)
-	}
-}
-
-func TestBaselineRejectsInterproceduralAnalyzers(t *testing.T) {
-	// Iterate the refusal map itself so new never-baselinable analyzers
-	// are covered the moment they are added.
-	names := make([]string, 0, len(noBaseline))
-	for name := range noBaseline {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, want := range []string{"solverpurity", "detorder", "goleak", "guardedby", "lockorder", "holdblock", "escape"} {
-		if !noBaseline[want] {
-			t.Errorf("noBaseline must refuse %q", want)
-		}
-	}
-	for _, name := range names {
-		path := filepath.Join(t.TempDir(), "base.json")
-		doc := `{"findings": [{"analyzer": "` + name + `", "file": "x.go", "line": 1, "col": 1, "message": "m"}]}`
-		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var out, errOut strings.Builder
-		if code := run([]string{"-baseline", path, "."}, &out, &errOut); code != 2 {
-			t.Fatalf("baselining %s: run = %d, want 2 (stderr: %s)", name, code, errOut.String())
-		}
-		if !strings.Contains(errOut.String(), "cannot be baselined") {
-			t.Errorf("stderr should state the no-baseline policy: %s", errOut.String())
-		}
-	}
-}
-
-func TestBaselineBadFile(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-baseline", "/nonexistent/base.json", "."}, &out, &errOut); code != 2 {
-		t.Fatalf("missing baseline file: run = %d, want 2", code)
-	}
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := os.WriteFile(path, []byte(`{"unknown_field": 1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code := run([]string{"-baseline", path, "."}, &out, &errOut); code != 2 {
-		t.Fatalf("malformed baseline: run = %d, want 2", code)
-	}
-}
-
-// TestRepoBaselineEmpty pins the policy: the checked-in baseline holds
-// no findings at all — pre-existing violations were fixed, not
-// recorded, and the interprocedural analyzers must stay at zero.
-func TestRepoBaselineEmpty(t *testing.T) {
-	keys, err := readBaseline(filepath.Join("..", "..", "lint.baseline.json"))
-	if err != nil {
-		t.Fatalf("reading checked-in baseline: %v", err)
-	}
-	if len(keys) != 0 {
-		t.Fatalf("checked-in baseline must be empty, has %d entries", len(keys))
-	}
-}
-
-// TestBaselineAcceptsAllocationDebt pins the other half of the
-// baseline policy: hotalloc and mapstate findings are burn-down debt
-// and MAY be recorded, unlike the contract analyzers and the compiler
-// escape diff.
-func TestBaselineAcceptsAllocationDebt(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "base.json")
-	doc := `{"findings": [
-		{"analyzer": "hotalloc", "file": "x.go", "line": 1, "col": 1, "message": "m1"},
-		{"analyzer": "mapstate", "file": "y.go", "line": 2, "col": 2, "message": "m2"}
-	]}`
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	keys, err := readBaseline(path)
-	if err != nil {
-		t.Fatalf("hotalloc/mapstate baseline rejected: %v", err)
-	}
-	if len(keys) != 2 {
-		t.Fatalf("baseline keys = %d, want 2", len(keys))
+	dec := json.NewDecoder(strings.NewReader(out1.String()))
+	dec.DisallowUnknownFields()
+	var rep report
+	if err := dec.Decode(&rep); err != nil || rep.Findings == nil {
+		t.Fatalf("-json output does not decode as a report (findings %v): %v", rep.Findings, err)
 	}
 }
 
@@ -340,7 +225,6 @@ func TestEscapeDiffCleanAtHead(t *testing.T) {
 	t.Chdir(filepath.Join("..", ".."))
 	var out, errOut strings.Builder
 	code := run([]string{
-		"-baseline", "lint.baseline.json",
 		"-escape-baseline", "escape.baseline.json",
 		"./internal/netsim", "./internal/placement",
 	}, &out, &errOut)

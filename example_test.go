@@ -150,7 +150,7 @@ func ExampleProblem_Repair() {
 }
 
 // Capacitated placement: boxes with a processing limit must spread.
-func ExampleProblem_SolveCapacitated() {
+func ExampleProblem_Solve_capacitated() {
 	g := tdmd.NewGraph()
 	a, b, c, d := g.AddNode("a"), g.AddNode("b"), g.AddNode("c"), g.AddNode("d")
 	g.AddEdge(a, c)
@@ -161,8 +161,9 @@ func ExampleProblem_SolveCapacitated() {
 		{ID: 1, Rate: 3, Path: tdmd.Path{b, c, d}},
 	}
 	p, _ := tdmd.NewProblem(g, flows, 0.5)
-	shared, _ := p.SolveCapacitated(context.Background(), 2, 6) // both flows fit one box at c
-	spread, _ := p.SolveCapacitated(context.Background(), 2, 3) // capacity 3: c fits one flow, the other spreads out
+	ctx := context.Background()
+	shared, _ := p.Solve(ctx, tdmd.AlgCapacitated, 2, tdmd.WithCapacity(6)) // both flows fit one box at c
+	spread, _ := p.Solve(ctx, tdmd.AlgCapacitated, 2, tdmd.WithCapacity(3)) // capacity 3: c fits one flow, the other spreads out
 	fmt.Println(shared.Bandwidth, spread.Bandwidth)
 	// Output:
 	// 7.5 6

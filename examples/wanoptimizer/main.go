@@ -33,14 +33,17 @@ func main() {
 		g.NumNodes(), g.NumEdges(), len(flows), len(collectors))
 
 	// How many optimizers does full coverage need at minimum? The
-	// set-cover view of feasibility answers exactly on this size.
+	// min-boxes solver runs greedy set cover over the set-cover view of
+	// feasibility (Theorem 1); its plan size bounds that minimum.
 	problem, err := tdmd.NewProblem(g, flows, 0.5)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sc := tdmd.SetCoverOf(problem.Instance())
-	greedyCover := tdmd.SetCoverGreedy(sc)
-	fmt.Printf("Greedy set cover: %d boxes suffice for coverage\n\n", len(greedyCover))
+	cover, err := problem.Solve(context.Background(), tdmd.AlgMinBoxes, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("Greedy set cover: %d boxes suffice for coverage\n\n", cover.Plan.Size())
 
 	// Sweep the compression ratio at a fixed budget.
 	const k = 10

@@ -4,15 +4,13 @@ import (
 	"tdmd/internal/chain"
 	"tdmd/internal/netsim"
 	"tdmd/internal/placement"
-	"tdmd/internal/setcover"
 )
 
 // Facade re-exports for the surrounding toolkit: link-load inspection,
-// the online placement controller, the service-chain solver and the
-// set-cover feasibility view. They exist so commands and examples can
-// stay on the public tdmd API (the internalboundary analyzer in
-// internal/lint enforces that) while the internal packages remain the
-// single source of truth.
+// the online placement controller and the service-chain solver. They
+// exist so commands and examples can stay on the public tdmd API (the
+// internalboundary analyzer in internal/lint enforces that) while the
+// internal packages remain the single source of truth.
 
 // LinkKey identifies a directed link in a link-load map.
 type LinkKey = netsim.LinkKey
@@ -68,16 +66,3 @@ func ChainOptimal(rate float64, pathLen int, c Chain) (ChainPlacement, float64, 
 func ChainGreedyUnordered(rate float64, pathLen int, ratios []float64) float64 {
 	return chain.GreedyUnordered(rate, pathLen, ratios)
 }
-
-// SetCover is the set-cover view of TDMD feasibility (Theorem 1):
-// universe = flows, one candidate set per vertex containing the flows
-// whose paths visit it.
-type SetCover = setcover.Instance
-
-// SetCoverOf builds the set-cover view of a validated instance.
-func SetCoverOf(in *Instance) SetCover { return setcover.FromTDMD(in) }
-
-// SetCoverGreedy runs the greedy set-cover heuristic (ln n + 1
-// approximation) and returns the chosen set indices — an upper bound
-// on the minimum number of middleboxes any feasible plan needs.
-func SetCoverGreedy(sc SetCover) []int { return setcover.Greedy(sc) }

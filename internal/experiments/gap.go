@@ -51,10 +51,8 @@ func OptimalityGap(ctx context.Context, cfg Config) (*GapReport, error) {
 		}
 		seed := stats.DeriveSeed(cfg.Seed, 21, uint64(repIdx))
 		trial := GeneralTrial(DefaultGeneralSize, DefaultDensity, DefaultLambda, DefaultGeneralK, seed)
-		opt, err := placement.BranchAndBound(ctx, trial.Inst, trial.K, placement.BnBOpts{
-			Timeout: 20 * time.Second,
-		})
-		if err != nil || !opt.Exact {
+		opt, err := certifiedOptimum(ctx, trial)
+		if err != nil || !opt.Optimal {
 			rep.Skipped++
 			continue
 		}
@@ -76,6 +74,14 @@ func OptimalityGap(ctx context.Context, cfg Config) (*GapReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// certifiedOptimum runs branch-and-bound on one trial for at most 20 s;
+// a search cut by that deadline returns with Optimal=false.
+func certifiedOptimum(ctx context.Context, trial Trial) (placement.Result, error) {
+	ctx, cancel := context.WithTimeout(ctx, 20*time.Second)
+	defer cancel()
+	return placement.BranchAndBound(ctx, trial.Inst, trial.K)
 }
 
 // WriteTable renders the report.

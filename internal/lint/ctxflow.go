@@ -22,7 +22,7 @@ import (
 //     function that receives an *http.Request: handlers must derive
 //     from r.Context() so a disconnecting client cancels its solve.
 //  3. In tdmd/internal/placement, an exported function that returns a
-//     placement.Result (directly or inside a struct such as BnBResult)
+//     placement.Result (directly or inside a wrapper struct)
 //     must take a context.Context as its first parameter — those are
 //     the solver entry points the contract is about.
 var AnalyzerCtxFlow = &Analyzer{
@@ -90,7 +90,7 @@ func isPlacementResult(t types.Type) bool {
 }
 
 // carriesResult reports whether t is placement.Result or a named
-// struct with a field (embedded or not) of that type, like BnBResult.
+// struct with a field (embedded or not) of that type.
 func carriesResult(t types.Type) bool {
 	if isPlacementResult(t) {
 		return true

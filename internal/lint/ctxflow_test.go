@@ -26,7 +26,7 @@ type Request struct{}
 type ResponseWriter interface{ WriteHeader(code int) }
 `
 	// fakePlacementDecl declares the Result type the entry-point rule
-	// keys on, plus a BnBResult-style wrapper.
+	// keys on, plus a wrapper struct that embeds it.
 	fakePlacementDecl = `package placement
 
 import "context"
@@ -36,15 +36,15 @@ type Result struct {
 	Feasible  bool
 }
 
-type BnBResult struct {
+type WrappedResult struct {
 	Result
 	Nodes int
 }
 
-func Good(ctx context.Context, k int) (Result, error)      { return Result{}, nil }
-func GoodWrapped(ctx context.Context) (BnBResult, error)   { return BnBResult{}, nil }
-func Prune(k int) (int, error)                             { return k, nil }
-func helperResult(k int) Result                            { return Result{} }
+func Good(ctx context.Context, k int) (Result, error)            { return Result{}, nil }
+func GoodWrapped(ctx context.Context) (WrappedResult, error) { return WrappedResult{}, nil }
+func Prune(k int) (int, error)                                   { return k, nil }
+func helperResult(k int) Result                                  { return Result{} }
 `
 )
 
@@ -82,13 +82,13 @@ func TestCtxFlowFlagsEntryPointWithoutContext(t *testing.T) {
 
 type Result struct{}
 
-type BnBResult struct {
+type WrappedResult struct {
 	Result
 	Nodes int
 }
 
-func Bare(k int) (Result, error)         { return Result{}, nil }
-func BareWrapped(k int) (BnBResult, error) { return BnBResult{}, nil }
+func Bare(k int) (Result, error)               { return Result{}, nil }
+func BareWrapped(k int) (WrappedResult, error) { return WrappedResult{}, nil }
 `})
 	wantFindings(t, a, got, 2)
 	for _, f := range got {

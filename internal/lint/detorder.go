@@ -143,8 +143,8 @@ func typeLabel(t types.Type) string {
 }
 
 // shortPos renders "file.go:line" with the bare file name: findings'
-// messages must be machine-stable across checkouts for the baseline
-// to match them.
+// messages must be machine-stable across checkouts, so the sorted
+// output stays byte-identical.
 func shortPos(fset *token.FileSet, pos token.Pos) string {
 	p := fset.Position(pos)
 	name := p.Filename

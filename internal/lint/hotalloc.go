@@ -27,8 +27,7 @@ import (
 //     the same pattern interprocedurally).
 //
 // Invariant cross-check blocks and cold exits are exempt (hot.go).
-// Findings from this analyzer may be baselined: they are debts to
-// burn down, not contract violations.
+// Every finding fails the gate; there is no suppression list.
 var AnalyzerHotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "no heap-allocating constructs inside //tdmd:hot regions",

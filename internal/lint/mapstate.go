@@ -14,9 +14,9 @@ import (
 // internal/placement) anywhere reachable from a `//tdmd:hot` region,
 // not just lexically inside one. Vertex and flow IDs are dense
 // integers, so state consulted per iteration belongs in flat
-// int-indexed slices (netsim.State keeps exactly such mirrors); a map
-// lookup three calls away still costs a hash and a bucket probe per
-// visit.
+// int-indexed slices (netsim.State and netsim.Plan's bitset hold no
+// maps at all); a map lookup three calls away still costs a hash and a
+// bucket probe per visit.
 //
 // Reachability: starting from hot-marked functions and the static
 // callees of hot-marked loops, the closure follows declared-function
@@ -26,9 +26,9 @@ import (
 // as internal/lint/flow. Invariant cross-check blocks and cold exits
 // are exempt everywhere (hot.go).
 //
-// Writes (m[k] = v, delete) are exempt: mutation funnels through the
-// plan map exactly once per accepted move, which is the design —
-// reads are what iterate.
+// Writes (m[k] = v, delete) are exempt: a state map, if one is ever
+// kept, would be mutated once per accepted move — reads are what
+// iterate.
 var AnalyzerMapState = &Analyzer{
 	Name:      "mapstate",
 	Doc:       "no map-typed state reads reachable from //tdmd:hot regions",

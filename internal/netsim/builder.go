@@ -270,8 +270,8 @@ func checkPathOffset(id int, end int64) error {
 // by the class paths (Reserve sized it for more distinct hops than
 // came) is trimmed to size first.
 func (b *Builder) Build(lambda float64) (*Instance, error) {
-	if lambda < 0 {
-		return nil, fmt.Errorf("netsim: negative lambda %v", lambda)
+	if err := CheckLambda(lambda); err != nil {
+		return nil, err
 	}
 	if len(b.pathArena) < cap(b.pathArena)/2 {
 		b.pathArena = append(make([]graph.NodeID, 0, len(b.pathArena)), b.pathArena...)

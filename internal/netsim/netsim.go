@@ -105,13 +105,13 @@ type pathClass struct {
 	rep  int32 // first member flow
 }
 
-// New validates and indexes a problem instance. λ may be any
-// non-negative ratio, matching the model's general traffic-changing
-// middlebox (Sec. 3.1, "λ ≥ 0"): λ ≤ 1 is the traffic-diminishing case
-// the paper's algorithms target, λ > 1 models traffic-expanding boxes
-// (e.g. encryption or tunneling overhead). The allocation rule adapts
-// automatically; the tree algorithms and GTP's guarantee require
-// λ ≤ 1 and enforce it themselves.
+// New validates and indexes a problem instance. λ may be any finite
+// non-negative ratio (see CheckLambda), matching the model's general
+// traffic-changing middlebox (Sec. 3.1, "λ ≥ 0"): λ ≤ 1 is the
+// traffic-diminishing case the paper's algorithms target, λ > 1 models
+// traffic-expanding boxes (e.g. encryption or tunneling overhead). The
+// allocation rule adapts automatically; the tree algorithms and GTP's
+// guarantee require λ ≤ 1 and enforce it themselves.
 //
 // The flows are copied into pre-sized arenas through a Builder;
 // validation errors name a flow by its ID, while the instance numbers
@@ -129,6 +129,16 @@ func New(g *graph.Graph, flows []traffic.Flow, lambda float64) (*Instance, error
 		}
 	}
 	return b.Build(lambda)
+}
+
+// CheckLambda is the one range check every λ entry point applies: the
+// ratio must be finite and non-negative. NaN and ±Inf would otherwise
+// score every plan as NaN or ∞ without an error.
+func CheckLambda(lambda float64) error {
+	if lambda >= 0 && lambda <= math.MaxFloat64 {
+		return nil
+	}
+	return fmt.Errorf("netsim: lambda must be finite and non-negative, got %v", lambda)
 }
 
 // buildThrough builds the class records, the CSR through index and

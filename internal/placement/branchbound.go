@@ -11,6 +11,13 @@ import (
 	"tdmd/internal/netsim"
 )
 
+// BranchAndBound's safety caps: a search that outlives either returns
+// its incumbent with Result.Optimal=false.
+const (
+	bnbTimeout   = 30 * time.Second
+	bnbNodeLimit = 10_000_000
+)
+
 // BranchAndBound finds the exact TDMD optimum with best-first search
 // over include/exclude decisions on vertices, pruned by a submodular
 // bound: by Theorem 2 the decrement of any completion of a partial
@@ -23,47 +30,23 @@ import (
 //
 // Requires a traffic-diminishing instance (λ ≤ 1); the bound direction
 // flips for expanding middleboxes.
-type BnBOpts struct {
-	// Timeout aborts the search; the incumbent found so far is
-	// returned with Exact=false. Zero means 30s. It composes with the
-	// caller's context: whichever deadline fires first wins.
-	Timeout time.Duration
-	// NodeLimit caps explored search nodes (0 = 10M).
-	NodeLimit int
-}
-
-// BnBResult carries the solution and search statistics.
-type BnBResult struct {
-	Result
-	// Exact is true when the search space was exhausted (the result is
-	// a certified optimum), false on timeout/node-limit.
-	Exact bool
-	// Nodes is the number of search nodes explored.
-	Nodes int
-}
-
-// BranchAndBound minimizes b(P) subject to |P| <= k.
 //
-// It is an anytime exact solver: on cancellation, deadline, timeout or
-// node limit the best incumbent found so far is returned with
-// Exact=false (and Result.Optimal=false); an exhausted search space
-// certifies the optimum.
-func BranchAndBound(ctx context.Context, in *netsim.Instance, k int, opts BnBOpts) (BnBResult, error) {
+// It is an anytime exact solver that minimizes b(P) subject to
+// |P| <= k: on cancellation, deadline, the bnbTimeout safety cap or
+// the bnbNodeLimit search cap the best incumbent found so far is
+// returned with Result.Optimal=false; an exhausted search space
+// certifies the optimum (Optimal=true). Callers wanting a shorter cap
+// put a deadline on ctx.
+func BranchAndBound(ctx context.Context, in *netsim.Instance, k int) (Result, error) {
 	if err := validateBudget(k); err != nil {
-		return BnBResult{}, err
+		return Result{}, err
 	}
 	if in.Lambda > 1 {
-		return BnBResult{}, fmt.Errorf("placement: BranchAndBound requires λ ≤ 1, got %v", in.Lambda)
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 30 * time.Second
-	}
-	if opts.NodeLimit <= 0 {
-		opts.NodeLimit = 10_000_000
+		return Result{}, fmt.Errorf("placement: BranchAndBound requires λ ≤ 1, got %v", in.Lambda)
 	}
 	// The safety timeout rides on the caller's context so one Done
-	// channel carries both.
-	ctx, cancel := context.WithTimeout(ctx, opts.Timeout)
+	// channel carries both; whichever deadline fires first wins.
+	ctx, cancel := context.WithTimeout(ctx, bnbTimeout)
 	defer cancel()
 
 	n := in.G.NumNodes()
@@ -101,10 +84,9 @@ func BranchAndBound(ctx context.Context, in *netsim.Instance, k int, opts BnBOpt
 
 	// Incumbent: seed with the greedy solution so pruning bites
 	// immediately.
-	incumbent := BnBResult{}
-	incumbent.Bandwidth = math.Inf(1)
+	incumbent := Result{Bandwidth: math.Inf(1)}
 	if seed, err := GTPBudget(ctx, in, k); err == nil && seed.Interrupted == nil {
-		incumbent.Result = LocalSearch(ctx, in, seed.Plan, 0)
+		incumbent = LocalSearch(ctx, in, seed.Plan, 0)
 		incumbent.Interrupted = nil
 	}
 
@@ -129,7 +111,7 @@ func BranchAndBound(ctx context.Context, in *netsim.Instance, k int, opts BnBOpt
 			return
 		}
 		nodes++
-		if nodes > opts.NodeLimit || nodes%ctxCheckStride == 0 && canceled(ctx) {
+		if nodes > bnbNodeLimit || nodes%ctxCheckStride == 0 && canceled(ctx) {
 			timedOut = true
 			return
 		}
@@ -138,7 +120,7 @@ func BranchAndBound(ctx context.Context, in *netsim.Instance, k int, opts BnBOpt
 		// bound decisions match the full-recompute search exactly.
 		bw := st.ExactBandwidth()
 		if st.Feasible() && bw < incumbent.Bandwidth-1e-12 {
-			incumbent.Result = Result{Plan: st.Plan(), Bandwidth: bw, Feasible: true}
+			incumbent = Result{Plan: st.Plan(), Bandwidth: bw, Feasible: true}
 			incumbentUpdates++
 			sc.incumbent(incumbent.Plan, bw)
 		}
@@ -181,14 +163,12 @@ func BranchAndBound(ctx context.Context, in *netsim.Instance, k int, opts BnBOpt
 		rec(0, 0)
 	}
 
-	incumbent.Nodes = nodes
-	incumbent.Exact = !timedOut
-	incumbent.Optimal = incumbent.Exact
+	incumbent.Optimal = !timedOut
 	if timedOut {
 		incumbent.Interrupted = ctx.Err()
 	}
 	if !incumbent.Feasible {
-		if incumbent.Exact {
+		if incumbent.Optimal {
 			return incumbent, ErrInfeasible
 		}
 		if err := ctx.Err(); err != nil {

@@ -10,52 +10,6 @@ import (
 	"tdmd/internal/netsim"
 )
 
-// GTP is the paper's Algorithm 1 (General Topology Placement): starting
-// from the empty plan, repeatedly deploy on the vertex with the maximum
-// marginal decrement d_P(v) until every flow is served. The number of
-// middleboxes k is an output, not an input; Theorem 3 gives the
-// (1 − 1/e) decrement guarantee for that k.
-//
-// The greedy runs on netsim.State, the incremental allocation engine:
-// each deployment updates only the flows through the chosen vertex and
-// invalidates only the scores their paths touch, instead of re-running
-// the full O(|F|·|P|) allocation every round.
-//
-// Ties on the marginal decrement are broken toward the vertex covering
-// more still-unserved flows (which is what lets the greedy terminate
-// once positive gains are exhausted), then toward the smaller vertex
-// ID for determinism.
-func GTP(ctx context.Context, in *netsim.Instance) Result {
-	// Observation is hoisted once and accumulated in locals; the
-	// candidate scans below stay free of observer calls.
-	sc := observing(ctx)
-	coverStart := time.Now()
-	var deployed int64
-	defer func() {
-		sc.count("deployments", deployed)
-		sc.phase("cover", coverStart)
-	}()
-	st := netsim.NewState(in, netsim.NewPlan())
-	//tdmd:hot
-	for !st.Feasible() {
-		if canceled(ctx) {
-			r := finish(in, st.Plan())
-			r.Interrupted = ctx.Err()
-			return r
-		}
-		v, ok := bestCandidate(st, nil)
-		if !ok || !improves(st, v) {
-			// No vertex covers any unserved flow: cannot happen for
-			// valid instances (each flow's own source qualifies), but
-			// guard against pathological inputs.
-			break
-		}
-		st.AddBox(v)
-		deployed++
-	}
-	return finish(in, st.Plan())
-}
-
 // GTPBudget is the budgeted variant used in the evaluation: it runs
 // the same greedy rule but never lets the residual coverage problem
 // outgrow the remaining budget. At every step a candidate is admitted
@@ -154,10 +108,21 @@ func CompletePlan(ctx context.Context, in *netsim.Instance, base netsim.Plan, k 
 	return finishBudget(in, st.Plan(), k), nil
 }
 
-// GTPLazy is GTP accelerated by lazy evaluation: because d(P) is
-// submodular (Theorem 2), a vertex's marginal from an earlier round
-// upper-bounds its current marginal, so stale heap entries only ever
-// overestimate. The plan produced is identical to GTP's.
+// GTPLazy is the paper's Algorithm 1 (General Topology Placement):
+// starting from the empty plan, repeatedly deploy on the vertex with
+// the maximum marginal decrement d_P(v) until every flow is served.
+// The number of middleboxes k is an output, not an input; Theorem 3
+// gives the (1 − 1/e) decrement guarantee for that k.
+//
+// It evaluates marginals lazily: because d(P) is submodular
+// (Theorem 2), a vertex's marginal from an earlier round upper-bounds
+// its current marginal, so stale heap entries only ever overestimate.
+// The greedy runs on netsim.State, which updates only the flows
+// through each chosen vertex. Ties on the marginal decrement are
+// broken toward the vertex covering more still-unserved flows (which
+// lets the greedy terminate once positive gains are exhausted), then
+// toward the smaller vertex ID; the plan is identical to that of GTP,
+// the eager rescan kept in the tests as its reference.
 func GTPLazy(ctx context.Context, in *netsim.Instance) Result {
 	sc := observing(ctx)
 	coverStart := time.Now()

@@ -2,7 +2,6 @@ package placement
 
 import (
 	"context"
-	"fmt"
 
 	"tdmd/internal/graph"
 	"tdmd/internal/netsim"
@@ -44,8 +43,8 @@ func NewOnlineGTP(g *graph.Graph, lambda float64, k int) (*OnlineGTP, error) {
 	if err := validateBudget(k); err != nil {
 		return nil, err
 	}
-	if lambda < 0 {
-		return nil, fmt.Errorf("placement: negative lambda %v", lambda)
+	if err := netsim.CheckLambda(lambda); err != nil {
+		return nil, err
 	}
 	return &OnlineGTP{g: g, lambda: lambda, k: k, plan: netsim.NewPlan()}, nil
 }

@@ -98,8 +98,7 @@ func init() {
 			Consumes: OptK, Requires: OptK, Anytime: true, Exact: true,
 		},
 		fn: func(ctx context.Context, in *netsim.Instance, o Options) (Result, error) {
-			br, err := BranchAndBound(ctx, in, o.K, BnBOpts{})
-			return br.Result, err
+			return BranchAndBound(ctx, in, o.K)
 		},
 	})
 	Register(funcSolver{

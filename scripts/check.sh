@@ -65,8 +65,8 @@ echo "==> fuzz smoke (5s per target, auto-discovered)"
 # targets join the gate by existing, not by being listed here.
 scripts/fuzz.sh 5s
 
-echo "==> tdmdlint (full suite incl. solverpurity/detorder/goleak/guardedby/lockorder/holdblock + escape diff, baselines)"
-go run ./cmd/tdmdlint -baseline lint.baseline.json -escape-baseline escape.baseline.json ./...
+echo "==> tdmdlint (full suite incl. solverpurity/detorder/goleak/guardedby/lockorder/holdblock + escape diff)"
+go run ./cmd/tdmdlint -escape-baseline escape.baseline.json ./...
 
 echo "==> lock-order graph (deterministic DOT artifact)"
 # The module's lock-acquisition-order graph, dumped for CI to archive

@@ -120,8 +120,8 @@ func (b *ProblemBuilder) LoadGML(r io.Reader) error {
 
 // SetLambda sets the middlebox's traffic-changing ratio.
 func (b *ProblemBuilder) SetLambda(lambda float64) error {
-	if lambda < 0 {
-		return fmt.Errorf("tdmd: negative lambda %v", lambda)
+	if err := netsim.CheckLambda(lambda); err != nil {
+		return err
 	}
 	b.lambda = lambda
 	return nil

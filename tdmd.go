@@ -92,8 +92,12 @@ type SolveOption = placement.Option
 // local optimum).
 func WithRounds(n int) SolveOption { return placement.WithRounds(n) }
 
-// WithStarts sets the multi-start restart count for multistart-ls.
+// WithStarts sets the multi-start restart count for AlgMultiStartLS.
 func WithStarts(n int) SolveOption { return placement.WithStarts(n) }
+
+// WithCapacity sets AlgCapacitated's per-middlebox processing capacity:
+// the most total initial rate one box may serve (0 = unlimited).
+func WithCapacity(c int) SolveOption { return placement.WithCapacity(c) }
 
 // WithSolveSeed seeds this one Solve call's randomized algorithm,
 // overriding the Problem seed.
@@ -128,9 +132,24 @@ const (
 	// et al., which the paper compares against) via greedy set cover,
 	// ignoring k; bandwidth is then scored under the TDMD model.
 	AlgMinBoxes Algorithm = "min-boxes"
+	// AlgCapacitated is AlgGTP's greedy when each box can serve at most
+	// WithCapacity total initial rate (the paper assumes unlimited
+	// capacity), scored under netsim's first-fit-decreasing assignment.
+	AlgCapacitated Algorithm = "capacitated"
+	// AlgMultiStartLS runs the greedy + 1-swap pipeline from WithStarts
+	// seeds (greedy plus starts−1 random restarts) and keeps the best
+	// local optimum. Needs a seed.
+	AlgMultiStartLS Algorithm = "multistart-ls"
+	// AlgBnB is the exact branch-and-bound with the submodular pruning
+	// bound: certified optima well beyond AlgExhaustive's reach.
+	// Requires λ ≤ 1; a search cut short returns its incumbent with
+	// Result.Optimal false.
+	AlgBnB Algorithm = "bnb"
 )
 
-// Algorithms lists every algorithm name, tree-only ones included.
+// Algorithms lists the algorithms cmd/tdmd -compare runs, tree-only
+// ones included. AlgCapacitated, AlgMultiStartLS and AlgBnB are not in
+// it; Solve reaches them like any other.
 func Algorithms() []Algorithm {
 	return []Algorithm{AlgGTP, AlgGTPLazy, AlgGTPLS, AlgDP, AlgHAT, AlgRandom, AlgBestEffort, AlgExhaustive, AlgMinBoxes}
 }
