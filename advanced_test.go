@@ -143,6 +143,28 @@ func TestFacadeReachesEveryRegisteredSolver(t *testing.T) {
 	}
 }
 
+func TestMultiStartFacade(t *testing.T) {
+	p := fig1Problem(t)
+	r, err := p.WithSeed(3).Solve(context.Background(), AlgMultiStartLS, 3, WithStarts(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Bandwidth != 8 || !r.Feasible {
+		t.Fatalf("multi-start = %+v, want optimum 8", r)
+	}
+}
+
+func TestSolveExactFacade(t *testing.T) {
+	p := fig1Problem(t)
+	r, err := p.Solve(context.Background(), AlgBnB, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Optimal || r.Bandwidth != 8 {
+		t.Fatalf("exact solve = %+v, want certified 8", r)
+	}
+}
+
 // describeSolve renders a solve's outcome with the bandwidth's bits,
 // so equal strings mean bit-identical results.
 func describeSolve(r Result, err error) string {
