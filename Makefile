@@ -16,8 +16,8 @@ test:
 race:
 	go test -race ./...
 
-# The full analyzer suite (per-package rules plus the interprocedural
-# solverpurity/detorder/goleak/guardedby/lockorder/holdblock and the
+# The full analyzer suite (six per-package rules plus the interprocedural
+# solverpurity/detorder/goleak/mapstate/guardedby/lockorder/holdblock and the
 # compiler escape-analysis diff against the checked-in escape baseline)
 # — identical to the tdmdlint step in scripts/check.sh.
 lint:

@@ -18,8 +18,8 @@ func TestListFlag(t *testing.T) {
 		t.Fatalf("run(-list) = %d, stderr: %s", code, errOut.String())
 	}
 	for _, name := range []string{
-		"globalrand", "pathmutation", "droppederror",
-		"floateq", "internalboundary", "todotracker",
+		"globalrand", "droppederror",
+		"internalboundary", "todotracker",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out.String())
@@ -44,11 +44,11 @@ func TestSelectAnalyzers(t *testing.T) {
 	if got, ok := selectAnalyzers(all, "", &errOut); !ok || len(got) != len(all) {
 		t.Fatalf("no -only selected %d of %d", len(got), len(all))
 	}
-	got, ok := selectAnalyzers(all, "floateq, goleak", &errOut)
-	if !ok || len(got) != 2 || got[0].Name != "floateq" || got[1].Name != "goleak" {
-		t.Fatalf("-only floateq,goleak selected %v", names(got))
+	got, ok := selectAnalyzers(all, "droppederror, goleak", &errOut)
+	if !ok || len(got) != 2 || got[0].Name != "droppederror" || got[1].Name != "goleak" {
+		t.Fatalf("-only droppederror,goleak selected %v", names(got))
 	}
-	if _, ok := selectAnalyzers(all, "floateq,nope", &errOut); ok {
+	if _, ok := selectAnalyzers(all, "droppederror,nope", &errOut); ok {
 		t.Fatal("-only with an unknown name accepted")
 	}
 }
@@ -185,7 +185,7 @@ func TestLockGraphDeterministicDOT(t *testing.T) {
 
 	dump := func(path string) string {
 		var out, errOut strings.Builder
-		if code := run([]string{"-only", "floateq", "-lockgraph", path, "./..."}, &out, &errOut); code != 0 {
+		if code := run([]string{"-only", "droppederror", "-lockgraph", path, "./..."}, &out, &errOut); code != 0 {
 			t.Fatalf("run(-lockgraph) = %d\nstderr: %s", code, errOut.String())
 		}
 		data, err := os.ReadFile(path)
@@ -207,7 +207,7 @@ func TestLockGraphDeterministicDOT(t *testing.T) {
 
 	// "-" streams the same bytes to stdout instead.
 	var out, errOut strings.Builder
-	if code := run([]string{"-only", "floateq", "-lockgraph", "-", "./..."}, &out, &errOut); code != 0 {
+	if code := run([]string{"-only", "droppederror", "-lockgraph", "-", "./..."}, &out, &errOut); code != 0 {
 		t.Fatalf("run(-lockgraph -) = %d\nstderr: %s", code, errOut.String())
 	}
 	if out.String() != first {

@@ -74,7 +74,7 @@ func runAllocLoop(p *Package) []Finding {
 	var visit func(root ast.Node, inLoop, exempt bool)
 	visit = func(root ast.Node, inLoop, exempt bool) {
 		ast.Inspect(root, func(n ast.Node) bool {
-			if n == nil || n == root {
+			if n == nil {
 				return true
 			}
 			switch v := n.(type) {

@@ -39,9 +39,13 @@ func Greedy(in *netsim.Instance, p netsim.Plan, vs []int) {
 	for range vs {
 		_ = in.Allocate(p)
 	}
+	for range vs {
+		for range in.Allocate(p) {
+		}
+	}
 }
 `})
-	wantFindings(t, a, got, 2)
+	wantFindings(t, a, got, 3)
 	if !strings.Contains(got[0].Message, "netsim.State") {
 		t.Errorf("message should point at the incremental engine: %v", got[0])
 	}

@@ -32,16 +32,6 @@ const Invalid NodeID = -1
 
 type Path []NodeID
 `
-	fakeTraffic = `package traffic
-
-import "tdmd/internal/graph"
-
-type Flow struct {
-	ID   int
-	Rate int
-	Path graph.Path
-}
-`
 	fakeRand = `package rand
 
 type Source interface{ Int63() int64 }
@@ -80,11 +70,20 @@ func Run() {}
 `
 
 	// Stubs for the interprocedural (module-analyzer) fixtures. The
-	// stdlib-path stubs (sync, sort — plus fakeContext from the
-	// ctxflow tests) are type-checked so the fixtures compile but are
-	// NOT handed to the engine as units, so the engine models them
-	// through its external tables — exactly as in a real run, where
-	// only module packages are loaded.
+	// stdlib-path stubs (sync, sort, context) are type-checked so the
+	// fixtures compile but are NOT handed to the engine as units, so
+	// the engine models them through its external tables — exactly as
+	// in a real run, where only module packages are loaded.
+	fakeContext = `package context
+
+type Context interface {
+	Done() <-chan struct{}
+	Err() error
+}
+
+func Background() Context { return nil }
+func TODO() Context       { return nil }
+`
 	fakeSync = `package sync
 
 type WaitGroup struct{ n int }
@@ -234,3 +233,30 @@ func wantFindings(t *testing.T, a *Analyzer, got []Finding, want int) {
 		}
 	}
 }
+
+// fakeObs stubs tdmd/internal/obs for fixtures that register metrics;
+// only the constructor signatures matter.
+const fakeObs = `package obs
+
+type Counter struct{ v uint64 }
+
+func (c *Counter) Add(n uint64) { c.v += n }
+
+type Gauge struct{}
+type Histogram struct{}
+type CounterVec struct{}
+type GaugeVec struct{}
+type HistogramVec struct{}
+type Registry struct{}
+
+func NewCounter(name, help string) *Counter                            { return nil }
+func NewGauge(name, help string) *Gauge                                { return nil }
+func NewHistogram(name, help string, bounds []float64) *Histogram      { return nil }
+func NewCounterVec(name, help string, labels ...string) *CounterVec    { return nil }
+func NewGaugeVec(name, help string, labels ...string) *GaugeVec        { return nil }
+
+func (r *Registry) NewCounter(name, help string) *Counter              { return nil }
+func (r *Registry) NewHistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
+	return nil
+}
+`

@@ -776,7 +776,7 @@ func (p *evalPass) recordCallArgUses(call *ast.CallExpr, info callInfo) {
 	if id == "" || info.conversion || info.builtin != "" {
 		return
 	}
-	for i, a := range info.args {
+	for _, a := range info.args {
 		if o := p.exprUnord(a); o != nil {
 			p.uses = append(p.uses, UnorderedUse{
 				Kind:     UseCallArg,
@@ -784,7 +784,6 @@ func (p *evalPass) recordCallArgUses(call *ast.CallExpr, info callInfo) {
 				Origin:   *o,
 				Type:     p.typeOf(a),
 				CalleeID: id,
-				Arg:      i,
 			})
 		}
 	}

@@ -244,9 +244,6 @@ type UnorderedUse struct {
 	// external ID like "fmt.Println" or "*log/slog.Logger.Info", or
 	// interface-method ID).
 	CalleeID string
-	// Arg is the argument index for UseCallArg (receiver-first for
-	// methods).
-	Arg int
 }
 
 // Summary is the interprocedural abstract of one function, computed

@@ -8,7 +8,8 @@ import (
 // TestInferredGuardsOnServePackage pins the guard inference on the
 // real service runtime: the engine's admission state and the job
 // store must come out guarded by their mutexes, and the plan cache's
-// own state by the cache mutex. If a refactor drops enough lock sites
+// state — it has no lock of its own — by the engine mutex every
+// planCache method is entered under. If a refactor drops enough lock sites
 // that the majority flips, this fails before guardedby goes blind on
 // the package the analyzers were built for.
 func TestInferredGuardsOnServePackage(t *testing.T) {
@@ -27,12 +28,8 @@ func TestInferredGuardsOnServePackage(t *testing.T) {
 		"tdmd/internal/serve.Engine.closed":   "tdmd/internal/serve.Engine.mu",
 		"tdmd/internal/serve.JobStore.jobs":   "tdmd/internal/serve.JobStore.mu",
 		"tdmd/internal/serve.JobStore.order":  "tdmd/internal/serve.JobStore.mu",
-		// The cache internals hold BOTH planCache.mu and — because every
-		// planCache method is only ever entered under the engine lock
-		// (the Engine.mu → planCache.mu nesting) — Engine.mu as well.
-		// With equal counts the inference tie-breaks lexicographically,
-		// so the outer lock is reported; either answer is a guard every
-		// access actually holds.
+		// The cache internals are reached only through Engine.Submit,
+		// flight.finish and Engine.CacheLen, all under Engine.mu.
 		"tdmd/internal/serve.planCache.entries": "tdmd/internal/serve.Engine.mu",
 		"tdmd/internal/serve.planCache.order":   "tdmd/internal/serve.Engine.mu",
 	}

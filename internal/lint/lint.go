@@ -2,29 +2,21 @@
 // cmd/tdmdlint. It implements, with the standard library only
 // (go/parser + go/types — the module has no external dependencies and
 // must stay that way), the code-level invariants this repository's
-// correctness story rests on:
+// correctness story rests on. Each analyzer stays only while some
+// fault it names passes every other step of scripts/check.sh; the
+// shape of that fault is pinned in TestSoleCatchMutants. Six are
+// per-package rules:
 //
 //   - globalrand: library code must not use math/rand's global state,
 //     so experiments stay reproducible from explicit seeds;
-//   - pathmutation: flow paths are immutable once built — the fixed-path
-//     model of the paper (Sec. 3) assumes no algorithm rewrites them;
 //   - droppederror: library code must not discard error returns;
-//   - floateq: no direct ==/!= on floating-point values — bandwidth
-//     comparisons go through an epsilon helper or ordered tie-breaks;
 //   - allocloop: placement solvers must not call the netsim Instance's
 //     full Allocate inside loops — iteration runs on netsim.State
 //     deltas (invariant cross-checks excepted);
-//   - ctxflow: the solve path threads the caller's context — no
-//     context.Background()/TODO() inside internal/placement or in
-//     cmd/*serve request handlers, and exported placement entry
-//     points returning a Result take a context.Context first;
 //   - internalboundary: commands and examples consume the public tdmd
 //     facade, not internal packages (small allowlist aside);
 //   - todotracker: stray panic("TODO") markers and uppercase
 //     "xxx"/"fixme" attention comments fail the build;
-//   - obsnaming: metric names handed to the obs constructors are
-//     tdmd_-prefixed snake_case string literals with the kind suffix
-//     the exposition format expects (_total, _seconds/_bytes);
 //   - hotalloc: inside `//tdmd:hot` regions (solver fast-path
 //     functions and loops, see hot.go) no heap-allocating construct —
 //     make/new, slice/map/&T{} literals, growing append, string
@@ -42,8 +34,8 @@
 //   - detorder: map-iteration order must not reach a returned
 //     placement.Result/netsim.Plan or a diagnostic/serialization sink
 //     without an explicit sort or ordered tie-break in between;
-//   - goleak: goroutines spawned in internal/placement and
-//     cmd/tdmdserve must carry a completion signal (send, close,
+//   - goleak: goroutines spawned in internal/placement,
+//     internal/serve and cmd/tdmdserve must carry a completion signal (send, close,
 //     WaitGroup.Done) that the spawning frame joins, including on the
 //     cancellation branch;
 //   - mapstate: map-keyed state on the simulation/solver structs must
@@ -150,14 +142,10 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerGlobalRand,
-		AnalyzerPathMutation,
 		AnalyzerDroppedError,
-		AnalyzerFloatEq,
 		AnalyzerAllocLoop,
-		AnalyzerCtxFlow,
 		AnalyzerInternalBoundary,
 		AnalyzerTodoTracker,
-		AnalyzerObsNaming,
 		AnalyzerHotAlloc,
 		AnalyzerSolverPurity,
 		AnalyzerDetOrder,

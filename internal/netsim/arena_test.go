@@ -182,3 +182,36 @@ func TestCheckPathOffset(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaViewsAppendCopies: appending to a flow's path through
+// FlowPath or the Flows view must copy, not write the next class's
+// hops in the shared arena — paths are fixed once built (Sec. 3).
+func TestArenaViewsAppendCopies(t *testing.T) {
+	g, flows := arenaFixture()
+	in := buildFlows(t, g, flows)
+	raw := math.Float64bits(in.RawDemand())
+	plan := NewPlan(2)
+	bw := math.Float64bits(in.TotalBandwidth(plan))
+	for _, view := range []struct {
+		name string
+		path func() graph.Path
+	}{
+		{"FlowPath", func() graph.Path { return in.FlowPath(0) }},
+		{"Flows", func() graph.Path { return in.Flows()[0].Path }},
+	} {
+		name, path := view.name, view.path
+		grown := append(path(), 1)
+		if len(grown) != len(flows[0].Path)+1 || !pathsEqual(path(), flows[0].Path) {
+			t.Errorf("%s: append changed flow 0's path to %v", name, path())
+		}
+		if got := in.FlowPath(1); !pathsEqual(got, flows[1].Path) {
+			t.Errorf("%s: append rewrote flow 1's path to %v, want %v", name, got, flows[1].Path)
+		}
+		if got := in.Flows()[1].Path; !pathsEqual(got, flows[1].Path) {
+			t.Errorf("%s: Flows()[1].Path = %v, want %v", name, got, flows[1].Path)
+		}
+		if math.Float64bits(in.RawDemand()) != raw || math.Float64bits(in.TotalBandwidth(plan)) != bw {
+			t.Errorf("%s: RawDemand %v / bandwidth %v changed", name, in.RawDemand(), in.TotalBandwidth(plan))
+		}
+	}
+}

@@ -306,11 +306,14 @@ func (in *Instance) ClassFlow(c int) int { return int(in.classes[c].rep) }
 // ClassSize returns the number of flows in path class c.
 func (in *Instance) ClassSize(c int) int { return int(in.classes[c].mult) }
 
-// classPath returns class c's span of the path arena.
+// classPath returns class c's span of the path arena, capped at its
+// length so that an append copies instead of overwriting the next
+// class's hops.
 //
 //tdmd:hot
 func (in *Instance) classPath(c int) graph.Path {
-	return graph.Path(in.pathArena[in.classOff[c]:in.classOff[c+1]])
+	a, b := in.classOff[c], in.classOff[c+1]
+	return graph.Path(in.pathArena[a:b:b])
 }
 
 // flowHops returns |p_f| for flow i from its class's span.

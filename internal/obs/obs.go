@@ -12,14 +12,15 @@
 //     Vec lookups allocate a key and are meant to run once per
 //     request/solve, never inside solver loops (resolve the handle
 //     once and hold it where that matters);
-//   - metric-name hygiene is enforced twice: statically by the
-//     obsnaming lint analyzer at every registration call site, and at
-//     runtime by Register, which panics on malformed names (metrics
-//     are wired at init time, so a bad name is a programming error).
+//   - metric-name hygiene is enforced at registration, which panics on
+//     a malformed name: every metric is wired at init time or under
+//     placement.Metrics' sync.Once, so a bad name fails any test that
+//     loads the package.
 //
 // Naming rules: snake_case ([a-z0-9_], starting with a letter),
 // counters end in _total, histograms end in a unit suffix (_seconds or
-// _bytes), gauges must not end in _total.
+// _bytes), gauges must not end in _total, and names on the Default
+// registry carry the tdmd_ namespace prefix.
 package obs
 
 import (
@@ -224,6 +225,7 @@ func (v *HistogramVec) With(values ...string) *Histogram { return v.fam.get(valu
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
+	prefix   string // namespace every name must start with
 }
 
 // NewRegistry returns an empty registry.
@@ -233,7 +235,7 @@ func NewRegistry() *Registry {
 
 // Default is the process-wide registry every package-level constructor
 // registers into and the /metrics endpoint exposes.
-var Default = NewRegistry()
+var Default = &Registry{families: map[string]*family{}, prefix: "tdmd_"}
 
 // validName reports whether name is snake_case: a lowercase letter
 // followed by lowercase letters, digits and single underscores.
@@ -259,11 +261,14 @@ func validName(name string) bool {
 	return !prevUnderscore // no trailing underscore
 }
 
-// checkName enforces the naming rules the obsnaming analyzer checks
-// statically; registration happens at init time, so violations panic.
-func checkName(name string, kind Kind) {
+// checkName enforces the naming rules; registration happens at init
+// time, so violations panic.
+func (r *Registry) checkName(name string, kind Kind) {
 	if !validName(name) {
 		panic(fmt.Sprintf("obs: metric name %q is not snake_case", name))
+	}
+	if !strings.HasPrefix(name, r.prefix) {
+		panic(fmt.Sprintf("obs: metric %q lacks the %q namespace prefix", name, r.prefix))
 	}
 	switch kind {
 	case KindCounter:
@@ -283,7 +288,7 @@ func checkName(name string, kind Kind) {
 
 // register adds a family, panicking on duplicate or malformed names.
 func (r *Registry) register(name, help string, kind Kind, labels []string, bounds []float64) *family {
-	checkName(name, kind)
+	r.checkName(name, kind)
 	if help == "" {
 		panic(fmt.Sprintf("obs: metric %q registered without help text", name))
 	}

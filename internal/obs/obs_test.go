@@ -98,6 +98,7 @@ func TestNameHygienePanics(t *testing.T) {
 		{"leading digit", func(r *Registry) { r.NewCounter("9test_total", "x") }},
 		{"empty help", func(r *Registry) { r.NewCounter("test_ops_total", "") }},
 		{"bad label", func(r *Registry) { r.NewCounterVec("test_ops_total", "x", "camelCase") }},
+		{"Default without tdmd_ prefix", func(*Registry) { NewCounter("serve_rejected_total", "x") }},
 		{"duplicate", func(r *Registry) {
 			r.NewCounter("test_dup_total", "x")
 			r.NewCounter("test_dup_total", "x")

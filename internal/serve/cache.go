@@ -2,18 +2,17 @@ package serve
 
 import (
 	"container/list"
-	"sync"
 
 	"tdmd"
 )
 
-// planCache is a mutex-guarded LRU from problem fingerprint to solved
-// Result. Only complete, uninterrupted solves are stored (the Engine
+// planCache is an LRU from problem fingerprint to solved Result. It
+// has no lock of its own: every method runs with Engine.mu held.
+// Only complete, uninterrupted solves are stored (the Engine
 // enforces that), so a hit replays exactly what a fresh solve of the
 // identical submission would compute. Entries hold a cloned Plan and
 // are treated as immutable by every reader.
 type planCache struct {
-	mu      sync.Mutex
 	cap     int
 	entries map[Fingerprint]*list.Element
 	order   *list.List // front = most recently used
@@ -34,8 +33,6 @@ func newPlanCache(capacity int) *planCache {
 
 // get returns the cached result and refreshes its recency.
 func (c *planCache) get(fp Fingerprint) (tdmd.Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.entries[fp]
 	if !ok {
 		return tdmd.Result{}, false
@@ -52,8 +49,6 @@ func (c *planCache) put(fp Fingerprint, res tdmd.Result) {
 		return
 	}
 	res.Plan = res.Plan.Clone()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.entries[fp]; ok {
 		el.Value.(*cacheEntry).res = res
 		c.order.MoveToFront(el)
@@ -71,7 +66,5 @@ func (c *planCache) put(fp Fingerprint, res tdmd.Result) {
 
 // len reports the live entry count.
 func (c *planCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.order.Len()
 }

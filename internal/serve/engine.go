@@ -87,7 +87,7 @@ type Engine struct {
 	baseCtx      context.Context
 	baseCancel   context.CancelFunc
 
-	mu       sync.Mutex
+	mu       sync.Mutex // guards inflight, closed and every cache call
 	inflight map[Fingerprint]*flight
 	closed   bool
 }
@@ -358,10 +358,7 @@ func (e *Engine) Close(ctx context.Context) error {
 }
 
 // CacheLen reports the plan cache's live entry count (tests and
-// stats). It takes the engine mutex like every other cache access:
-// the Engine.mu → planCache.mu nesting is the established order, and
-// holding it here keeps the count coherent with concurrent
-// Submit/finish traffic.
+// stats). It takes the engine mutex, which guards every cache access.
 func (e *Engine) CacheLen() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -1119,3 +1119,64 @@ func TestServeCacheLenRacesWithSubmit(t *testing.T) {
 		t.Fatal("cache empty after eight distinct complete solves")
 	}
 }
+
+// TestServeConcurrentCacheHitsAndFills: several goroutines submit a
+// mix of repeated and distinct problems, so cache hits run while other
+// flights fill the cache. The plan cache has no lock of its own —
+// Engine.mu guards every call — and the race detector owns that
+// assertion; every answer must also match a direct solve.
+func TestServeConcurrentCacheHitsAndFills(t *testing.T) {
+	const problems, goroutines, rounds = 6, 4, 12
+	e := testEngine(t, EngineConfig{Workers: 2, Queue: 2 * goroutines, CacheSize: 2 * problems})
+	subs := make([]Submission, problems)
+	want := make([]float64, problems)
+	for i := range subs {
+		p, err := lineSpec(i + 1).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs[i] = Submission{Problem: p, Algorithm: "gtp", K: 1}
+		res, err := p.Solve(context.Background(), "gtp", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Bandwidth
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	errc := make(chan error, goroutines*rounds)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := (g + r) % problems
+				tk, err := e.Submit(subs[i])
+				if err != nil {
+					errc <- err
+					return
+				}
+				out, err := tk.Wait(ctx)
+				tk.Release()
+				switch {
+				case err != nil:
+					errc <- err
+				case out.Err != nil:
+					errc <- out.Err
+				case out.Result.Bandwidth != want[i]:
+					errc <- fmt.Errorf("problem %d from %s: bandwidth %v, want %v", i, out.Source, out.Result.Bandwidth, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	if n := e.CacheLen(); n != problems {
+		t.Fatalf("CacheLen = %d, want %d distinct complete solves", n, problems)
+	}
+}

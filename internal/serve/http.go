@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"tdmd"
+	"tdmd/internal/graph"
 	"tdmd/internal/placement"
 )
 
@@ -491,25 +492,44 @@ func makeSolveResponse(res tdmd.Result, rawDemand, elapsed float64) solveRespons
 	return resp
 }
 
-// resolveAlgorithm applies the default algorithm and rejects a name
-// the solver registry does not know. Callers resolve it before
-// building the problem (and, for streams, before decoding the body),
-// so an unknown name costs no build and no pool solve.
-func resolveAlgorithm(name string) (tdmd.Algorithm, error) {
+// resolveAlgorithm applies the default algorithm and rejects a
+// request no registered solver can run: an unknown name, or a k and
+// seed that placement.ValidateOptions refuses for the solver's traits.
+// The wire can carry a tree view, so the check assumes one; whether
+// the spec has a root is checked once the problem is built. Callers
+// resolve it before building the problem (and, for streams, before
+// decoding the body), so such a request costs no build, no queue slot
+// and no pool solve.
+func resolveAlgorithm(name string, k int, seed *int64) (tdmd.Algorithm, error) {
 	if name == "" {
-		return tdmd.AlgGTP, nil
+		name = string(tdmd.AlgGTP)
 	}
-	if _, ok := placement.Lookup(name); !ok {
+	s, ok := placement.Lookup(name)
+	if !ok {
 		return "", fmt.Errorf("unknown algorithm %q", name)
+	}
+	opts := []placement.Option{placement.FallbackTree(wireTree)}
+	if k != 0 {
+		opts = append(opts, placement.WithK(k))
+	}
+	if seed != nil {
+		opts = append(opts, placement.FallbackSeed(*seed))
+	}
+	if err := placement.ValidateOptions(s.Traits(), placement.NewOptions(opts...)); err != nil {
+		return "", err
 	}
 	return tdmd.Algorithm(name), nil
 }
+
+// wireTree stands in for a request's tree view while its algorithm is
+// resolved, before the problem exists.
+var wireTree = new(graph.Tree)
 
 // buildSubmission turns a decoded solveRequest into an engine
 // submission, applying the default algorithm and the tree
 // requirement check. On error the int is the HTTP status.
 func buildSubmission(req solveRequest) (Submission, int, error) {
-	alg, err := resolveAlgorithm(req.Algorithm)
+	alg, err := resolveAlgorithm(req.Algorithm, req.K, req.Seed)
 	if err != nil {
 		return Submission{}, http.StatusBadRequest, err
 	}
@@ -768,13 +788,9 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 // plus query parameters. On error the int is the HTTP status.
 func (s *Server) streamSubmission(w http.ResponseWriter, r *http.Request) (Submission, int, error) {
 	q := r.URL.Query()
-	alg, err := resolveAlgorithm(q.Get("algorithm"))
-	if err != nil {
-		return Submission{}, http.StatusBadRequest, err
-	}
 	// The query parameters are checked before the body is read, so a
 	// bad one costs no decoding.
-	sub := Submission{Algorithm: alg}
+	var sub Submission
 	if ks := q.Get("k"); ks != "" {
 		k, err := strconv.Atoi(ks)
 		if err != nil {
@@ -789,6 +805,11 @@ func (s *Server) streamSubmission(w http.ResponseWriter, r *http.Request) (Submi
 		}
 		sub.Seed = &seed
 	}
+	alg, err := resolveAlgorithm(q.Get("algorithm"), sub.K, sub.Seed)
+	if err != nil {
+		return Submission{}, http.StatusBadRequest, err
+	}
+	sub.Algorithm = alg
 	problem, err := tdmd.DecodeStream(http.MaxBytesReader(w, r.Body, s.cfg.MaxStreamBytes))
 	if err != nil {
 		var tooLarge *http.MaxBytesError

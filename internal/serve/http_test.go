@@ -757,3 +757,62 @@ func TestServeRootOutOfRange400(t *testing.T) {
 		}
 	}
 }
+
+// TestServeUnrunnableSolver400BeforeAdmission: a request whose solver
+// cannot run with what the wire carries — multistart-ls needs a starts
+// count no request can send, gtp-lazy takes no budget — is a 400
+// decided before admission, on /api/solve and on both /v1/jobs bodies
+// (the NDJSON one before its body is read). It takes no queue slot,
+// leaves no solve sample and adds no cache entry.
+func TestServeUnrunnableSolver400BeforeAdmission(t *testing.T) {
+	s, srv := testServer(t, Config{})
+	seed := int64(1)
+	misses, solves, jobs := cacheMissesTotal.Value(), solvesTotal.Value(), jobsCreatedTotal.Value()
+	const samples = `tdmd_solve_duration_seconds_count{algorithm="multistart-ls"}`
+	before := countSeries(t, samples)
+	flows := countSeries(t, "tdmd_ingest_flows_total")
+	check := func(name string, code int, msg, want string) {
+		t.Helper()
+		if code != http.StatusBadRequest || !strings.Contains(msg, want) {
+			t.Errorf("%s: status %d, error %q; want 400 naming %q", name, code, msg, want)
+		}
+	}
+	for _, path := range []string{"/api/solve", "/v1/jobs"} {
+		for _, tc := range []struct {
+			req  solveRequest
+			want string
+		}{
+			{solveRequest{Spec: fig1Spec(t), Algorithm: "multistart-ls", K: 3, Seed: &seed}, "requires option(s) starts"},
+			{solveRequest{Spec: fig1Spec(t), Algorithm: "gtp-lazy", K: 3}, "does not accept option(s) k"},
+		} {
+			resp := post(t, srv, path, tc.req)
+			var env errorEnvelope
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			check(path+" "+tc.req.Algorithm, resp.StatusCode, env.Error, tc.want)
+		}
+	}
+	code, msg := postNDJSON(t, s, "algorithm=multistart-ls&k=3&seed=1", []byte("not json"))
+	check("NDJSON multistart-ls", code, msg, "requires option(s) starts")
+
+	if got := cacheMissesTotal.Value(); got != misses {
+		t.Errorf("cache misses %d -> %d: a request took a queue slot", misses, got)
+	}
+	if got := solvesTotal.Value(); got != solves {
+		t.Errorf("pool solves %d -> %d", solves, got)
+	}
+	if got := jobsCreatedTotal.Value(); got != jobs {
+		t.Errorf("jobs created %d -> %d", jobs, got)
+	}
+	if got := countSeries(t, samples); got != before {
+		t.Errorf("multistart-ls solve samples %d -> %d", before, got)
+	}
+	if got := countSeries(t, "tdmd_ingest_flows_total"); got != flows {
+		t.Errorf("ingested flows %d -> %d before rejecting", flows, got)
+	}
+	if n := s.eng.CacheLen(); n != 0 {
+		t.Errorf("CacheLen = %d, want 0", n)
+	}
+}

@@ -10,9 +10,9 @@ import (
 )
 
 // ApproxEqual reports whether a and b agree within a relative-absolute
-// tolerance: |a−b| ≤ tol·(1 + max(|a|, |b|)). Production code must use
-// it (or an ordered tie-break) instead of == / != on float64 values —
-// the floateq analyzer in internal/lint enforces that.
+// tolerance: |a−b| ≤ tol·(1 + max(|a|, |b|)). Use it, not == / !=,
+// where two float64 values computed along different paths should
+// agree.
 func ApproxEqual(a, b, tol float64) bool {
 	scale := math.Abs(a)
 	if ab := math.Abs(b); ab > scale {

@@ -65,7 +65,7 @@ echo "==> fuzz smoke (5s per target, auto-discovered)"
 # targets join the gate by existing, not by being listed here.
 scripts/fuzz.sh 5s
 
-echo "==> tdmdlint (full suite incl. solverpurity/detorder/goleak/guardedby/lockorder/holdblock + escape diff)"
+echo "==> tdmdlint (13 analyzers incl. solverpurity/detorder/goleak/mapstate/guardedby/lockorder/holdblock + escape diff)"
 go run ./cmd/tdmdlint -escape-baseline escape.baseline.json ./...
 
 echo "==> lock-order graph (deterministic DOT artifact)"
