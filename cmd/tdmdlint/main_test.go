@@ -2,11 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"tdmd/internal/lint"
@@ -137,6 +139,57 @@ func TestEscapeBaselineMissingFailsBeforeCompiling(t *testing.T) {
 	}
 }
 
+// moduleRuns analyses the whole module twice in one process, once at
+// the default GOMAXPROCS and once at GOMAXPROCS=1, each run emitting
+// -json and the -lockgraph DOT together: the first writes the graph to
+// a file, the second streams it to stdout ahead of the JSON. The tests
+// below share the two runs, so the module is analysed at most twice
+// however many of them run.
+var moduleRuns struct {
+	once     sync.Once
+	procs    int    // the default GOMAXPROCS of the first run
+	json     string // the first run's -json output
+	dot      string // the first run's -lockgraph file
+	serial   string // the second run's stdout: DOT, then JSON
+	failures string // why a run failed, if one did
+}
+
+func analyzeModule(t *testing.T) {
+	t.Helper()
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	moduleRuns.once.Do(func() {
+		t.Chdir(filepath.Join("..", ".."))
+		run1 := func(args ...string) (string, bool) {
+			var out, errOut strings.Builder
+			if code := run(args, &out, &errOut); code != 0 {
+				moduleRuns.failures += fmt.Sprintf("run(%v) = %d\nstdout: %s\nstderr: %s\n", args, code, out.String(), errOut.String())
+				return "", false
+			}
+			return out.String(), true
+		}
+		dotPath := filepath.Join(t.TempDir(), "lock.dot")
+		moduleRuns.procs = runtime.GOMAXPROCS(0)
+		first, ok := run1("-json", "-lockgraph", dotPath, "./...")
+		if !ok {
+			return
+		}
+		dot, err := os.ReadFile(dotPath)
+		if err != nil {
+			moduleRuns.failures = err.Error()
+			return
+		}
+		moduleRuns.json, moduleRuns.dot = first, string(dot)
+		old := runtime.GOMAXPROCS(1)
+		moduleRuns.serial, _ = run1("-json", "-lockgraph", "-", "./...")
+		runtime.GOMAXPROCS(old)
+	})
+	if moduleRuns.failures != "" {
+		t.Fatal(moduleRuns.failures)
+	}
+}
+
 // TestModuleJSONDeterministic is the determinism regression for the
 // lock-fact layer and the analyzers on top of it: the whole module is
 // loaded and analyzed twice in one process, and the -json bytes must
@@ -144,74 +197,30 @@ func TestEscapeBaselineMissingFailsBeforeCompiling(t *testing.T) {
 // default, so no map-iteration order or scheduling artifact can reach
 // the report.
 func TestModuleJSONDeterministic(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
 	if testing.Short() {
 		t.Skip("full-module analysis in -short mode")
 	}
-	t.Chdir(filepath.Join("..", ".."))
-
-	runOnce := func() string {
-		var out, errOut strings.Builder
-		if code := run([]string{"-json", "./..."}, &out, &errOut); code != 0 {
-			t.Fatalf("run(-json ./...) = %d\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
-		}
-		return out.String()
+	analyzeModule(t)
+	serialJSON, ok := strings.CutPrefix(moduleRuns.serial, moduleRuns.dot)
+	if !ok {
+		t.Fatalf("second run's stdout does not open with the lock graph:\n%s", moduleRuns.serial)
 	}
-
-	first := runOnce()
-	second := runOnce()
-	if first != second {
-		t.Fatalf("-json not byte-identical across two in-process module runs:\n%s\n---\n%s", first, second)
-	}
-
-	old := runtime.GOMAXPROCS(1)
-	serial := runOnce()
-	runtime.GOMAXPROCS(old)
-	if first != serial {
-		t.Fatalf("-json differs between GOMAXPROCS=%d and GOMAXPROCS=1:\n%s\n---\n%s", old, first, serial)
+	if moduleRuns.json != serialJSON {
+		t.Fatalf("-json differs between GOMAXPROCS=%d and GOMAXPROCS=1:\n%s\n---\n%s", moduleRuns.procs, moduleRuns.json, serialJSON)
 	}
 }
 
 // TestLockGraphDeterministicDOT pins the -lockgraph artifact: valid
-// DOT, byte-identical across runs, and carrying the serve engine's
-// known lock nesting (Engine.mu acquired before the plan cache's).
+// DOT, byte-identical across runs, and "-" streaming the same bytes to
+// stdout as the file receives.
 func TestLockGraphDeterministicDOT(t *testing.T) {
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go toolchain not on PATH")
+	analyzeModule(t)
+	dot := moduleRuns.dot
+	if !strings.HasPrefix(dot, "digraph lockorder {\n") || !strings.HasSuffix(dot, "}\n") {
+		t.Fatalf("-lockgraph output is not the expected DOT document:\n%s", dot)
 	}
-	t.Chdir(filepath.Join("..", ".."))
-
-	dump := func(path string) string {
-		var out, errOut strings.Builder
-		if code := run([]string{"-only", "droppederror", "-lockgraph", path, "./..."}, &out, &errOut); code != 0 {
-			t.Fatalf("run(-lockgraph) = %d\nstderr: %s", code, errOut.String())
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(data)
-	}
-
-	dir := t.TempDir()
-	first := dump(filepath.Join(dir, "a.dot"))
-	second := dump(filepath.Join(dir, "b.dot"))
-	if first != second {
-		t.Fatalf("-lockgraph output not byte-identical:\n%s\n---\n%s", first, second)
-	}
-	if !strings.HasPrefix(first, "digraph lockorder {\n") || !strings.HasSuffix(first, "}\n") {
-		t.Fatalf("-lockgraph output is not the expected DOT document:\n%s", first)
-	}
-
-	// "-" streams the same bytes to stdout instead.
-	var out, errOut strings.Builder
-	if code := run([]string{"-only", "droppederror", "-lockgraph", "-", "./..."}, &out, &errOut); code != 0 {
-		t.Fatalf("run(-lockgraph -) = %d\nstderr: %s", code, errOut.String())
-	}
-	if out.String() != first {
-		t.Fatalf("-lockgraph - differs from file output:\n%s\n---\n%s", out.String(), first)
+	if !strings.HasPrefix(moduleRuns.serial, dot) {
+		t.Fatalf("-lockgraph output not byte-identical across runs, or - differs from file output:\n%s\n---\n%s", dot, moduleRuns.serial)
 	}
 }
 

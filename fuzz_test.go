@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -99,6 +100,12 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add("a,b,0.2\n")
 	f.Add("a,d,1\n")
 	f.Add(" c , a , 1e3 \r\n#x\n\tb,a,-7")
+	// Rates beyond the rate arena, or not numbers at all: line-numbered
+	// errors, never a silent rate of 1 or a trace NewProblem rejects.
+	f.Add("a,b,NaN\n")
+	f.Add("a,b,inf\n")
+	f.Add("a,b,1e30\n")
+	f.Add("a,b,2170000000\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g := NewGraph()
 		a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
@@ -125,6 +132,10 @@ func FuzzReadTrace(f *testing.F) {
 			dst := g.NodeByName(strings.TrimSpace(records[i][1]))
 			if fl.Src() != src || fl.Dst() != dst {
 				t.Fatalf("flow %d runs %d -> %d, record %q says %d -> %d", i, fl.Src(), fl.Dst(), records[i], src, dst)
+			}
+			r, _ := strconv.ParseFloat(strings.TrimSpace(records[i][2]), 64)
+			if want := max(math.Floor(r+0.5), 1); float64(fl.Rate) != want {
+				t.Fatalf("flow %d has rate %d, record %q rounds to %v", i, fl.Rate, records[i], want)
 			}
 			sp, err := g.ShortestPath(src, dst)
 			if err != nil || fl.Path.Len() != sp.Len() {

@@ -48,29 +48,24 @@ func NewTree(g *Graph, root NodeID) (*Tree, error) {
 	// Iterative DFS so deep trees cannot overflow the goroutine stack.
 	type frame struct {
 		v    NodeID
-		next int // index into combined neighbour list
-	}
-	neighbours := func(v NodeID) []NodeID {
-		var ns []NodeID
-		for _, e := range g.Out(v) {
-			ns = append(ns, e.To)
-		}
-		for _, e := range g.In(v) {
-			ns = append(ns, e.From)
-		}
-		return ns
+		next int // index into v's out-edges, then its in-edges
 	}
 	stack := []frame{{v: root}}
 	visited := 1
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		ns := neighbours(f.v)
-		if f.next >= len(ns) {
+		out, in := g.Out(f.v), g.In(f.v)
+		var u NodeID
+		switch {
+		case f.next < len(out):
+			u = out[f.next].To
+		case f.next < len(out)+len(in):
+			u = in[f.next-len(out)].From
+		default:
 			t.order = append(t.order, f.v)
 			stack = stack[:len(stack)-1]
 			continue
 		}
-		u := ns[f.next]
 		f.next++
 		if u == f.v {
 			return nil, ErrNotTree // self-loop

@@ -26,7 +26,8 @@ type Builder struct {
 	frozen bool
 
 	// Per flow: rate and path class, two equal-capacity segments of
-	// one allocation that grows by doubling.
+	// one allocation that grows by doubling, or to the size a
+	// reservation asks for.
 	rates     []int32
 	flowClass []int32
 
@@ -58,11 +59,21 @@ func NewBuilder(g *graph.Graph) *Builder {
 // trims it if less than half of it was used. Optional: without it
 // every arena grows by doubling.
 func (b *Builder) Reserve(flows, pathEntries int) {
-	if need := len(b.rates) + flows; need > cap(b.rates) {
-		b.growFlows(need)
-	}
+	b.ReserveFlows(flows)
 	b.growClasses(b.numClasses() + flows)
 	b.growArena(pathEntries / 2)
+}
+
+// ReserveFlows makes room in the rate and class arenas for n more
+// flows, growing them to exactly that size if they must grow, and
+// reports how many flows they now have room for. Unlike Reserve it
+// sizes neither the intern table nor the path arena, so a fill of many
+// flows over few paths pays only for the flows.
+func (b *Builder) ReserveFlows(n int) int {
+	if need := len(b.rates) + n; need > cap(b.rates) {
+		b.growFlows(need)
+	}
+	return cap(b.rates)
 }
 
 // growArena makes room for n more hops in the path arena, at least
@@ -230,7 +241,7 @@ func checkRate(id, rate int) error {
 	if err := traffic.ValidateRate(id, rate); err != nil {
 		return err
 	}
-	if rate > math.MaxInt32 {
+	if rate > traffic.MaxFlowRate {
 		return fmt.Errorf("netsim: flow %d rate %d overflows the rate arena", id, rate)
 	}
 	return nil
@@ -268,13 +279,18 @@ func checkPathOffset(id int, end int64) error {
 // Build indexes the arenas into an instance with traffic-changing
 // ratio λ (see New for its range). A path arena less than half filled
 // by the class paths (Reserve sized it for more distinct hops than
-// came) is trimmed to size first.
+// came), or flow arenas less than half filled by the flows (a
+// reservation expected more flows than came), is trimmed to size
+// first.
 func (b *Builder) Build(lambda float64) (*Instance, error) {
 	if err := CheckLambda(lambda); err != nil {
 		return nil, err
 	}
 	if len(b.pathArena) < cap(b.pathArena)/2 {
 		b.pathArena = append(make([]graph.NodeID, 0, len(b.pathArena)), b.pathArena...)
+	}
+	if len(b.rates) < cap(b.rates)/2 {
+		b.growFlows(len(b.rates))
 	}
 	inst := &Instance{
 		G: b.g, Lambda: lambda,

@@ -31,6 +31,10 @@ import (
 // would exceed maxDPCells (2^22) cells is refused with ErrBadOptions
 // before any table is allocated; at the cap they hold ~64 MiB.
 //
+// Those tables and tracebacks are carved from one arena allocated at
+// exactly the run's cells, and the merge scratch is allocated once at
+// the size of the widest merge, so nothing regrows during a run.
+//
 // The returned Result carries the optimal plan of size ≤ k, obtained
 // by minimizing F(root, k') over k' ≤ k and tracing the decisions
 // back.
@@ -118,23 +122,35 @@ func TreeDPTables(ctx context.Context, in *netsim.Instance, t *graph.Tree, k int
 
 // checkTreeWorkload verifies that every flow runs along its tree path
 // to the root and the middlebox is traffic-diminishing — the
-// preconditions of Sec. 5.
+// preconditions of Sec. 5. Flows on one path share its class, so each
+// class path is checked once, hop by hop against the tree's parents;
+// classes are numbered in flow order, so the first failing class names
+// the first failing flow.
 func checkTreeWorkload(in *netsim.Instance, t *graph.Tree) error {
 	if in.Lambda > 1 {
 		return fmt.Errorf("placement: tree algorithms require a traffic-diminishing middlebox (λ ≤ 1), got λ=%v", in.Lambda)
 	}
-	for _, f := range in.Flows() {
-		if f.Dst() != t.Root {
-			return fmt.Errorf("placement: flow %d ends at %d, not the root %d", f.ID, f.Dst(), t.Root)
+	for c := range in.NumClasses() {
+		f := in.ClassFlow(c)
+		if err := treePathError(t, f, in.FlowPath(f)); err != nil {
+			return err
 		}
-		want := t.PathToRoot(f.Src())
-		if len(want) != len(f.Path) {
-			return fmt.Errorf("placement: flow %d does not follow its tree path", f.ID)
-		}
-		for i := range want {
-			if want[i] != f.Path[i] {
-				return fmt.Errorf("placement: flow %d does not follow its tree path", f.ID)
-			}
+	}
+	return nil
+}
+
+// treePathError reports why flow f's path does not run from its source
+// up the tree to the root, or nil if it does.
+func treePathError(t *graph.Tree, f int, path graph.Path) error {
+	if dst := path[len(path)-1]; dst != t.Root {
+		return fmt.Errorf("placement: flow %d ends at %d, not the root %d", f, dst, t.Root)
+	}
+	if len(path) != t.Depth(path[0])+1 {
+		return fmt.Errorf("placement: flow %d does not follow its tree path", f)
+	}
+	for i := 1; i < len(path); i++ {
+		if path[i] != t.Parent(path[i-1]) {
+			return fmt.Errorf("placement: flow %d does not follow its tree path", f)
 		}
 	}
 	return nil
@@ -186,13 +202,13 @@ func (tb *dpTable) at(k, b int) float64 {
 	return tb.vals[tb.idx(k, b)]
 }
 
-func newTable(maxK, maxB int) *dpTable {
-	n := (maxK + 1) * (maxB + 1)
-	tb := &dpTable{maxK: maxK, maxB: maxB, vals: make([]float64, n), choice: make([]dpChoice, n)}
-	for i := range tb.vals {
-		tb.vals[i] = math.Inf(1)
+// reset makes tb an empty (maxK+1)×(maxB+1) table over vals and
+// choice, which must be zero (fresh memory is): every state +Inf.
+func (tb *dpTable) reset(maxK, maxB int, vals []float64, choice []dpChoice) {
+	*tb = dpTable{maxK: maxK, maxB: maxB, vals: vals, choice: choice}
+	for i := range vals {
+		vals[i] = math.Inf(1)
 	}
-	return tb
 }
 
 // dpRun carries the per-instance context of one TreeDP execution.
@@ -204,11 +220,25 @@ type dpRun struct {
 	subRate []int // S_v: rate sourced in T_v
 	subSize []int // vertices in T_v (caps the k dimension)
 	memo    []*dpTable
+	tables  []dpTable // by vertex; memo[v] is &tables[v] once v is solved
+	// free is the part of the run's arena not yet carved into tables
+	// and tracebacks.
+	free dpArena
 	// Merge scratch shared by every vertex: the children accumulator's
 	// values ping-pong between acc[0] and acc[1], and finite lists the
-	// accumulator's reachable states.
+	// accumulator's reachable states. Each holds the widest merge.
 	acc    [2][]float64
 	finite []dpState
+}
+
+// dpArena is the memory of a run's tables and tracebacks: the cells of
+// every vertex table, and one traceback per child merge with its cells.
+type dpArena struct {
+	vals   []float64    // vertex-table cells
+	choice []dpChoice   // vertex-table cells
+	backs  []mergeBack  // one per child merge
+	backOf []*mergeBack // each vertex's merges, in child order
+	splits []int32      // two per merge-traceback cell
 }
 
 // dpState is one reachable accumulator state: k boxes at value v. off
@@ -220,7 +250,8 @@ type dpState struct {
 
 // newDPRun sizes a TreeDP run and refuses, with ErrBadOptions, one
 // whose tables would exceed maxDPCells; nothing large is allocated
-// before the check.
+// before the check. Then it allocates the run's arena and merge
+// scratch, each once and at exactly the size the run needs.
 func newDPRun(in *netsim.Instance, t *graph.Tree, k int) (*dpRun, error) {
 	n := in.G.NumNodes()
 	d := &dpRun{
@@ -230,8 +261,8 @@ func newDPRun(in *netsim.Instance, t *graph.Tree, k int) (*dpRun, error) {
 		subSize: make([]int, n),
 		memo:    make([]*dpTable, n),
 	}
-	for _, f := range in.Flows() {
-		d.ownRate[f.Src()] += f.Rate
+	for i := range in.NumFlows() {
+		d.ownRate[in.FlowPath(i)[0]] += in.FlowRate(i)
 	}
 	for _, v := range t.PostOrder() {
 		d.subRate[v] = d.ownRate[v]
@@ -241,27 +272,54 @@ func newDPRun(in *netsim.Instance, t *graph.Tree, k int) (*dpRun, error) {
 			d.subSize[v] += d.subSize[c]
 		}
 	}
-	if cells := d.cells(); cells > maxDPCells {
+	tables, merges, widest := d.extent()
+	if cells := addCells(tables, merges, 1); cells > maxDPCells {
 		return nil, fmt.Errorf("placement: tree DP needs %d table cells, above the cap of %d (its size grows with the total flow rate): %w",
 			cells, maxDPCells, ErrBadOptions)
 	}
+	d.allocate(tables, merges, widest)
 	return d, nil
 }
 
-// cells counts the run's vertex-table and merge-traceback cells,
-// saturating at math.MaxInt instead of overflowing.
-func (d *dpRun) cells() int {
-	total := 0
+// allocate gives the run its tables, an arena of tables table cells
+// and merges traceback cells, and merge scratch for widest states.
+func (d *dpRun) allocate(tables, merges, widest int) {
+	n := len(d.memo)
+	d.tables = make([]dpTable, n)
+	d.free = dpArena{
+		vals:   make([]float64, tables),
+		choice: make([]dpChoice, tables),
+		backs:  make([]mergeBack, n),
+		backOf: make([]*mergeBack, n),
+		splits: make([]int32, 2*merges),
+	}
+	d.acc = [2][]float64{make([]float64, widest), make([]float64, widest)}
+	d.finite = make([]dpState, 0, widest)
+}
+
+// carve takes the next n elements off the front of *free. newDPRun
+// sized the arena for the whole run, so it never runs short.
+func carve[T any](free *[]T, n int) []T {
+	s := (*free)[:n:n]
+	*free = (*free)[n:]
+	return s
+}
+
+// extent counts the run's vertex-table cells and merge-traceback cells
+// and the cells of its widest merge, each saturating at math.MaxInt.
+func (d *dpRun) extent() (tables, merges, widest int) {
+	widest = 1 // the empty accumulator every merge starts from
 	for _, v := range d.t.PostOrder() {
-		total = addCells(total, d.capK(v)+1, d.subRate[v]+1)
+		tables = addCells(tables, d.capK(v)+1, d.subRate[v]+1)
 		k, b := 0, 0
 		for _, c := range d.t.Children(v) {
 			k = min(k+d.capK(c), d.budget)
 			b += d.subRate[c]
-			total = addCells(total, k+1, b+1)
+			merges = addCells(merges, k+1, b+1)
+			widest = max(widest, addCells(0, k+1, b+1))
 		}
 	}
-	return total
+	return tables, merges, widest
 }
 
 // addCells returns total + a·b for non-negative total and a and
@@ -311,10 +369,10 @@ func (d *dpRun) solveNode(v graph.NodeID) *dpTable {
 	// already-merged child subtrees plus their uplink loads, with k
 	// boxes among them and total processed rate b.
 	accK, accB, side := 0, 0, 0
-	acc := append(d.acc[side][:0], 0)
-	d.acc[side] = acc
-	backs := make([]*mergeBack, 0, len(children))
-	for _, c := range children {
+	acc := d.acc[side][:1]
+	acc[0] = 0
+	backs := carve(&d.free.backOf, len(children))
+	for j, c := range children {
 		ct := d.memo[c] // children are solved before their parent
 		if ct == nil {
 			panic("placement: TreeDP child table missing (scheduling bug)")
@@ -323,7 +381,7 @@ func (d *dpRun) solveNode(v graph.NodeID) *dpTable {
 		newK := min(accK+ct.maxK, d.budget)
 		newB := accB + sc
 		n := (newK + 1) * (newB + 1)
-		finite := d.finite[:0]
+		finite := d.finite[:0] // never regrows: sized to the widest merge
 		for ka := 0; ka <= accK; ka++ {
 			for ba, val := range acc[ka*(accB+1) : (ka+1)*(accB+1)] {
 				if !math.IsInf(val, 1) {
@@ -331,20 +389,17 @@ func (d *dpRun) solveNode(v graph.NodeID) *dpTable {
 				}
 			}
 		}
-		d.finite = finite
 		side ^= 1
-		if cap(d.acc[side]) < n {
-			d.acc[side] = make([]float64, n)
-		}
 		merged := d.acc[side][:n]
 		for i := range merged {
 			merged[i] = math.Inf(1)
 		}
-		splits := make([]int32, 2*n)
+		splits := carve(&d.free.splits, 2*n)
 		for i := range splits {
 			splits[i] = -1
 		}
-		back := &mergeBack{maxB: newB, kc: splits[:n:n], bc: splits[n:]}
+		back := &carve(&d.free.backs, 1)[0]
+		*back = mergeBack{maxB: newB, kc: splits[:n:n], bc: splits[n:]}
 		for kc := 0; kc <= ct.maxK && kc <= newK; kc++ {
 			for bc, childVal := range ct.vals[kc*(sc+1) : (kc+1)*(sc+1)] {
 				if math.IsInf(childVal, 1) {
@@ -366,12 +421,14 @@ func (d *dpRun) solveNode(v graph.NodeID) *dpTable {
 		}
 		acc = merged
 		accK, accB = newK, newB
-		backs = append(backs, back)
+		backs[j] = back
 	}
 	// Assemble the vertex table from the accumulator.
 	maxK := d.capK(v)
 	sv := d.subRate[v]
-	tab := newTable(maxK, sv)
+	cells := (maxK + 1) * (sv + 1)
+	tab := &d.tables[v]
+	tab.reset(maxK, sv, carve(&d.free.vals, cells), carve(&d.free.choice, cells))
 	tab.backs = backs
 	// No middlebox on v: flows sourced at v stay unprocessed, so b is
 	// exactly the children's processed rate.

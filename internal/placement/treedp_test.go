@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -349,6 +350,79 @@ func TestTreeDPCellCap(t *testing.T) {
 	if got := addCells(math.MaxInt-5, 3, 2); got != math.MaxInt {
 		t.Fatalf("addCells overflowed to %d, want saturation at math.MaxInt", got)
 	}
+}
+
+// TestTreeDPAllocatesTablesOnce: a run allocates its tables,
+// tracebacks and merge scratch once each, at the size it needs. So its
+// allocation count does not grow with the tree, and its bytes are its
+// arena and scratch plus at most an eighth.
+func TestTreeDPAllocatesTablesOnce(t *testing.T) {
+	type run struct {
+		allocs float64
+		bytes  uint64 // allocated by one run
+		need   uint64 // the run's arena and merge scratch
+	}
+	measure := func(size int) run {
+		g := topology.RandomTree(size, 0, 5)
+		tree, err := graph.NewTree(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := netsim.MustNew(g, traffic.TreeFlows(tree, traffic.GenConfig{
+			Density: 0.5, Dist: traffic.Uniform{Lo: 1, Hi: 100}, Seed: 6,
+		}), 0.5)
+		const k = 8
+		d, err := newDPRun(in, tree, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables, merges, widest := d.extent()
+		solve := func() {
+			if _, err := TreeDP(context.Background(), in, tree, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		solve()
+		runtime.ReadMemStats(&after)
+		return run{
+			allocs: testing.AllocsPerRun(3, solve),
+			bytes:  after.TotalAlloc - before.TotalAlloc,
+			need:   uint64(16*tables + 8*merges + 40*widest),
+		}
+	}
+	small, large := measure(22), measure(88)
+	t.Logf("22 vertices: %.0f allocs, %d bytes for %d of tables and scratch; 88 vertices: %.0f allocs, %d bytes for %d",
+		small.allocs, small.bytes, small.need, large.allocs, large.bytes, large.need)
+	// The plan, its evaluation and, under the tdmdinvariant tag, the
+	// invariant checks grow by a few slices with the tree; tables
+	// allocated per vertex would add three or more for each of the 66
+	// added vertices.
+	if large.allocs > small.allocs+16 {
+		t.Fatalf("allocations grow with the tree: %.0f at 22 vertices, %.0f at 88", small.allocs, large.allocs)
+	}
+	for _, r := range []run{small, large} {
+		if r.bytes > r.need+r.need/8 {
+			t.Fatalf("a run allocates %d bytes for %d bytes of tables and scratch", r.bytes, r.need)
+		}
+	}
+}
+
+// cells counts the run's vertex-table and merge-traceback cells, the
+// total newDPRun checks against maxDPCells, saturating at math.MaxInt.
+func (d *dpRun) cells() int {
+	tables, merges, _ := d.extent()
+	return addCells(tables, merges, 1)
+}
+
+// newTable allocates an empty (maxK+1)×(maxB+1) table of its own, as
+// the dense reference below uses them.
+func newTable(maxK, maxB int) *dpTable {
+	n := (maxK + 1) * (maxB + 1)
+	tb := &dpTable{}
+	tb.reset(maxK, maxB, make([]float64, n), make([]dpChoice, n))
+	return tb
 }
 
 // denseSolveNode is the dense gather the scatter kernel in solveNode

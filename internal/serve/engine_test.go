@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -245,10 +247,25 @@ func TestServeCoalescingSharesResult(t *testing.T) {
 	}
 }
 
+// watchdog bounds the test's run, its cleanups included: if it is
+// still running after d, the test binary panics with every goroutine's
+// stack, instead of blocking until go test's own timeout. A handler
+// parked on a solve nobody cancels keeps httptest.Server.Close waiting
+// forever, so the wait must not depend on the test's own checks.
+func watchdog(t *testing.T, d time.Duration) {
+	timer := time.AfterFunc(d, func() {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		panic(fmt.Sprintf("%s still running after %v; goroutines:\n%s", t.Name(), d, buf))
+	})
+	t.Cleanup(func() { timer.Stop() }) // registered first, so it runs last
+}
+
 // TestServeClientGone499: a synchronous client hanging up mid-solve is
 // recorded on the client-gone series — and NOT as a server error —
 // and cancels the abandoned solve.
 func TestServeClientGone499(t *testing.T) {
+	watchdog(t, 20*time.Second)
 	ctl := newBlockCtl(t)
 	_, srv := testServer(t, Config{Workers: 1, Queue: 2})
 
@@ -603,6 +620,90 @@ func TestServeJobStreamTooLarge413(t *testing.T) {
 	code, msg := postNDJSON(t, s, "algorithm=gtp&k=1", buf.Bytes())
 	if code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, fmt.Sprint(limit)) {
 		t.Fatalf("oversize stream: status %d, error %q; want 413 naming %d", code, msg, limit)
+	}
+}
+
+// unreadBody is a request body that fails the test if it is read.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("the body was read")
+	return 0, io.EOF
+}
+
+// TestServeDeclaredTooLarge413BeforeRead: a Content-Length over the
+// cap is a 413 with the cap's usual text before any byte of the body
+// is read, on every route that reads a JSON body or a flow stream.
+func TestServeDeclaredTooLarge413BeforeRead(t *testing.T) {
+	const streamLimit = 1 << 17
+	s, _ := testServer(t, Config{Workers: 1, Queue: 1, MaxStreamBytes: streamLimit})
+	cases := []struct {
+		path, contentType string
+		length            int64
+		want              string
+	}{
+		{"/api/solve", "application/json", maxRequestBytes + 1, fmt.Sprintf("request body exceeds %d bytes", maxRequestBytes)},
+		{"/api/evaluate", "application/json", maxRequestBytes + 1, fmt.Sprintf("request body exceeds %d bytes", maxRequestBytes)},
+		{"/v1/jobs", "application/json", maxRequestBytes + 1, fmt.Sprintf("request body exceeds %d bytes", maxRequestBytes)},
+		{"/v1/jobs?algorithm=gtp&k=1", "application/x-ndjson", streamLimit + 1, fmt.Sprintf("stream body exceeds %d bytes", streamLimit)},
+	}
+	for _, tc := range cases {
+		req := httptest.NewRequest(http.MethodPost, tc.path, unreadBody{t})
+		req.ContentLength = tc.length
+		req.Header.Set("Content-Type", tc.contentType)
+		rec := httptest.NewRecorder()
+		s.Mux().ServeHTTP(rec, req)
+		var env errorEnvelope
+		if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
+			t.Fatalf("%s: status %d body is not the JSON envelope: %v", tc.path, rec.Code, err)
+		}
+		if rec.Code != http.StatusRequestEntityTooLarge || env.Error != tc.want {
+			t.Fatalf("%s with Content-Length %d: status %d, error %q; want 413, %q", tc.path, tc.length, rec.Code, env.Error, tc.want)
+		}
+	}
+}
+
+// TestServeJobStreamSizedFingerprint: a flow stream sent with its
+// Content-Length, whose flow arenas are sized from it, and the same
+// stream sent chunked, which grows them by doubling, become the same
+// submission, fingerprint for fingerprint.
+func TestServeJobStreamSizedFingerprint(t *testing.T) {
+	s, _ := testServer(t, Config{Workers: 1, Queue: 1})
+	g := tdmd.GeneralRandom(60, 0.5, 3)
+	h := tdmd.StreamHeader{Lambda: 0.5, Root: -1}
+	for _, v := range g.Nodes() {
+		h.Nodes = append(h.Nodes, g.Name(v))
+	}
+	for _, e := range g.Edges() {
+		h.Edges = append(h.Edges, [2]int{int(e.From), int(e.To)})
+	}
+	var buf bytes.Buffer
+	w, err := tdmd.NewFlowStreamWriter(&buf, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tdmd.GenerateGeneralFlows(g, []tdmd.NodeID{0, 1}, tdmd.GenConfig{Density: 1e12, Seed: 3, MaxFlows: 5000},
+		func(f tdmd.Flow) error { return w.Add(f.Rate, f.Path) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	submit := func(length int64) Fingerprint {
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs?algorithm=gtp&k=2", struct{ io.Reader }{bytes.NewReader(buf.Bytes())})
+		req.ContentLength = length
+		req.Header.Set("Content-Type", "application/x-ndjson")
+		sub, _, err := s.streamSubmission(httptest.NewRecorder(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := sub.Problem.Instance().NumFlows(); n != 5000 {
+			t.Fatalf("Content-Length %d: %d flows, want 5000", length, n)
+		}
+		return SubmissionFingerprint(sub)
+	}
+	if sized, chunked := submit(int64(buf.Len())), submit(-1); sized != chunked {
+		t.Fatalf("fingerprint %x with Content-Length, %x chunked", sized, chunked)
 	}
 }
 

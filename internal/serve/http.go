@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"mime"
 	"net/http"
 	"runtime/debug"
@@ -280,7 +281,17 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) (int, err
 	if code, err := requireJSON(r); err != nil {
 		return code, err
 	}
+	if r.ContentLength > maxRequestBytes {
+		return http.StatusRequestEntityTooLarge, bodyTooLarge("request", maxRequestBytes)
+	}
 	return decodeJSONBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), v)
+}
+
+// bodyTooLarge is the 413 error for a body over limit bytes: one whose
+// Content-Length declares it, refused before any of it is read, or one
+// that MaxBytesReader cuts off.
+func bodyTooLarge(what string, limit int64) error {
+	return fmt.Errorf("%s body exceeds %d bytes", what, limit)
 }
 
 // requireJSON refuses any Content-Type but application/json with 415.
@@ -299,7 +310,7 @@ func decodeJSONBody(body io.Reader, v interface{}) (int, error) {
 	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
+			return http.StatusRequestEntityTooLarge, bodyTooLarge("request", tooLarge.Limit)
 		}
 		// encoding/json reports unknown fields as `json: unknown field
 		// "algoritm"`; the wrap keeps that field name front and center.
@@ -325,6 +336,9 @@ var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 func decodeSolveRequest(w http.ResponseWriter, r *http.Request) (solveRequest, int, error) {
 	if code, err := requireJSON(r); err != nil {
 		return solveRequest{}, code, err
+	}
+	if r.ContentLength > maxRequestBytes {
+		return solveRequest{}, http.StatusRequestEntityTooLarge, bodyTooLarge("request", maxRequestBytes)
 	}
 	buf := bodyBufs.Get().(*bytes.Buffer)
 	defer bodyBufs.Put(buf)
@@ -810,12 +824,18 @@ func (s *Server) streamSubmission(w http.ResponseWriter, r *http.Request) (Submi
 		return Submission{}, http.StatusBadRequest, err
 	}
 	sub.Algorithm = alg
-	problem, err := tdmd.DecodeStream(http.MaxBytesReader(w, r.Body, s.cfg.MaxStreamBytes))
+	if r.ContentLength > s.cfg.MaxStreamBytes {
+		return Submission{}, http.StatusRequestEntityTooLarge, bodyTooLarge("stream", s.cfg.MaxStreamBytes)
+	}
+	body := io.Reader(http.MaxBytesReader(w, r.Body, s.cfg.MaxStreamBytes))
+	if r.ContentLength > 0 {
+		body = &declaredBody{r: body, left: r.ContentLength}
+	}
+	problem, err := tdmd.DecodeStream(body)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			return Submission{}, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("stream body exceeds %d bytes", tooLarge.Limit)
+			return Submission{}, http.StatusRequestEntityTooLarge, bodyTooLarge("stream", tooLarge.Limit)
 		}
 		return Submission{}, http.StatusBadRequest, fmt.Errorf("decoding %s stream: %v", tdmd.StreamFormat, err)
 	}
@@ -828,6 +848,25 @@ func (s *Server) streamSubmission(w http.ResponseWriter, r *http.Request) (Submi
 	sub.Problem = problem
 	return sub, 0, nil
 }
+
+// declaredBody is a request body of declared Content-Length whose Len
+// reports the bytes not yet read, as a *bytes.Reader's does, so the
+// stream decoder can size its flow arenas from what is still to come
+// (tdmd.ProblemBuilder.ReadStream). A chunked body has no declared
+// length and is not wrapped.
+type declaredBody struct {
+	r    io.Reader
+	left int64
+}
+
+func (b *declaredBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.left -= int64(n)
+	return n, err
+}
+
+// Len reports the declared bytes not yet read, at most math.MaxInt.
+func (b *declaredBody) Len() int { return int(min(max(b.left, 0), math.MaxInt)) }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	sc := s.scope()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -19,7 +20,8 @@ import (
 // a minimum-hop path. This is the ingestion point for users who hold a
 // real CAIDA-style trace: aggregate it to (endpoint pair, rate) rows
 // and the library takes over. Rates are rounded to integers >= 1 (the
-// tree DP requires integral rates).
+// tree DP requires integral rates); a rate that is not finite, or that
+// rounds above MaxFlowRate, is an error naming its line.
 func ReadTrace(r io.Reader, g *graph.Graph) ([]Flow, error) {
 	scanner := bufio.NewScanner(r)
 	var flows []Flow
@@ -43,9 +45,16 @@ func ReadTrace(r io.Reader, g *graph.Graph) ([]Flow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("traffic: trace line %d: bad rate: %v", lineNo, err)
 		}
-		rate := int(rateF + 0.5)
-		if rate < 1 {
-			rate = 1
+		rateF = math.Floor(rateF + 0.5)
+		switch {
+		case math.IsNaN(rateF) || math.IsInf(rateF, 0):
+			return nil, fmt.Errorf("traffic: trace line %d: rate %s is not finite", lineNo, strings.TrimSpace(parts[2]))
+		case rateF > MaxFlowRate:
+			return nil, fmt.Errorf("traffic: trace line %d: rate %s is above %d", lineNo, strings.TrimSpace(parts[2]), MaxFlowRate)
+		}
+		rate := 1
+		if rateF > 1 {
+			rate = int(rateF)
 		}
 		path, err := g.ShortestPath(src, dst)
 		if err != nil {

@@ -83,6 +83,23 @@ func TestReadTraceRateClamp(t *testing.T) {
 	}
 }
 
+// A rate that is not a finite number, or that rounds above the rate
+// arena's bound, fails with its line number instead of becoming rate 1
+// or a trace the instance builder rejects.
+func TestReadTraceRejectsRatesOutsideArena(t *testing.T) {
+	g := traceGraph()
+	for _, rate := range []string{"NaN", "inf", "-Inf", "1e30", "2170000000", "2147483647.5"} {
+		_, err := ReadTrace(strings.NewReader("a,c,4\n\na,b,"+rate+"\n"), g)
+		if err == nil || !strings.Contains(err.Error(), "trace line 3: rate "+rate) {
+			t.Fatalf("rate %s: error %v, want one naming line 3 and the rate", rate, err)
+		}
+	}
+	flows, err := ReadTrace(strings.NewReader("a,b,2147483647.4\n"), g)
+	if err != nil || flows[0].Rate != MaxFlowRate {
+		t.Fatalf("rate at the bound: %v, %v", flows, err)
+	}
+}
+
 func TestTraceRoundTrip(t *testing.T) {
 	g := topology.GeneralRandom(15, 0.6, 3)
 	orig := GeneralFlows(g, []graph.NodeID{0}, GenConfig{Density: 0.3, Seed: 4, MaxFlows: 20})

@@ -137,6 +137,10 @@ func ValidateFlow(adj graph.AdjSet, id, rate int, path graph.Path) error {
 	return nil
 }
 
+// MaxFlowRate is the largest flow rate an instance stores: its rate arena
+// holds int32s.
+const MaxFlowRate = math.MaxInt32
+
 // ValidateRate is ValidateFlow's per-flow check alone, for a flow
 // whose path is already known valid: a positive rate.
 func ValidateRate(id, rate int) error {

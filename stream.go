@@ -305,6 +305,17 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // rest of the stream after it, is decoded by encoding/json, so the
 // accepted inputs and the error texts are the same either way.
 // Unknown fields are rejected with an error naming the field.
+//
+// When r reports its unread bytes with a Len method, as a
+// *bytes.Reader does, the NDJSON decoder sizes the flow arenas from
+// it instead of growing them by doubling: after the first
+// flowRampStart flow lines, and again whenever the arenas fill, it
+// reserves room for the flows the bytes still to come should hold at
+// the mean line length so far, plus 1/64. Each reservation is at most
+// flowRampCap times the flows already read, so a length that promises
+// more than the stream delivers costs at most that factor, and Build
+// trims arenas left less than half full. The problem built is the same
+// either way.
 func DecodeStream(r io.Reader) (*Problem, error) {
 	b := NewProblemBuilder()
 	if err := b.ReadStream(r); err != nil {
@@ -319,11 +330,17 @@ func DecodeStream(r io.Reader) (*Problem, error) {
 // first flow; our encoders always emit that order. Scalars ("lambda",
 // "root") may appear anywhere. A read error from r comes back
 // wrapped, so errors.As still finds it (an *http.MaxBytesError, say).
+// A reader with a Len() int method reporting its unread bytes has the
+// flow arenas sized from it (see DecodeStream).
 func (b *ProblemBuilder) ReadStream(r io.Reader) error {
+	size := -1
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = l.Len()
+	}
 	cr := &countingReader{r: r}
 	dec := json.NewDecoder(cr)
 	dec.DisallowUnknownFields()
-	flows, err := b.readStream(dec, cr)
+	flows, err := b.readStream(dec, cr, size)
 	if err != nil {
 		return err
 	}
@@ -343,8 +360,9 @@ func (b *ProblemBuilder) ReadStream(r io.Reader) error {
 // the end. So however many topology keys a document repeats, the
 // topology costs time linear in its size. For an NDJSON stream it then
 // reads the flow lines from what dec has buffered followed by the rest
-// of src.
-func (b *ProblemBuilder) readStream(dec *json.Decoder, src io.Reader) (flows int, err error) {
+// of src. size is how many bytes src was expected to hold when dec
+// started on it, or -1 when that is unknown.
+func (b *ProblemBuilder) readStream(dec *json.Decoder, src io.Reader, size int) (flows int, err error) {
 	if err := expectDelim(dec, '{'); err != nil {
 		return 0, fmt.Errorf("tdmd: stream: %w", err)
 	}
@@ -450,7 +468,11 @@ func (b *ProblemBuilder) readStream(dec *json.Decoder, src io.Reader) (flows int
 	if format != StreamFormat {
 		return flows, fmt.Errorf("tdmd: stream: unsupported format %q (want %q)", format, StreamFormat)
 	}
-	return b.readFlowLines(io.MultiReader(dec.Buffered(), src), fs, flows, new(lineTable))
+	ramp := flowRamp{left: -1}
+	if size >= 0 {
+		ramp.left = size - int(dec.InputOffset())
+	}
+	return b.readFlowLines(io.MultiReader(dec.Buffered(), src), fs, flows, new(lineTable), ramp)
 }
 
 // flowLineBuffer is readFlowLines' read buffer size, so also the
@@ -473,12 +495,13 @@ const flowLineBuffer = 64 << 10
 // or cut short by a read error — is handed, with everything after it,
 // to readFlowValues, so every non-canonical input is accepted or
 // rejected exactly as encoding/json decides. flows counts the flows
-// read so far.
-func (b *ProblemBuilder) readFlowLines(r io.Reader, fs FlowSpec, flows int, lines *lineTable) (int, error) {
+// read so far; ramp sizes the flow arenas as the lines come in.
+func (b *ProblemBuilder) readFlowLines(r io.Reader, fs FlowSpec, flows int, lines *lineTable, ramp flowRamp) (int, error) {
 	br := bufio.NewReaderSize(r, flowLineBuffer)
 	//tdmd:hot
 	for {
 		line, err := br.ReadSlice('\n')
+		ramp.read += len(line)
 		if isJSONSpace(line) {
 			switch err {
 			case nil:
@@ -494,6 +517,7 @@ func (b *ProblemBuilder) readFlowLines(r io.Reader, fs FlowSpec, flows int, line
 					return flows, err
 				}
 				flows++
+				ramp.added(b.flows)
 				continue
 			}
 			fs.Rate = rate
@@ -513,7 +537,45 @@ func (b *ProblemBuilder) readFlowLines(r io.Reader, fs FlowSpec, flows int, line
 		}
 		lines.add(line[at:], len(fs.Path), b.flows.FlowClass(b.flows.NumFlows()-1))
 		flows++
+		ramp.added(b.flows)
 	}
+}
+
+const (
+	// flowRampStart is how many flow lines readFlowLines reads before
+	// it first estimates the stream's flow count from their mean length.
+	flowRampStart = 1024
+	// flowRampCap bounds each reservation at this many times the flows
+	// already held, so a stream that declares more bytes than it sends
+	// can never reserve far ahead of what it did send.
+	flowRampCap = 16
+)
+
+// flowRamp sizes the builder's flow arenas from the bytes a stream
+// still holds (DecodeStream): once flowRampStart lines are in, and
+// again whenever the arenas are full, it reserves room for the
+// remaining bytes over the mean line length so far, plus 1/64, at most
+// flowRampCap times the flows held. Without a known length the arenas
+// grow by doubling.
+type flowRamp struct {
+	left  int // bytes of flow lines expected in all, or -1 unknown
+	read  int // bytes of lines read so far
+	lines int // flow lines added so far
+	room  int // flows the arenas had room for after the last reservation
+}
+
+// added counts one more flow line, added to b, and reserves when due.
+//
+//tdmd:hot
+func (r *flowRamp) added(b *netsim.Builder) {
+	r.lines++
+	held := b.NumFlows()
+	if r.left < 0 || r.lines < flowRampStart || held < r.room {
+		return
+	}
+	rest := float64(r.left-r.read) * float64(r.lines) / float64(r.read)
+	more := min(rest+rest/64, flowRampCap*float64(held))
+	r.room = b.ReserveFlows(int(max(more, 0)))
 }
 
 // readFlowValues is the general NDJSON tail: one encoding/json value

@@ -1000,7 +1000,7 @@ func lineTableOf(t *testing.T, n int, tail string) (*Problem, *lineTable) {
 		}
 	}
 	var lines lineTable
-	if _, err := b.readFlowLines(strings.NewReader(tail), FlowSpec{}, 0, &lines); err != nil {
+	if _, err := b.readFlowLines(strings.NewReader(tail), FlowSpec{}, 0, &lines, flowRamp{left: -1}); err != nil {
 		t.Fatal(err)
 	}
 	p, err := b.Build()
@@ -1126,6 +1126,101 @@ func TestStreamBulkShapeMatchesJSON(t *testing.T) {
 	}
 	if gi.NumClasses() > gi.NumFlows()/10 {
 		t.Fatalf("%d classes for %d flows: the fixture should repeat paths heavily", gi.NumClasses(), gi.NumFlows())
+	}
+}
+
+// lenReader reports a claimed count of unread bytes through Len, the
+// way a *bytes.Reader reports its true one; claim may be false.
+type lenReader struct {
+	r     io.Reader
+	claim int
+}
+
+func (l *lenReader) Read(p []byte) (int, error) {
+	n, err := l.r.Read(p)
+	l.claim -= n
+	return n, err
+}
+
+func (l *lenReader) Len() int { return max(l.claim, 0) }
+
+// TestStreamSizedDecodeMatchesUnsized: the flow arenas sized from a
+// reader's Len hold the same problem as arenas grown by doubling,
+// whether the length is true, too small, or far too large.
+func TestStreamSizedDecodeMatchesUnsized(t *testing.T) {
+	stream := bulkShapedStream(t, 20_000)
+	want, err := DecodeStream(struct{ io.Reader }{bytes.NewReader(stream)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, claim := range []int{len(stream), 0, len(stream) / 3, 2 * len(stream), 256 << 20} {
+		t.Run(fmt.Sprintf("Len %d of %d", claim, len(stream)), func(t *testing.T) {
+			got, err := DecodeStream(&lenReader{r: bytes.NewReader(stream), claim: claim})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameInstance(t, want, got)
+		})
+	}
+}
+
+// TestStreamFalseLengthRampCap: a reader that claims 256 MiB but ends
+// after 2,000 lines never gets flow arenas beyond the first
+// reservation's cap, flowRampCap (16) times the flowRampStart (1,024)
+// lines read, and Build trims them to the flows that came.
+func TestStreamFalseLengthRampCap(t *testing.T) {
+	stream := bulkShapedStream(t, 2000)
+	b := NewProblemBuilder()
+	if err := b.ReadStream(&lenReader{r: bytes.NewReader(stream), claim: 256 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	// 1,024 lines, then one reservation of at most 16 times that.
+	if room, most := b.flows.ReserveFlows(0), 17*1024; room > most {
+		t.Fatalf("flow arenas have room for %d flows after 2,000 lines, above the ramp cap %d", room, most)
+	}
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecodeStream(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameInstance(t, want, p)
+	if got, plain := p.Instance().MemoryFootprint(), want.Instance().MemoryFootprint(); got > plain {
+		t.Fatalf("false length retains %d bytes, a true one %d: Build did not trim the flow arenas", got, plain)
+	}
+}
+
+// TestStreamSizedDecodeBytesPerFlow pins what sizing the flow arenas
+// from the body length saves on a bulk-ingest-shaped stream of 200,000
+// flows: the bytes one decode allocates, per flow. Grown by doubling
+// the arenas end at 262,144 slots and the decode allocates ~40 B per
+// flow; sized, ~28.
+func TestStreamSizedDecodeBytesPerFlow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement in -short mode")
+	}
+	const flows = 200_000
+	stream := bulkShapedStream(t, flows)
+	perFlow := func(r func() io.Reader) float64 {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := DecodeStream(r()); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return float64(least) / flows
+	}
+	sized := perFlow(func() io.Reader { return bytes.NewReader(stream) })
+	unsized := perFlow(func() io.Reader { return struct{ io.Reader }{bytes.NewReader(stream)} })
+	t.Logf("bytes allocated per flow: %.1f sized, %.1f grown by doubling", sized, unsized)
+	if sized > 32 || sized > unsized-8 {
+		t.Fatalf("a sized decode allocates %.1f B per flow (%.1f unsized), want at most 32 and 8 below unsized", sized, unsized)
 	}
 }
 
