@@ -82,10 +82,12 @@ func main() {
 	tdmd.PublishExpvarMetrics()
 
 	s := serve.New(serve.Config{
-		SolveTimeout:   *solveTimeout,
-		Workers:        *workers,
-		Queue:          *queue,
-		CacheSize:      *cacheSize,
+		EngineConfig: serve.EngineConfig{
+			SolveTimeout: *solveTimeout,
+			Workers:      *workers,
+			Queue:        *queue,
+			CacheSize:    *cacheSize,
+		},
 		MaxJobs:        *maxJobs,
 		RetryAfter:     *retryAfter,
 		MaxStreamBytes: *maxStreamBytes,

@@ -39,13 +39,13 @@ func TestInferredGuardsOnServePackage(t *testing.T) {
 		}
 	}
 
-	// The pool's queue is deliberately NOT mutex-guarded on the worker
-	// side: workers receive the channel as a constructor-time parameter.
-	// The remaining accesses (send in TrySubmit, close in Close) do
-	// hold Pool.mu, so the field still infers the guard — and the
-	// analyzer run over the module stays clean, which is asserted by
-	// scripts/check.sh rather than here.
-	if got := guards["tdmd/internal/serve.Pool.queue"]; got != "tdmd/internal/serve.Pool.mu" {
-		t.Errorf("guard for Pool.queue = %q, want tdmd/internal/serve.Pool.mu", got)
+	// The admission queue is deliberately NOT mutex-guarded on the
+	// worker side: workers receive the channel as a constructor-time
+	// parameter. The remaining accesses (the send in Submit, the close
+	// in Close) do hold Engine.mu, so the field still infers the guard —
+	// and the analyzer run over the module stays clean, which is
+	// asserted by scripts/check.sh rather than here.
+	if got := guards["tdmd/internal/serve.Engine.queue"]; got != "tdmd/internal/serve.Engine.mu" {
+		t.Errorf("guard for Engine.queue = %q, want tdmd/internal/serve.Engine.mu", got)
 	}
 }

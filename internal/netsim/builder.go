@@ -192,14 +192,7 @@ func (b *Builder) commit(id, rate, start int) error {
 		b.pathArena = b.pathArena[:start]
 		return b.addClassFlow(id, rate, class)
 	}
-	err := traffic.ValidateFlow(b.adj, id, rate, path)
-	if err == nil {
-		err = checkRate(id, rate)
-	}
-	if err == nil {
-		err = checkPathOffset(id, int64(len(b.pathArena)))
-	}
-	if err != nil {
+	if err := CheckFlow(b.adj, id, rate, path, int64(len(b.pathArena))); err != nil {
 		b.pathArena = b.pathArena[:start]
 		return err
 	}
@@ -208,6 +201,21 @@ func (b *Builder) commit(id, rate, start int) error {
 	b.classOff = append(b.classOff, int32(len(b.pathArena)))
 	b.appendFlow(rate, class)
 	return nil
+}
+
+// CheckFlow is the builder's check of a flow on a new path: valid in
+// adj, a rate the rate arena holds, and a path arena ending at end
+// entries within an int32 offset. On a known path it answers as the
+// rate check alone does, so it rejects any flow as New would.
+func CheckFlow(adj graph.AdjSet, id, rate int, path graph.Path, end int64) error {
+	err := traffic.ValidateFlow(adj, id, rate, path)
+	if err == nil {
+		err = checkRate(id, rate)
+	}
+	if err == nil {
+		err = checkPathOffset(id, end)
+	}
+	return err
 }
 
 // FlowClass reports the path class of flow i, numbered in order of

@@ -209,20 +209,22 @@ func FuzzPathClasses(f *testing.F) {
 // hops (rates are int32), far beyond a test's memory, so the guard's
 // accumulation step is checked at the boundary directly.
 func TestDemandOverflowGuard(t *testing.T) {
-	if sum, ok := addDemand(math.MaxInt64-6, 3, 2); !ok || sum != math.MaxInt64 {
-		t.Fatalf("sum reaching MaxInt64 rejected: %d, %v", sum, ok)
+	if sum, err := AddDemand(math.MaxInt64-6, 0, 3, 2); err != nil || sum != math.MaxInt64 {
+		t.Fatalf("sum reaching MaxInt64 rejected: %d, %v", sum, err)
 	}
-	if _, ok := addDemand(math.MaxInt64-5, 3, 2); ok {
-		t.Fatal("sum past MaxInt64 accepted")
+	_, err := AddDemand(math.MaxInt64-5, 7, 3, 2)
+	if want := "netsim: total demand Σ r·|p| overflows int64 at flow 7"; err == nil || err.Error() != want {
+		t.Fatalf("sum past MaxInt64: err = %v, want %q", err, want)
 	}
-	if _, ok := addDemand(math.MaxInt64, math.MaxInt32, 0); !ok {
-		t.Fatal("zero-hop term rejected")
+	if _, err := AddDemand(math.MaxInt64, 0, math.MaxInt32, 0); err != nil {
+		t.Fatalf("zero-hop term rejected: %v", err)
 	}
-	sum, ok := int64(0), true
-	for i := 0; i < 4 && ok; i++ {
-		sum, ok = addDemand(sum, math.MaxInt32, math.MaxInt32)
+	sum := int64(0)
+	err = nil
+	for i := 0; i < 4 && err == nil; i++ {
+		sum, err = AddDemand(sum, i, math.MaxInt32, math.MaxInt32)
 	}
-	if ok {
+	if err == nil {
 		t.Fatalf("four maximal terms accepted: %d", sum)
 	}
 }

@@ -159,9 +159,9 @@ func (in *Instance) buildThrough(classOff, scratch []int32) error {
 	var demand int64
 	for i, r := range in.rates {
 		hops := in.flowHops(i)
-		var ok bool
-		if demand, ok = addDemand(demand, r, hops); !ok {
-			return fmt.Errorf("netsim: total demand Σ r·|p| overflows int64 at flow %d", i)
+		var err error
+		if demand, err = AddDemand(demand, i, int(r), hops); err != nil {
+			return err
 		}
 		in.rawDemand += float64(r) * float64(hops)
 	}
@@ -207,13 +207,23 @@ func (in *Instance) buildThrough(classOff, scratch []int32) error {
 	return nil
 }
 
-// addDemand returns sum + rate·hops and whether it fits in an int64.
-func addDemand(sum int64, rate int32, hops int) (int64, bool) {
+// AddDemand adds flow i's term rate·hops to the running demand sum
+// Σ r·|p| as New does, failing with New's error when the sum overflows
+// int64. The rate must have passed CheckFlow.
+func AddDemand(sum int64, i, rate, hops int) (int64, error) {
 	term := int64(rate) * int64(hops) // |rate|, hops < 2³¹: cannot overflow
 	if term > 0 && sum > math.MaxInt64-term {
-		return sum, false
+		return sum, &DemandOverflowError{Flow: i}
 	}
-	return sum + term, true
+	return sum + term, nil
+}
+
+// DemandOverflowError rejects the flow at whose index a workload's
+// demand Σ r·|p| overflows int64.
+type DemandOverflowError struct{ Flow int }
+
+func (e *DemandOverflowError) Error() string {
+	return fmt.Sprintf("netsim: total demand Σ r·|p| overflows int64 at flow %d", e.Flow)
 }
 
 // hashPath hashes a vertex sequence: FNV-1a over the vertex IDs, then

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"context"
+	"math"
 
 	"tdmd/internal/graph"
 	"tdmd/internal/netsim"
@@ -23,6 +24,7 @@ import (
 //
 // Middleboxes are stateful in practice, so minimizing plan churn
 // matters as much as bandwidth; Replans and Moves quantify that.
+// The graph may grow between arrivals; live paths must stay valid.
 type OnlineGTP struct {
 	g      *graph.Graph
 	lambda float64
@@ -31,6 +33,9 @@ type OnlineGTP struct {
 	flows  []traffic.Flow
 	nextID int
 	plan   netsim.Plan
+
+	// Running totals over the live flows: path entries and Σ r·|p|.
+	hops, demand int64
 
 	// Replans counts full plan recomputations; Moves counts total
 	// vertex changes across them.
@@ -72,26 +77,34 @@ func (o *OnlineGTP) Bandwidth() (float64, error) {
 // AddFlow admits a flow (the controller assigns its ID) and adapts the
 // plan as needed. It returns the assigned ID, or ErrInfeasible when
 // even a full replan cannot cover the new workload within budget — in
-// that case the flow is not admitted and the previous plan stands.
-// AddFlow honors ctx for the greedy pick and any full replan; an
-// interrupted admission leaves the controller unchanged and the flow
-// unadmitted.
+// that case the flow is not admitted and the previous plan stands. A
+// flow that netsim.New would reject with the live flows is refused with
+// New's error. AddFlow honors ctx for the greedy pick and any full
+// replan; an interrupted admission leaves the controller unchanged and
+// the flow unadmitted.
 func (o *OnlineGTP) AddFlow(ctx context.Context, f traffic.Flow) (int, error) {
 	f.ID = o.nextID
-	candidate := append(o.flows, f)
-	in, err := netsim.New(o.g, candidate, o.lambda)
+	// Only f can fail New's checks: the live flows passed them and only
+	// shrank since. The hop total bounds New's arena, which holds each
+	// distinct path once, so within the int32 bound it decides as New
+	// does; past it only a build can tell.
+	if end := o.hops + int64(len(f.Path)); end <= math.MaxInt32 {
+		if err := netsim.CheckFlow(graph.NewAdjSet(o.g), f.ID, f.Rate, f.Path, end); err != nil {
+			return 0, err
+		}
+		if _, err := netsim.AddDemand(o.demand, len(o.flows), f.Rate, f.Hops()); err != nil {
+			return 0, err
+		}
+		if o.covers(f.Path) {
+			return o.admit(f), nil // changes nothing, builds nothing
+		}
+	}
+	in, err := netsim.New(o.g, append(o.flows, f), o.lambda)
 	if err != nil {
 		return 0, err
 	}
-	covered := false
-	for _, v := range f.Path {
-		if o.plan.Has(v) {
-			covered = true
-			break
-		}
-	}
 	switch {
-	case covered:
+	case o.covers(f.Path):
 		// Nothing to do.
 	case o.plan.Size() < o.k:
 		// One greedy pick against the updated workload, scored on a
@@ -118,9 +131,26 @@ func (o *OnlineGTP) AddFlow(ctx context.Context, f traffic.Flow) (int, error) {
 		o.Moves += planDiff(o.plan, res.Plan)
 		o.plan = res.Plan
 	}
-	o.flows = candidate
+	return o.admit(f), nil
+}
+
+// covers reports whether the plan already serves a flow on path.
+func (o *OnlineGTP) covers(path graph.Path) bool {
+	for _, v := range path {
+		if o.plan.Has(v) {
+			return true
+		}
+	}
+	return false
+}
+
+// admit appends a checked flow to the live workload and its totals.
+func (o *OnlineGTP) admit(f traffic.Flow) int {
+	o.flows = append(o.flows, f)
+	o.hops += int64(len(f.Path))
+	o.demand += int64(f.Rate) * int64(f.Hops())
 	o.nextID++
-	return f.ID, nil
+	return f.ID
 }
 
 // RemoveFlow retires a flow by ID; the plan is left untouched.
@@ -128,6 +158,8 @@ func (o *OnlineGTP) RemoveFlow(id int) bool {
 	for i, f := range o.flows {
 		if f.ID == id {
 			o.flows = append(o.flows[:i], o.flows[i+1:]...)
+			o.hops -= int64(len(f.Path))
+			o.demand -= int64(f.Rate) * int64(f.Hops())
 			return true
 		}
 	}

@@ -53,7 +53,7 @@ func BenchmarkServeSolve(b *testing.B) {
 			for i := range bodies {
 				bodies[i] = hotBody(b, int64(i+1))
 			}
-			s := New(Config{Workers: 1, CacheSize: cacheSize}, slog.New(slog.NewTextHandler(io.Discard, nil)))
+			s := New(Config{EngineConfig: EngineConfig{Workers: 1, CacheSize: cacheSize}}, slog.New(slog.NewTextHandler(io.Discard, nil)))
 			b.Cleanup(func() {
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 				defer cancel()

@@ -1,7 +1,15 @@
+// Package serve is the placement service runtime behind cmd/tdmdserve:
+// a single-flight solve engine with a fingerprint-keyed plan cache and
+// a bounded worker queue with admission control, an async job store,
+// and the HTTP layer that exposes them. cmd/tdmdserve wires flags and
+// sockets around it; BenchmarkServeSolve drives single requests
+// through Server.Mux in-process, and perfbench/ load-tests the built
+// binary. See DESIGN.md §12 "Service architecture".
 package serve
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -46,6 +54,14 @@ type Outcome struct {
 	Finished time.Time
 }
 
+// ErrSaturated is returned by a submission that found the admission
+// queue full: the server is at capacity and the client should retry
+// after backing off (HTTP 429 + Retry-After).
+var ErrSaturated = errors.New("serve: admission queue full")
+
+// ErrClosed is returned by submissions arriving after shutdown began.
+var ErrClosed = errors.New("serve: server is draining")
+
 // Incumbent is a best-so-far feasible plan snapshot captured from a
 // running anytime solve, served by the job API while the solve runs.
 type Incumbent struct {
@@ -70,24 +86,30 @@ type EngineConfig struct {
 // admission discipline, checked in order under one lock:
 //
 //  1. plan cache — an identical already-solved submission replays its
-//     cached result without touching the pool;
+//     cached result without touching the queue;
 //  2. coalescing — an identical submission currently in flight gains
 //     a waiter instead of a duplicate solve;
-//  3. worker pool — everything else is admitted to the bounded queue
-//     or rejected with ErrSaturated.
+//  3. worker queue — everything else is admitted to the bounded queue
+//     or rejected with ErrSaturated. Admission never blocks, so a
+//     traffic spike turns into fast 429s instead of a pile-up.
 //
-// Flights run under the engine's own lifetime context, not any one
-// request's: a coalesced solve must survive its first requester
-// hanging up. Request-level cancellation is reference-counted —
-// Ticket.Release by the last waiter cancels the flight.
+// A fixed set of workers drains the queue. Flights run under the
+// engine's own lifetime context, not any one request's: a coalesced
+// solve must survive its first requester hanging up. Request-level
+// cancellation is reference-counted — Ticket.Release by the last
+// waiter cancels the flight.
 type Engine struct {
-	pool         *Pool
 	cache        *planCache
 	solveTimeout time.Duration
 	baseCtx      context.Context
 	baseCancel   context.CancelFunc
+	workers      sync.WaitGroup
 
-	mu       sync.Mutex // guards inflight, closed and every cache call
+	// mu guards queue's send and close, inflight, closed and every
+	// cache call. The workers received the queue at construction, so
+	// their receives never touch the field.
+	mu       sync.Mutex
+	queue    chan *flight
 	inflight map[Fingerprint]*flight
 	closed   bool
 }
@@ -98,35 +120,64 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	queue := cfg.Queue
-	if queue <= 0 {
-		queue = 4 * workers
+	queueLen := cfg.Queue
+	if queueLen <= 0 {
+		queueLen = 4 * workers
 	}
 	cacheSize := cfg.CacheSize
 	if cacheSize <= 0 {
 		cacheSize = 128
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Engine{
-		pool:         NewPool(workers, queue),
+	queue := make(chan *flight, queueLen)
+	e := &Engine{
 		cache:        newPlanCache(cacheSize),
 		solveTimeout: cfg.SolveTimeout,
 		baseCtx:      ctx,
 		baseCancel:   cancel,
+		queue:        queue,
 		inflight:     make(map[Fingerprint]*flight),
+	}
+	poolWorkers.Set(int64(workers))
+	queueCapacity.Set(int64(queueLen))
+	e.start(workers, queue)
+	return e
+}
+
+// start spawns the workers, each handed the queue before the engine is
+// published. Each signals completion through the engine's WaitGroup,
+// which Close waits on.
+func (e *Engine) start(workers int, queue <-chan *flight) {
+	for i := 0; i < workers; i++ {
+		e.workers.Add(1)
+		go e.worker(queue)
+	}
+}
+
+// worker runs queued flights until Close closes the queue.
+func (e *Engine) worker(queue <-chan *flight) {
+	defer e.workers.Done()
+	for fl := range queue {
+		queueDepth.Dec()
+		queueWait.Observe(time.Since(fl.enqueued).Seconds())
+		poolBusy.Inc()
+		fl.run()
+		poolBusy.Dec()
 	}
 }
 
 // flight is one running (or queued) solve plus everything its waiters
-// share. res/err/finished are written once before done closes; readers
-// go through the channel, so no lock guards them. waiters is guarded
-// by the engine mutex.
+// share. enqueued is written before the flight is queued; res, err and
+// finished are written once before done closes. Readers go through the
+// channels, so no lock guards them. waiters is guarded by the engine
+// mutex.
 type flight struct {
 	eng       *Engine
 	fp        Fingerprint
 	sub       Submission
 	ctx       context.Context
 	cancel    context.CancelFunc
+	enqueued  time.Time
 	done      chan struct{}
 	res       tdmd.Result
 	err       error
@@ -158,23 +209,28 @@ func (e *Engine) Submit(sub Submission) (*Ticket, error) {
 	cacheMissesTotal.Inc()
 	ctx, cancel := context.WithCancel(e.baseCtx)
 	fl := &flight{
-		eng:     e,
-		fp:      fp,
-		sub:     sub,
-		ctx:     ctx,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		waiters: 1,
+		eng:      e,
+		fp:       fp,
+		sub:      sub,
+		ctx:      ctx,
+		cancel:   cancel,
+		enqueued: time.Now(),
+		done:     make(chan struct{}),
+		waiters:  1,
 	}
-	if err := e.pool.TrySubmit(fl.run); err != nil {
+	select {
+	case e.queue <- fl:
+		queueDepth.Inc()
+	default:
+		rejectedTotal.Inc()
 		cancel()
-		return nil, err
+		return nil, ErrSaturated
 	}
 	e.inflight[fp] = fl
 	return &Ticket{fl: fl, source: SourceFresh}, nil
 }
 
-// run executes the flight on a pool worker.
+// run executes the flight on a worker.
 func (fl *flight) run() {
 	// Abandoned (every waiter released) or engine-canceled while
 	// queued: don't burn the worker on an answer nobody wants.
@@ -335,15 +391,17 @@ func (t *Ticket) Release() {
 func (e *Engine) Close(ctx context.Context) error {
 	e.mu.Lock()
 	already := e.closed
-	e.closed = true
+	if !already {
+		e.closed = true
+		close(e.queue)
+	}
 	e.mu.Unlock()
 	if already {
 		return nil
 	}
-	e.pool.Close()
 	done := make(chan struct{})
 	go func() {
-		e.pool.Wait()
+		e.workers.Wait()
 		close(done)
 	}()
 	select {

@@ -132,7 +132,7 @@ func asyncPost(t *testing.T, srv *httptest.Server, path string, body interface{}
 // finds the job store full of unfinished jobs gets the same answer.
 // The 300 ms backoff rounds up to "1": "0" would mean retry at once.
 func TestServeSaturation429RetryAfter(t *testing.T) {
-	_, srv := testServer(t, Config{Workers: 1, Queue: 1, MaxJobs: 1, RetryAfter: 300 * time.Millisecond})
+	_, srv := testServer(t, Config{EngineConfig: EngineConfig{Workers: 1, Queue: 1}, MaxJobs: 1, RetryAfter: 300 * time.Millisecond})
 	// Created second, so its cleanup releases the parked solves before
 	// srv.Close waits on them, and a failed check cannot hang the test.
 	ctl := newBlockCtl(t)
@@ -205,7 +205,7 @@ func waitForGauge(t *testing.T, g interface{ Value() int64 }, want int64) {
 // responses are identical except for elapsed time.
 func TestServeCoalescingSharesResult(t *testing.T) {
 	ctl := newBlockCtl(t)
-	_, srv := testServer(t, Config{Workers: 1, Queue: 4})
+	_, srv := testServer(t, Config{EngineConfig: EngineConfig{Workers: 1, Queue: 4}})
 
 	first := asyncPost(t, srv, "/api/solve", blockReq(7))
 	ctl.waitStarted(t)
@@ -267,7 +267,7 @@ func watchdog(t *testing.T, d time.Duration) {
 func TestServeClientGone499(t *testing.T) {
 	watchdog(t, 20*time.Second)
 	ctl := newBlockCtl(t)
-	_, srv := testServer(t, Config{Workers: 1, Queue: 2})
+	_, srv := testServer(t, Config{EngineConfig: EngineConfig{Workers: 1, Queue: 2}})
 
 	goneBefore := countSeries(t, "tdmd_http_client_gone_total")
 	errsBefore := countSeries(t, `tdmd_http_request_errors_total{route="/api/solve"}`)
@@ -321,7 +321,7 @@ func TestServeClientGone499(t *testing.T) {
 // and settles into done with the full result once the solve returns.
 func TestServeJobsLifecycle(t *testing.T) {
 	ctl := newBlockCtl(t)
-	_, srv := testServer(t, Config{Workers: 1, Queue: 2})
+	_, srv := testServer(t, Config{EngineConfig: EngineConfig{Workers: 1, Queue: 2}})
 
 	resp := post(t, srv, "/v1/jobs", blockReq(21))
 	defer resp.Body.Close()
@@ -409,7 +409,7 @@ func TestServeJobsLifecycle(t *testing.T) {
 // is released by cancellation (last waiter) and the worker frees up.
 func TestServeJobCancel(t *testing.T) {
 	ctl := newBlockCtl(t)
-	_, srv := testServer(t, Config{Workers: 1, Queue: 2})
+	_, srv := testServer(t, Config{EngineConfig: EngineConfig{Workers: 1, Queue: 2}})
 
 	resp := post(t, srv, "/v1/jobs", blockReq(31))
 	var created jobResponse
@@ -451,7 +451,7 @@ func TestServeJobCancel(t *testing.T) {
 // through the streaming decoder, with algorithm/k taken from query
 // parameters — the path that bypasses the JSON body cap.
 func TestServeJobStreamNDJSON(t *testing.T) {
-	_, srv := testServer(t, Config{Workers: 2, Queue: 4})
+	_, srv := testServer(t, Config{EngineConfig: EngineConfig{Workers: 2, Queue: 4}})
 
 	var buf bytes.Buffer
 	w, err := tdmd.NewFlowStreamWriter(&buf, tdmd.StreamHeader{
@@ -563,7 +563,7 @@ func postNDJSON(t *testing.T, s *Server, query string, body []byte) (int, string
 // 400 naming the parameter, decided before the body is read — even a
 // body that is not JSON at all, and without ingesting a valid one.
 func TestServeJobStreamBadQueryBeforeDecode(t *testing.T) {
-	s, _ := testServer(t, Config{Workers: 1, Queue: 1})
+	s, _ := testServer(t, Config{EngineConfig: EngineConfig{Workers: 1, Queue: 1}})
 	var valid bytes.Buffer
 	w, err := tdmd.NewFlowStreamWriter(&valid, tdmd.StreamHeader{
 		Nodes: []string{"a", "b"}, Edges: [][2]int{{0, 1}}, Lambda: 0.5, Root: -1,
@@ -598,7 +598,7 @@ func TestServeJobStreamBadQueryBeforeDecode(t *testing.T) {
 // MaxStreamBytes is a 413 envelope naming the limit, not a decode 400.
 func TestServeJobStreamTooLarge413(t *testing.T) {
 	const limit = 1 << 17
-	s, _ := testServer(t, Config{Workers: 1, Queue: 1, MaxStreamBytes: limit})
+	s, _ := testServer(t, Config{EngineConfig: EngineConfig{Workers: 1, Queue: 1}, MaxStreamBytes: limit})
 	var buf bytes.Buffer
 	w, err := tdmd.NewFlowStreamWriter(&buf, tdmd.StreamHeader{
 		Nodes: []string{"a", "b", "c"}, Edges: [][2]int{{0, 1}, {1, 2}}, Lambda: 0.5, Root: -1,
@@ -636,7 +636,7 @@ func (b unreadBody) Read([]byte) (int, error) {
 // is read, on every route that reads a JSON body or a flow stream.
 func TestServeDeclaredTooLarge413BeforeRead(t *testing.T) {
 	const streamLimit = 1 << 17
-	s, _ := testServer(t, Config{Workers: 1, Queue: 1, MaxStreamBytes: streamLimit})
+	s, _ := testServer(t, Config{EngineConfig: EngineConfig{Workers: 1, Queue: 1}, MaxStreamBytes: streamLimit})
 	cases := []struct {
 		path, contentType string
 		length            int64
@@ -668,7 +668,7 @@ func TestServeDeclaredTooLarge413BeforeRead(t *testing.T) {
 // stream sent chunked, which grows them by doubling, become the same
 // submission, fingerprint for fingerprint.
 func TestServeJobStreamSizedFingerprint(t *testing.T) {
-	s, _ := testServer(t, Config{Workers: 1, Queue: 1})
+	s, _ := testServer(t, Config{EngineConfig: EngineConfig{Workers: 1, Queue: 1}})
 	g := tdmd.GeneralRandom(60, 0.5, 3)
 	h := tdmd.StreamHeader{Lambda: 0.5, Root: -1}
 	for _, v := range g.Nodes() {
@@ -712,7 +712,7 @@ func TestServeJobStreamSizedFingerprint(t *testing.T) {
 // their results pollable.
 func TestServeDrainWithInflightJobs(t *testing.T) {
 	ctl := newBlockCtl(t)
-	s, srv := testServer(t, Config{Workers: 1, Queue: 2})
+	s, srv := testServer(t, Config{EngineConfig: EngineConfig{Workers: 1, Queue: 2}})
 
 	resp := post(t, srv, "/v1/jobs", blockReq(41))
 	var created jobResponse
@@ -927,36 +927,54 @@ func TestServeIncumbentRecorderMonotone(t *testing.T) {
 	}
 }
 
-// TestServePoolLifecycle: direct pool semantics — saturation error,
-// close-then-submit error, clean drain.
-func TestServePoolLifecycle(t *testing.T) {
-	p := NewPool(1, 1)
-	park := make(chan struct{})
-	ran := make(chan int, 3)
-	if err := p.TrySubmit(func() { <-park; ran <- 1 }); err != nil {
+// TestServeEngineLifecycle: admission and drain through Engine.Submit
+// and Close with parked solves — a full queue is ErrSaturated, a
+// flight still queued when Close begins runs during the drain (after
+// the one already running), submissions after Close are ErrClosed,
+// and Close is idempotent.
+func TestServeEngineLifecycle(t *testing.T) {
+	ctl := newBlockCtl(t)
+	e := testEngine(t, EngineConfig{Workers: 1, Queue: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	running, err := e.Submit(blockSub(t, 31))
+	if err != nil {
 		t.Fatalf("first submit: %v", err)
 	}
-	waitForGauge(t, poolBusy, 1) // worker parked; queue empty
-	if err := p.TrySubmit(func() { ran <- 2 }); err != nil {
+	defer running.Release()
+	ctl.waitStarted(t) // worker parked; queue empty
+	queued, err := e.Submit(blockSub(t, 32))
+	if err != nil {
 		t.Fatalf("queued submit: %v", err)
 	}
-	if err := p.TrySubmit(func() { ran <- 3 }); err != ErrSaturated {
+	defer queued.Release()
+	if _, err := e.Submit(blockSub(t, 33)); err != ErrSaturated {
 		t.Fatalf("saturated submit err = %v, want ErrSaturated", err)
 	}
-	close(park)
-	p.Close()
-	if err := p.TrySubmit(func() {}); err != ErrClosed {
+
+	drained := make(chan error, 1)
+	go func() { drained <- e.Close(ctx) }()
+	for !engineClosed(e) {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := e.Submit(blockSub(t, 34)); err != ErrClosed {
 		t.Fatalf("closed submit err = %v, want ErrClosed", err)
 	}
-	p.Close() // idempotent
-	p.Wait()
-	close(ran)
-	var got []int
-	for v := range ran {
-		got = append(got, v)
+	ctl.releaseAll()
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
 	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("ran = %v, want [1 2]", got)
+	first, ok1 := running.Outcome()
+	second, ok2 := queued.Outcome()
+	if !ok1 || !ok2 || first.Err != nil || second.Err != nil {
+		t.Fatalf("outcomes after drain: %+v (%v), %+v (%v)", first, ok1, second, ok2)
+	}
+	if second.Finished.Before(first.Finished) {
+		t.Fatalf("queued flight finished at %v, before the running one at %v", second.Finished, first.Finished)
+	}
+	if err := e.Close(ctx); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }
 
@@ -996,7 +1014,7 @@ func TestServeJobStoreEviction(t *testing.T) {
 // TestServeInterruptedNotCached: a deadline-cut solve must not be
 // replayed as if it were the complete answer.
 func TestServeInterruptedNotCached(t *testing.T) {
-	s, srv := testServer(t, Config{SolveTimeout: time.Nanosecond})
+	s, srv := testServer(t, Config{EngineConfig: EngineConfig{SolveTimeout: time.Nanosecond}})
 	resp := post(t, srv, "/api/solve", solveRequest{Spec: fig1Spec(t), Algorithm: "exhaustive", K: 3})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {

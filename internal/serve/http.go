@@ -35,14 +35,8 @@ const statusClientGone = 499
 
 // Config sizes the service; zero values pick defaults.
 type Config struct {
-	// SolveTimeout bounds each solve's wall clock (0 = unbounded).
-	SolveTimeout time.Duration
-	// Workers is the solve concurrency (default GOMAXPROCS).
-	Workers int
-	// Queue is the admission queue length (default 4×workers).
-	Queue int
-	// CacheSize caps the plan cache entry count (default 128).
-	CacheSize int
+	// EngineConfig sizes the solve engine the server wraps.
+	EngineConfig
 	// MaxJobs caps the async job store (default 1024).
 	MaxJobs int
 	// RetryAfter is the backoff hint sent with 429s (default 1s).
@@ -79,13 +73,8 @@ type Server struct {
 func New(cfg Config, logger *slog.Logger) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg: cfg,
-		eng: NewEngine(EngineConfig{
-			Workers:      cfg.Workers,
-			Queue:        cfg.Queue,
-			CacheSize:    cfg.CacheSize,
-			SolveTimeout: cfg.SolveTimeout,
-		}),
+		cfg:  cfg,
+		eng:  NewEngine(cfg.EngineConfig),
 		jobs: newJobStore(cfg.MaxJobs),
 		log:  logger,
 	}
@@ -131,10 +120,15 @@ func (s *Server) Mux() *http.ServeMux {
 	return mux
 }
 
-// accessRecord collects the solve-specific fields a handler wants on
-// its access-log line; the observe middleware threads one through the
-// request context and logs it when the handler returns.
+// accessRecord is one request's record: when it started and the solve
+// budget that applies to it, which the access-log line and every
+// response body time against, plus the solve-specific fields a handler
+// wants on its access-log line. The observe middleware threads one
+// through the request context and logs it when the handler returns.
 type accessRecord struct {
+	start    time.Time
+	deadline time.Duration // 0 = unbounded
+
 	algorithm   string
 	k           int
 	interrupted bool
@@ -143,14 +137,19 @@ type accessRecord struct {
 
 type recordKey struct{}
 
-// record returns the request's accessRecord, or a throwaway one if
-// the handler runs outside the observe middleware (tests calling
-// handlers directly).
-func record(ctx context.Context) *accessRecord {
+// newRecord starts a request's record now.
+func (s *Server) newRecord() *accessRecord {
+	return &accessRecord{start: time.Now(), deadline: s.cfg.SolveTimeout}
+}
+
+// record returns the request's accessRecord, or a throwaway one
+// started now if the handler runs outside the observe middleware
+// (tests calling handlers directly).
+func (s *Server) record(ctx context.Context) *accessRecord {
 	if rec, ok := ctx.Value(recordKey{}).(*accessRecord); ok {
 		return rec
 	}
-	return &accessRecord{}
+	return s.newRecord()
 }
 
 // statusWriter captures the response code for metrics and logs, and
@@ -181,10 +180,9 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // killed connection.
 func (s *Server) observe(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
+		rec := s.newRecord()
 		httpInflight.Inc()
 		defer httpInflight.Dec()
-		rec := &accessRecord{}
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		defer func() {
 			if p := recover(); p != nil {
@@ -196,7 +194,7 @@ func (s *Server) observe(route string, h http.HandlerFunc) http.HandlerFunc {
 					sw.WriteHeader(http.StatusInternalServerError)
 					encodeBody(sw, errorEnvelope{
 						Error:     "internal error",
-						ElapsedMS: elapsedMS(start),
+						ElapsedMS: rec.elapsedMS(),
 					})
 				} else {
 					// Headers are gone; all we can still do is make the
@@ -204,7 +202,7 @@ func (s *Server) observe(route string, h http.HandlerFunc) http.HandlerFunc {
 					sw.code = http.StatusInternalServerError
 				}
 			}
-			elapsed := time.Since(start)
+			elapsed := time.Since(rec.start)
 			httpRequests.With(route, strconv.Itoa(sw.code)).Inc()
 			httpDuration.With(route).Observe(elapsed.Seconds())
 			switch {
@@ -231,22 +229,10 @@ func (s *Server) observe(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// reqScope tracks one request's timing and solve budget so every
-// response — errors included — can report them.
-type reqScope struct {
-	start    time.Time
-	deadline time.Duration // 0 = unbounded
+// elapsedMS is the request's wall time so far, in milliseconds.
+func (rec *accessRecord) elapsedMS() float64 {
+	return float64(time.Since(rec.start).Microseconds()) / 1000
 }
-
-func (s *Server) scope() *reqScope {
-	return &reqScope{start: time.Now(), deadline: s.cfg.SolveTimeout}
-}
-
-func elapsedMS(start time.Time) float64 {
-	return float64(time.Since(start).Microseconds()) / 1000
-}
-
-func (sc *reqScope) elapsedMS() float64 { return elapsedMS(sc.start) }
 
 // errorEnvelope is the uniform error body of every non-2xx response.
 type errorEnvelope struct {
@@ -257,15 +243,16 @@ type errorEnvelope struct {
 	DeadlineMS float64 `json:"deadline_ms,omitempty"`
 }
 
-func (sc *reqScope) httpError(w http.ResponseWriter, code int, format string, args ...interface{}) {
+// httpError writes the error envelope, timed and budgeted from rec.
+func (rec *accessRecord) httpError(w http.ResponseWriter, code int, format string, args ...interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	env := errorEnvelope{
 		Error:     fmt.Sprintf(format, args...),
-		ElapsedMS: sc.elapsedMS(),
+		ElapsedMS: rec.elapsedMS(),
 	}
-	if sc.deadline > 0 {
-		env.DeadlineMS = float64(sc.deadline.Microseconds()) / 1000
+	if rec.deadline > 0 {
+		env.DeadlineMS = float64(rec.deadline.Microseconds()) / 1000
 	}
 	encodeBody(w, env)
 }
@@ -565,19 +552,19 @@ func buildSubmission(req solveRequest) (Submission, int, error) {
 // submit admits the submission, mapping admission failures to their
 // HTTP responses (429 + Retry-After on saturation, 503 on drain).
 // A nil ticket means the error response was already written.
-func (s *Server) submit(w http.ResponseWriter, sc *reqScope, sub Submission) *Ticket {
+func (s *Server) submit(w http.ResponseWriter, rec *accessRecord, sub Submission) *Ticket {
 	ticket, err := s.eng.Submit(sub)
 	switch {
 	case errors.Is(err, ErrSaturated):
 		s.setRetryAfter(w)
-		sc.httpError(w, http.StatusTooManyRequests,
+		rec.httpError(w, http.StatusTooManyRequests,
 			"solve queue is full; retry after %s", s.cfg.RetryAfter)
 		return nil
 	case errors.Is(err, ErrClosed):
-		sc.httpError(w, http.StatusServiceUnavailable, "server is draining")
+		rec.httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return nil
 	case err != nil:
-		sc.httpError(w, http.StatusInternalServerError, "admitting solve: %v", err)
+		rec.httpError(w, http.StatusInternalServerError, "admitting solve: %v", err)
 		return nil
 	}
 	return ticket
@@ -592,20 +579,19 @@ func (s *Server) setRetryAfter(w http.ResponseWriter) {
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	sc := s.scope()
-	rec := record(r.Context())
+	rec := s.record(r.Context())
 	req, code, err := decodeSolveRequest(w, r)
 	if err != nil {
-		sc.httpError(w, code, "%v", err)
+		rec.httpError(w, code, "%v", err)
 		return
 	}
 	sub, code, err := buildSubmission(req)
 	if err != nil {
-		sc.httpError(w, code, "%v", err)
+		rec.httpError(w, code, "%v", err)
 		return
 	}
 	rec.algorithm, rec.k = string(sub.Algorithm), sub.K
-	ticket := s.submit(w, sc, sub)
+	ticket := s.submit(w, rec, sub)
 	if ticket == nil {
 		return
 	}
@@ -615,17 +601,17 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// The request context died while the solve ran: the client hung
 		// up (or the connection broke). Release's refcount cancels the
 		// flight if nobody else is coalesced onto it.
-		sc.httpError(w, solveStatus(r, werr), "client went away: %v", werr)
+		rec.httpError(w, solveStatus(r, werr), "client went away: %v", werr)
 		return
 	}
 	rec.source = out.Source
 	if out.Err != nil {
-		sc.httpError(w, solveStatus(r, out.Err), "solve: %v", out.Err)
+		rec.httpError(w, solveStatus(r, out.Err), "solve: %v", out.Err)
 		return
 	}
 	rec.interrupted = out.Result.Interrupted != nil
 	w.Header().Set("X-Tdmd-Solve", string(out.Source))
-	writeJSON(w, makeSolveResponse(out.Result, sub.Problem.Instance().RawDemand(), sc.elapsedMS()))
+	writeJSON(w, makeSolveResponse(out.Result, sub.Problem.Instance().RawDemand(), rec.elapsedMS()))
 }
 
 // evaluateRequest is the /api/evaluate payload.
@@ -655,22 +641,22 @@ type evaluateResponse struct {
 // allocation pass — far below solve cost — so it runs inline rather
 // than through the pool.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	sc := s.scope()
+	rec := s.record(r.Context())
 	var req evaluateRequest
 	if code, err := decodeJSON(w, r, &req); err != nil {
-		sc.httpError(w, code, "%v", err)
+		rec.httpError(w, code, "%v", err)
 		return
 	}
 	problem, err := req.Spec.Build()
 	if err != nil {
-		sc.httpError(w, http.StatusBadRequest, "building problem: %v", err)
+		rec.httpError(w, http.StatusBadRequest, "building problem: %v", err)
 		return
 	}
 	plan := tdmd.NewPlan()
 	n := problem.Instance().G.NumNodes()
 	for _, v := range req.Plan {
 		if v < 0 || v >= n {
-			sc.httpError(w, http.StatusBadRequest, "plan vertex %d outside graph", v)
+			rec.httpError(w, http.StatusBadRequest, "plan vertex %d outside graph", v)
 			return
 		}
 		plan.Add(tdmd.NodeID(v))
@@ -745,8 +731,7 @@ func (s *Server) jobJSON(j *Job) jobResponse {
 // the JSON body cap, so million-flow problems submit in constant
 // decoder memory.
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
-	sc := s.scope()
-	rec := record(r.Context())
+	rec := s.record(r.Context())
 	var sub Submission
 	mt, _, mtErr := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	if mtErr != nil {
@@ -756,12 +741,12 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	case "application/json":
 		req, code, err := decodeSolveRequest(w, r)
 		if err != nil {
-			sc.httpError(w, code, "%v", err)
+			rec.httpError(w, code, "%v", err)
 			return
 		}
 		sub, code, err = buildSubmission(req)
 		if err != nil {
-			sc.httpError(w, code, "%v", err)
+			rec.httpError(w, code, "%v", err)
 			return
 		}
 	case "application/x-ndjson":
@@ -769,18 +754,18 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		var err error
 		sub, code, err = s.streamSubmission(w, r)
 		if err != nil {
-			sc.httpError(w, code, "%v", err)
+			rec.httpError(w, code, "%v", err)
 			return
 		}
 	default:
-		sc.httpError(w, http.StatusUnsupportedMediaType,
+		rec.httpError(w, http.StatusUnsupportedMediaType,
 			"Content-Type must be application/json or application/x-ndjson, got %q", r.Header.Get("Content-Type"))
 		return
 	}
 	rec.algorithm, rec.k = string(sub.Algorithm), sub.K
 
 	created := time.Now()
-	ticket := s.submit(w, sc, sub)
+	ticket := s.submit(w, rec, sub)
 	if ticket == nil {
 		return
 	}
@@ -788,7 +773,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	if err := s.jobs.Add(job); err != nil {
 		ticket.Release()
 		s.setRetryAfter(w)
-		sc.httpError(w, http.StatusTooManyRequests, "%v", err)
+		rec.httpError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}
 	jobsCreatedTotal.Inc()
@@ -869,22 +854,21 @@ func (b *declaredBody) Read(p []byte) (int, error) {
 func (b *declaredBody) Len() int { return int(min(max(b.left, 0), math.MaxInt)) }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
-	sc := s.scope()
+	rec := s.record(r.Context())
 	job := s.jobs.Get(r.PathValue("id"))
 	if job == nil {
-		sc.httpError(w, http.StatusNotFound, "no such job")
+		rec.httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	rec := record(r.Context())
 	rec.algorithm, rec.k = string(job.Algorithm), job.K
 	writeJSON(w, s.jobJSON(job))
 }
 
 func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
-	sc := s.scope()
+	rec := s.record(r.Context())
 	job := s.jobs.Get(r.PathValue("id"))
 	if job == nil {
-		sc.httpError(w, http.StatusNotFound, "no such job")
+		rec.httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	job.Cancel()

@@ -275,7 +275,7 @@ func TestServeBodyTooLarge(t *testing.T) {
 // context is already expired when the solver starts, so even the
 // exhaustive search is cut off before any feasible incumbent -> 503.
 func TestServeSolveDeadline503(t *testing.T) {
-	_, srv := testServer(t, Config{SolveTimeout: time.Nanosecond})
+	_, srv := testServer(t, Config{EngineConfig: EngineConfig{SolveTimeout: time.Nanosecond}})
 	resp := post(t, srv, "/api/solve", solveRequest{
 		Spec: fig1Spec(t), Algorithm: "exhaustive", K: 3,
 	})
@@ -293,9 +293,9 @@ func TestServeSolveDeadline503(t *testing.T) {
 }
 
 // TestServeBadOptions400: option mismatches are 400 with the JSON
-// envelope carrying the request scope.
+// envelope carrying the request's elapsed time and solve budget.
 func TestServeBadOptions400(t *testing.T) {
-	_, srv := testServer(t, Config{SolveTimeout: 2 * time.Second})
+	_, srv := testServer(t, Config{EngineConfig: EngineConfig{SolveTimeout: 2 * time.Second}})
 	cases := []struct {
 		name string
 		req  solveRequest
@@ -318,6 +318,39 @@ func TestServeBadOptions400(t *testing.T) {
 		}
 		if env.DeadlineMS != 2000 {
 			t.Fatalf("%s: deadline_ms = %v, want 2000", tc.name, env.DeadlineMS)
+		}
+	}
+}
+
+// TestServeDeadlineMSEveryRoute: a 4xx envelope from every POST route
+// reports the solve budget as deadline_ms, and leaves the field out
+// when the budget is unbounded.
+func TestServeDeadlineMSEveryRoute(t *testing.T) {
+	for _, timeout := range []time.Duration{0, 1500 * time.Millisecond} {
+		s, _ := testServer(t, Config{EngineConfig: EngineConfig{SolveTimeout: timeout}})
+		mux := s.Mux()
+		for _, route := range []string{"/api/solve", "/api/evaluate", "/v1/jobs"} {
+			req := httptest.NewRequest(http.MethodPost, route, strings.NewReader(`{"spec":`))
+			req.Header.Set("Content-Type", "application/json")
+			rr := httptest.NewRecorder()
+			mux.ServeHTTP(rr, req)
+			if rr.Code != http.StatusBadRequest {
+				t.Fatalf("%s (timeout %v): status = %d, want 400", route, timeout, rr.Code)
+			}
+			var env map[string]any
+			if err := json.Unmarshal(rr.Body.Bytes(), &env); err != nil {
+				t.Fatalf("%s: body is not the JSON envelope: %v", route, err)
+			}
+			if ms, ok := env["elapsed_ms"].(float64); !ok || ms < 0 {
+				t.Fatalf("%s: elapsed_ms = %v", route, env["elapsed_ms"])
+			}
+			got, has := env["deadline_ms"]
+			switch {
+			case timeout == 0 && has:
+				t.Fatalf("%s: unbounded budget sent deadline_ms = %v", route, got)
+			case timeout > 0 && got != 1500.0:
+				t.Fatalf("%s: deadline_ms = %v, want 1500", route, got)
+			}
 		}
 	}
 }
@@ -723,7 +756,7 @@ func TestServeCacheHitBitIdentical(t *testing.T) {
 // vertex is a 400 naming it on /api/solve and on both /v1/jobs
 // formats, for a tree algorithm and for one that needs no tree.
 func TestServeRootOutOfRange400(t *testing.T) {
-	s, srv := testServer(t, Config{Workers: 1, Queue: 2})
+	s, srv := testServer(t, Config{EngineConfig: EngineConfig{Workers: 1, Queue: 2}})
 	spec := tdmd.ProblemSpec{
 		Nodes: []string{"a", "b"}, Edges: [][2]int{{0, 1}, {1, 0}},
 		Flows: []tdmd.FlowSpec{{Rate: 2, Path: []int{1, 0}}}, Lambda: 0.5, Root: 7,

@@ -72,7 +72,7 @@ func TestServeFinishedTicketReleasesProblem(t *testing.T) {
 // renders its full result, raw demand included, after its problem has
 // been collected.
 func TestServeDoneJobReleasesProblem(t *testing.T) {
-	s, srv := testServer(t, Config{Workers: 1, Queue: 2})
+	s, srv := testServer(t, Config{EngineConfig: EngineConfig{Workers: 1, Queue: 2}})
 	sub, collected := trackedSub(t, 62)
 	raw := sub.Problem.Instance().RawDemand()
 	created := time.Now()
@@ -136,7 +136,7 @@ func TestServeFinishedFlightContextDone(t *testing.T) {
 // creation to completion, so repeated polls return identical bodies —
 // for a fresh solve and for a cache replay alike.
 func TestServeDoneJobElapsedFrozen(t *testing.T) {
-	_, srv := testServer(t, Config{Workers: 1, Queue: 2})
+	_, srv := testServer(t, Config{EngineConfig: EngineConfig{Workers: 1, Queue: 2}})
 	get := func(id string) []byte {
 		t.Helper()
 		r, err := http.Get(srv.URL + "/v1/jobs/" + id)

@@ -5,12 +5,14 @@
 # race detector, the perfbench module's unit tests, the invariant-tagged
 # test builds, a repeated race-enabled run of the solver-cancellation
 # tests, a short fuzz smoke on every fuzz target, the project-specific
-# static analyzers (cmd/tdmdlint) and the request-path allocation gate
+# static analyzers (cmd/tdmdlint), a check that the committed
+# lockgraph.dot is current, and the request-path allocation gate
 # (BENCH_serve.json). Exits non-zero on the first failure.
 #
 # The script is offline and idempotent: it needs only the go toolchain
 # and the module's own source (the module has no external
-# dependencies), and it writes nothing outside the go build cache.
+# dependencies), and it writes nothing outside the go build cache but
+# one temporary file (the regenerated lock-order graph), removed on exit.
 #
 # Usage: scripts/check.sh          (from anywhere inside the repo)
 #        make check               (alias)
@@ -68,11 +70,20 @@ scripts/fuzz.sh 5s
 echo "==> tdmdlint (13 analyzers incl. solverpurity/detorder/goleak/mapstate/guardedby/lockorder/holdblock + escape diff)"
 go run ./cmd/tdmdlint -escape-baseline escape.baseline.json ./...
 
-echo "==> lock-order graph (deterministic DOT artifact)"
-# The module's lock-acquisition-order graph, dumped for CI to archive
-# next to the lint JSON. lockorder keeps it acyclic; the dump makes
-# the established order reviewable when a finding does appear.
-go run ./cmd/tdmdlint -only lockorder -lockgraph lockgraph.dot ./...
+echo "==> lock-order graph (committed lockgraph.dot is current)"
+# The module's lock-acquisition-order graph, regenerated and compared
+# with the committed lockgraph.dot that CI archives next to the lint
+# JSON. lockorder keeps it acyclic; the committed file makes the
+# established order reviewable, and the comparison keeps it from going
+# stale. `make locklint` rewrites it.
+LOCKGRAPH=$(mktemp)
+trap 'rm -f "$LOCKGRAPH"' EXIT
+go run ./cmd/tdmdlint -only lockorder -lockgraph "$LOCKGRAPH" ./...
+if ! cmp -s "$LOCKGRAPH" lockgraph.dot; then
+    echo "lockgraph.dot is stale (make locklint rewrites it):" >&2
+    diff lockgraph.dot "$LOCKGRAPH" >&2 || true
+    exit 1
+fi
 
 echo "==> observability (observer identity + exposition, race)"
 go test -race ./internal/obs/
