@@ -98,39 +98,32 @@ func TestResilienceFacade(t *testing.T) {
 // tree-only solvers must fail the same way on both paths there; its
 // k=3 optimum is 8, which bnb certifies and multistart-ls reaches.
 func TestFacadeReachesEveryRegisteredSolver(t *testing.T) {
-	const k, seed, rounds, starts, capacity = 3, 3, 2, 4, 6
+	const k, capacity = 3, 6
+	seed := int64(3)
 	for _, p := range []*Problem{fig1Problem(t), fig5Problem(t)} {
 		for _, name := range placement.Names() {
 			s, _ := placement.Lookup(name)
 			consumes := s.Traits().Consumes
 			var facade []SolveOption
-			var direct []placement.Option
+			var direct placement.Options
 			solveK := 0
 			if consumes&placement.OptK != 0 {
 				solveK = k
-				direct = append(direct, placement.WithK(k))
+				direct.K = k
 			}
 			if consumes&placement.OptSeed != 0 {
 				facade = append(facade, WithSolveSeed(seed))
-				direct = append(direct, placement.WithSeed(seed))
+				direct.Seed = &seed
 			}
-			if consumes&placement.OptTree != 0 && p.Tree() != nil {
-				direct = append(direct, placement.WithTree(p.Tree()))
-			}
-			if consumes&placement.OptRounds != 0 {
-				facade = append(facade, WithRounds(rounds))
-				direct = append(direct, placement.WithRounds(rounds))
-			}
-			if consumes&placement.OptStarts != 0 {
-				facade = append(facade, WithStarts(starts))
-				direct = append(direct, placement.WithStarts(starts))
+			if consumes&placement.OptTree != 0 {
+				direct.Tree = p.Tree()
 			}
 			if consumes&placement.OptCapacity != 0 {
 				facade = append(facade, WithCapacity(capacity))
-				direct = append(direct, placement.WithCapacity(capacity))
+				direct.Capacity = capacity
 			}
 			got, gerr := p.Solve(context.Background(), Algorithm(name), solveK, facade...)
-			want, werr := placement.Solve(context.Background(), name, p.Instance(), placement.NewOptions(direct...))
+			want, werr := placement.Solve(context.Background(), name, p.Instance(), direct)
 			if g, w := describeSolve(got, gerr), describeSolve(want, werr); g != w {
 				t.Errorf("%s (tree %v): facade %s, registry %s", name, p.Tree() != nil, g, w)
 			}
@@ -145,7 +138,7 @@ func TestFacadeReachesEveryRegisteredSolver(t *testing.T) {
 
 func TestMultiStartFacade(t *testing.T) {
 	p := fig1Problem(t)
-	r, err := p.WithSeed(3).Solve(context.Background(), AlgMultiStartLS, 3, WithStarts(6))
+	r, err := p.WithSeed(3).Solve(context.Background(), AlgMultiStartLS, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

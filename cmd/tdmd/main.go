@@ -19,6 +19,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -29,7 +30,7 @@ func main() {
 	var (
 		specPath = flag.String("spec", "", "path to a JSON problem spec (default: stdin)")
 		stream   = flag.Bool("stream", false, "ingest the input with the streaming decoder (accepts spec documents and NDJSON flow streams; O(1) decoder memory)")
-		algName  = flag.String("alg", string(tdmd.AlgGTP), "algorithm: gtp, gtp-lazy, gtp-ls, dp, hat, random, best-effort, exhaustive, min-boxes, bnb, capacitated")
+		algName  = flag.String("alg", string(tdmd.AlgGTP), "algorithm: "+algorithmList())
 		k        = flag.Int("k", 10, "middlebox budget")
 		seed     = flag.Int64("seed", 1, "seed for randomized algorithms")
 		quiet    = flag.Bool("q", false, "print only the total bandwidth")
@@ -82,6 +83,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tdmd:", err)
 		os.Exit(1)
 	}
+}
+
+// algorithmList names every algorithm -alg accepts: the ones -compare
+// runs, then the two it leaves out.
+func algorithmList() string {
+	var names []string
+	for _, alg := range tdmd.Algorithms() {
+		names = append(names, string(alg))
+	}
+	return strings.Join(append(names, string(tdmd.AlgBnB), string(tdmd.AlgCapacitated)), ", ")
 }
 
 // runCompare solves the instance with every algorithm that applies

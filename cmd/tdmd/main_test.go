@@ -58,6 +58,22 @@ func TestRunQuietPrintsOnlyBandwidth(t *testing.T) {
 	}
 }
 
+// TestRunMultiStartLS: -alg multistart-ls -k 3 -seed 3 reaches Fig. 1's
+// optimum of 8, and -alg's usage text names it.
+func TestRunMultiStartLS(t *testing.T) {
+	path := writeFig1Spec(t)
+	var out bytes.Buffer
+	if err := run(context.Background(), fileLoader(path), tdmd.AlgMultiStartLS, 3, 3, true, "", &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.TrimSpace(out.String()) != "8" {
+		t.Fatalf("multistart-ls output = %q, want 8", out.String())
+	}
+	if !strings.Contains(algorithmList(), "multistart-ls") {
+		t.Fatalf("-alg usage omits multistart-ls: %s", algorithmList())
+	}
+}
+
 func TestRunTreeAlgWithoutRootFails(t *testing.T) {
 	path := writeFig1Spec(t)
 	var out bytes.Buffer
@@ -85,6 +101,10 @@ func TestRunCompareMode(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("compare output missing %q:\n%s", want, text)
 		}
+	}
+	// multistart-ls gets a row with a bandwidth, not an error.
+	if !strings.Contains(text, "\nmultistart-ls ") || strings.Contains(text, "requires option") {
+		t.Fatalf("compare output has no multistart-ls result row:\n%s", text)
 	}
 	// Fig. 1 has no declared root: tree algorithms must be skipped.
 	if strings.Contains(text, "\ndp ") || strings.Contains(text, "\nhat ") {

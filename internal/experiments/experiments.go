@@ -170,39 +170,37 @@ func sweep(ctx context.Context, cfg Config, figIdx uint64, id, title, xlabel str
 func seriesSolver(a AlgName, trial Trial, seed int64) (string, placement.Options, error) {
 	// Every sweep solve reports to the process metrics, so a -stats run
 	// ends with per-algorithm latency and outcome counters for free.
-	opts := []placement.Option{placement.WithK(trial.K), placement.WithObserver(placement.Metrics())}
+	opts := placement.Options{K: trial.K, Observer: placement.Metrics()}
 	var name string
 	switch a {
 	case Random:
 		name = "random"
-		opts = append(opts, placement.WithSeed(seed))
+		opts.Seed = &seed
 	case BestEffort:
 		name = "best-effort"
 	case GTP:
 		name = "gtp"
 	case HAT:
 		name = "hat"
-		opts = append(opts, placement.WithTree(trial.Tree))
+		opts.Tree = trial.Tree
 	case DP:
 		name = "dp"
-		opts = append(opts, placement.WithTree(trial.Tree))
+		opts.Tree = trial.Tree
 	case GTPLS:
 		name = "gtp-ls"
 	case Capacitated:
 		name = "capacitated"
-		capacity := 0
 		if trial.CapacityMultiple > 0 {
 			avg := float64(traffic.TotalRate(trial.Inst.Flows())) / float64(trial.K)
-			capacity = int(trial.CapacityMultiple*avg + 0.999)
-			if m := traffic.MaxRate(trial.Inst.Flows()); capacity < m {
-				capacity = m // a box must at least fit the largest flow
+			opts.Capacity = int(trial.CapacityMultiple*avg + 0.999)
+			if m := traffic.MaxRate(trial.Inst.Flows()); opts.Capacity < m {
+				opts.Capacity = m // a box must at least fit the largest flow
 			}
 		}
-		opts = append(opts, placement.WithCapacity(capacity))
 	default:
 		return "", placement.Options{}, fmt.Errorf("unknown algorithm %q", a)
 	}
-	return name, placement.NewOptions(opts...), nil
+	return name, opts, nil
 }
 
 // runOne generates one instance (regenerating on infeasibility, as the

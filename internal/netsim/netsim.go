@@ -370,8 +370,12 @@ func (p *Plan) reserve(n int) {
 	}
 }
 
-// Add deploys a middlebox on v (idempotent).
+// Add deploys a middlebox on v (idempotent). A negative v is a
+// programming error and panics naming it.
 func (p *Plan) Add(v graph.NodeID) {
+	if v < 0 {
+		panic(fmt.Sprintf("netsim: Plan.Add of negative vertex %d", v))
+	}
 	if p.Has(v) {
 		return
 	}
@@ -387,7 +391,8 @@ func (p *Plan) Add(v graph.NodeID) {
 	p.vs[i] = v
 }
 
-// Remove deletes the middlebox on v if present.
+// Remove deletes the middlebox on v if present; a negative v is never
+// present.
 func (p *Plan) Remove(v graph.NodeID) {
 	if !p.Has(v) {
 		return
@@ -399,12 +404,13 @@ func (p *Plan) Remove(v graph.NodeID) {
 }
 
 // Has reports whether v hosts a middlebox — one bounds check and one
-// bit test, no hashing.
+// bit test, no hashing. A negative v hosts none: its word index wraps
+// past the bitset in the unsigned compare.
 //
 //tdmd:hot
 func (p Plan) Has(v graph.NodeID) bool {
 	w := int(v) >> 6
-	return w < len(p.bits) && p.bits[w]&(1<<(uint(v)&63)) != 0
+	return uint(w) < uint(len(p.bits)) && p.bits[w]&(1<<(uint(v)&63)) != 0
 }
 
 // Size returns |P|, the number of deployed middleboxes.

@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tdmd/internal/graph"
@@ -132,6 +134,28 @@ func TestPlanBasics(t *testing.T) {
 	if !zero.Has(7) {
 		t.Fatal("zero-value Plan must accept Add")
 	}
+}
+
+// TestPlanNegativeVertex: a negative vertex is never deployed, so Has
+// reports false and Remove is a no-op; Add panics naming the vertex
+// instead of indexing out of range.
+func TestPlanNegativeVertex(t *testing.T) {
+	p := NewPlan(1, 2)
+	for _, v := range []graph.NodeID{-1, -64, -65} {
+		if p.Has(v) {
+			t.Fatalf("Has(%d) = true", v)
+		}
+		p.Remove(v)
+	}
+	if p.Size() != 2 || !p.Has(1) || !p.Has(2) {
+		t.Fatalf("Remove of a negative vertex changed the plan: %v", p)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "negative vertex -3") {
+			t.Fatalf("Add(-3) recovered %v, want a panic naming the vertex", r)
+		}
+	}()
+	p.Add(-3)
 }
 
 func TestAllocateNearestSource(t *testing.T) {

@@ -35,7 +35,7 @@ func BenchmarkGTPBudget(b *testing.B) {
 	b.Run("gtp-ls", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := GTPWithLocalSearch(context.Background(), in, k, 0); err != nil {
+			if _, err := GTPWithLocalSearch(context.Background(), in, k); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -108,9 +108,9 @@ func LocalSearch(ctx context.Context, in *netsim.Instance, seed netsim.Plan, max
 
 // GTPWithLocalSearch chains the budgeted greedy with a swap pass — the
 // recommended general-topology pipeline when a few extra milliseconds
-// buy bandwidth.
-// maxRounds <= 0 uses LocalSearch's default sweep cap.
-func GTPWithLocalSearch(ctx context.Context, in *netsim.Instance, k, maxRounds int) (Result, error) {
+// buy bandwidth. The swap pass runs under LocalSearch's default sweep
+// cap.
+func GTPWithLocalSearch(ctx context.Context, in *netsim.Instance, k int) (Result, error) {
 	seedRes, err := GTPBudget(ctx, in, k)
 	if err != nil {
 		return seedRes, err
@@ -119,7 +119,7 @@ func GTPWithLocalSearch(ctx context.Context, in *netsim.Instance, k, maxRounds i
 		// The greedy itself was cut short; skip the swap pass.
 		return seedRes, nil
 	}
-	return LocalSearch(ctx, in, seedRes.Plan, maxRounds), nil
+	return LocalSearch(ctx, in, seedRes.Plan, 0), nil
 }
 
 // MultiStartLocalSearch escapes 1-swap local optima by restarting the
@@ -134,7 +134,7 @@ func MultiStartLocalSearch(ctx context.Context, in *netsim.Instance, k, starts i
 	sc := observing(ctx)
 	var started int64 = 1 // the greedy seed
 	defer func() { sc.count("starts", started) }()
-	best, err := GTPWithLocalSearch(ctx, in, k, 0)
+	best, err := GTPWithLocalSearch(ctx, in, k)
 	if err != nil {
 		return Result{}, err
 	}

@@ -214,14 +214,14 @@ func BenchmarkLocalSearchIncrementalVsReference(b *testing.B) {
 
 func TestGTPWithLocalSearchPipeline(t *testing.T) {
 	in := fig1Instance(t)
-	r, err := GTPWithLocalSearch(context.Background(), in, 2, 0)
+	r, err := GTPWithLocalSearch(context.Background(), in, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Bandwidth != 12 || !r.Feasible {
 		t.Fatalf("pipeline k=2: %+v", r)
 	}
-	if _, err := GTPWithLocalSearch(context.Background(), in, 1, 0); err == nil {
+	if _, err := GTPWithLocalSearch(context.Background(), in, 1); err == nil {
 		t.Fatal("infeasible budget accepted")
 	}
 }

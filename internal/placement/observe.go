@@ -15,7 +15,7 @@ import (
 // the metrics-backed implementation (Metrics) folds them into the
 // process-wide obs registry for /metrics and the -stats dumps.
 //
-// Threading: the observer rides in Options (WithObserver) so no solver
+// Threading: the observer rides in Options.Observer so no solver
 // signature changes; Solve injects a per-call scope into the context,
 // and each solver hoists it once at entry (observing(ctx)). The scope
 // is nil-safe — with no observer attached every emitter is a nil check

@@ -22,7 +22,7 @@ func (c *countingObserver) Count(string, string, int64)              { c.counts+
 // metrics observer. scripts/check.sh compares off vs metrics.
 func BenchmarkObserverOverhead(b *testing.B) {
 	in := benchGeneralInstance(b, 150, 600)
-	base := NewOptions(WithK(8))
+	base := Options{K: 8}
 	if _, err := Solve(context.Background(), "gtp", in, base); err != nil {
 		b.Skip("gtp infeasible on bench instance:", err)
 	}
@@ -35,7 +35,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 		}
 	})
 	b.Run("counting", func(b *testing.B) {
-		opts := NewOptions(WithK(8), WithObserver(&countingObserver{}))
+		opts := Options{K: 8, Observer: &countingObserver{}}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := Solve(context.Background(), "gtp", in, opts); err != nil {
@@ -44,7 +44,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 		}
 	})
 	b.Run("metrics", func(b *testing.B) {
-		opts := NewOptions(WithK(8), WithObserver(Metrics()))
+		opts := Options{K: 8, Observer: Metrics()}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := Solve(context.Background(), "gtp", in, opts); err != nil {

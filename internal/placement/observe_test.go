@@ -56,7 +56,7 @@ func TestSolveEmitsLifecycleEvents(t *testing.T) {
 	in := fig1Instance(t)
 	rec := newRecordingObserver()
 	r, err := Solve(context.Background(), "gtp", in,
-		NewOptions(WithK(3), WithObserver(rec)))
+		Options{K: 3, Observer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSolveWithoutObserverEmitsNothing(t *testing.T) {
 	sc.count("x", 1)          // must not panic
 	sc.phase("x", time.Now()) // must not panic
 	in := fig1Instance(t)
-	if _, err := Solve(context.Background(), "gtp", in, NewOptions(WithK(3))); err != nil {
+	if _, err := Solve(context.Background(), "gtp", in, Options{K: 3}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -104,21 +104,21 @@ func TestObserverIdentityAcrossAllSolvers(t *testing.T) {
 	}
 	type fixture struct {
 		in   *netsim.Instance
-		opts []Option
+		opts Options
 	}
 	optsFor := map[string]fixture{
-		"gtp":           {general, []Option{WithK(3)}},
-		"gtp-lazy":      {general, nil},
-		"gtp-ls":        {general, []Option{WithK(3)}},
-		"dp":            {treeIn, []Option{WithK(3), WithTree(tr)}},
-		"hat":           {treeIn, []Option{WithK(3), WithTree(tr)}},
-		"random":        {general, []Option{WithK(3), WithSeed(42)}},
-		"best-effort":   {general, []Option{WithK(3)}},
-		"exhaustive":    {general, []Option{WithK(3)}},
-		"min-boxes":     {general, nil},
-		"bnb":           {general, []Option{WithK(3)}},
-		"capacitated":   {general, []Option{WithK(3), WithCapacity(100)}},
-		"multistart-ls": {general, []Option{WithK(3), WithSeed(7), WithStarts(2)}},
+		"gtp":           {general, Options{K: 3}},
+		"gtp-lazy":      {general, Options{}},
+		"gtp-ls":        {general, Options{K: 3}},
+		"dp":            {treeIn, Options{K: 3, Tree: tr}},
+		"hat":           {treeIn, Options{K: 3, Tree: tr}},
+		"random":        {general, Options{K: 3, Seed: seedOf(42)}},
+		"best-effort":   {general, Options{K: 3}},
+		"exhaustive":    {general, Options{K: 3}},
+		"min-boxes":     {general, Options{}},
+		"bnb":           {general, Options{K: 3}},
+		"capacitated":   {general, Options{K: 3, Capacity: 100}},
+		"multistart-ls": {general, Options{K: 3, Seed: seedOf(7)}},
 	}
 	for _, name := range Names() {
 		fx, ok := optsFor[name]
@@ -127,13 +127,13 @@ func TestObserverIdentityAcrossAllSolvers(t *testing.T) {
 		}
 		in, opts := fx.in, fx.opts
 		t.Run(name, func(t *testing.T) {
-			plain, err := Solve(context.Background(), name, in, NewOptions(opts...))
+			plain, err := Solve(context.Background(), name, in, opts)
 			if err != nil {
 				t.Fatalf("unobserved solve: %v", err)
 			}
 			rec := newRecordingObserver()
-			observed, err := Solve(context.Background(), name, in,
-				NewOptions(append([]Option{WithObserver(rec)}, opts...)...))
+			opts.Observer = rec
+			observed, err := Solve(context.Background(), name, in, opts)
 			if err != nil {
 				t.Fatalf("observed solve: %v", err)
 			}
@@ -158,7 +158,7 @@ func TestOutcomeClassification(t *testing.T) {
 	// Validation failure: paired start/done with bad_options.
 	rec := newRecordingObserver()
 	if _, err := Solve(context.Background(), "gtp", in,
-		NewOptions(WithObserver(rec))); err == nil {
+		Options{Observer: rec}); err == nil {
 		t.Fatal("missing k accepted")
 	}
 	if len(rec.dones) != 1 || rec.outcomes[0] != OutcomeBadOptions {
@@ -170,7 +170,7 @@ func TestOutcomeClassification(t *testing.T) {
 	cancel()
 	rec = newRecordingObserver()
 	if _, err := Solve(ctx, "gtp", in,
-		NewOptions(WithK(3), WithObserver(rec))); err == nil {
+		Options{K: 3, Observer: rec}); err == nil {
 		t.Fatal("canceled solve returned no error")
 	}
 	if len(rec.outcomes) != 1 || rec.outcomes[0] != OutcomeCanceled {
@@ -185,7 +185,7 @@ func TestOutcomeClassification(t *testing.T) {
 	defer dcancel()
 	rec = newRecordingObserver()
 	if _, err := Solve(dctx, "gtp", in,
-		NewOptions(WithK(3), WithObserver(rec))); err == nil {
+		Options{K: 3, Observer: rec}); err == nil {
 		t.Fatal("expired solve returned no error")
 	}
 	if len(rec.outcomes) != 1 || rec.outcomes[0] != OutcomeDeadline {
@@ -200,7 +200,7 @@ func TestOutcomeClassification(t *testing.T) {
 func TestMetricsObserverExposition(t *testing.T) {
 	in := fig1Instance(t)
 	if _, err := Solve(context.Background(), "gtp", in,
-		NewOptions(WithK(3), WithObserver(Metrics()))); err != nil {
+		Options{K: 3, Observer: Metrics()}); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder

@@ -33,10 +33,10 @@ func init() {
 	Register(funcSolver{
 		traits: Traits{
 			Name: "gtp-ls", Doc: "budgeted greedy refined by 1-swap local search",
-			Consumes: OptK | OptRounds, Requires: OptK, Anytime: true,
+			Consumes: OptK, Requires: OptK, Anytime: true,
 		},
 		fn: func(ctx context.Context, in *netsim.Instance, o Options) (Result, error) {
-			return GTPWithLocalSearch(ctx, in, o.K, o.Rounds)
+			return GTPWithLocalSearch(ctx, in, o.K)
 		},
 	})
 	Register(funcSolver{
@@ -63,7 +63,7 @@ func init() {
 			Consumes: OptK | OptSeed, Requires: OptK | OptSeed,
 		},
 		fn: func(ctx context.Context, in *netsim.Instance, o Options) (Result, error) {
-			return RandomPlacement(ctx, in, o.K, rngFromSeed(o.Seed))
+			return RandomPlacement(ctx, in, o.K, rngFromSeed(*o.Seed))
 		},
 	})
 	Register(funcSolver{
@@ -113,14 +113,19 @@ func init() {
 	Register(funcSolver{
 		traits: Traits{
 			Name: "multistart-ls", Doc: "greedy + 1-swap from multiple seeds",
-			Consumes: OptK | OptSeed | OptStarts | OptRounds,
-			Requires: OptK | OptSeed | OptStarts, Anytime: true,
+			Consumes: OptK | OptSeed, Requires: OptK | OptSeed, Anytime: true,
 		},
 		fn: func(ctx context.Context, in *netsim.Instance, o Options) (Result, error) {
-			return MultiStartLocalSearch(ctx, in, o.K, o.Starts, rngFromSeed(o.Seed))
+			return MultiStartLocalSearch(ctx, in, o.K, multiStartRestarts, rngFromSeed(*o.Seed))
 		},
 	})
 }
+
+// multiStartRestarts is the number of local-search starts
+// multistart-ls runs: the greedy plan plus seven random ones. A start
+// replaces the best plan only on strict improvement, so raising it
+// never worsens the answer for a given seed.
+const multiStartRestarts = 8
 
 // requireFeasible converts the bare-Result greedy solvers' outcome to
 // the registry contract: an infeasible final plan is ErrInfeasible —

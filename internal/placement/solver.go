@@ -15,11 +15,11 @@ import (
 )
 
 // This file is the unified solver architecture: one Solver interface,
-// one Options shape built from functional options, and one name-keyed
-// registry every dispatcher (the tdmd facade, cmd/tdmd, cmd/figures,
-// cmd/tdmdserve, internal/experiments) routes through. Before it, each
-// caller hand-rolled a switch over bespoke signatures; now a solver is
-// added in exactly one place and every consumer sees it.
+// one plain Options value, and one name-keyed registry every
+// dispatcher (the tdmd facade, cmd/tdmd, cmd/figures, cmd/tdmdserve,
+// internal/experiments) routes through. Before it, each caller
+// hand-rolled a switch over bespoke signatures; now a solver is added
+// in exactly one place and every consumer sees it.
 //
 // Cancellation contract (see DESIGN.md "Cancellation & anytime
 // contract"): every solver takes a context.Context as its first
@@ -32,8 +32,7 @@ import (
 // pre-context solvers (all checks are non-blocking polls).
 
 // OptionSet is a bitmask naming the option kinds a solver consumes or
-// requires; validation rejects explicit options a solver would
-// silently ignore.
+// requires; validation rejects options a solver would silently ignore.
 type OptionSet uint
 
 // The option kinds.
@@ -44,10 +43,6 @@ const (
 	OptSeed
 	// OptTree is the rooted tree view tree-only solvers need.
 	OptTree
-	// OptRounds caps local-search sweep rounds.
-	OptRounds
-	// OptStarts is the multi-start restart count.
-	OptStarts
 	// OptCapacity is the per-middlebox processing capacity.
 	OptCapacity
 )
@@ -61,8 +56,6 @@ var optionNames = []struct {
 	{OptK, "k"},
 	{OptSeed, "seed"},
 	{OptTree, "tree"},
-	{OptRounds, "rounds"},
-	{OptStarts, "starts"},
 	{OptCapacity, "capacity"},
 }
 
@@ -78,112 +71,56 @@ func (s OptionSet) Names() []string {
 	return out
 }
 
-// Options is the one options shape every Solver receives. Callers
-// build it with NewOptions and the With*/Fallback* functional options;
-// solvers read only the fields their Traits declare they consume.
+// Options is the one options value every Solver receives, written as
+// a struct literal. A zero K or Capacity and a nil Seed or Tree mean
+// the option is absent; solvers read only the fields their Traits
+// declare they consume.
 type Options struct {
 	// K is the middlebox budget.
 	K int
 	// Seed seeds randomized solvers.
-	Seed int64
+	Seed *int64
 	// Tree is the rooted tree view for tree-only solvers.
 	Tree *graph.Tree
-	// Rounds caps local-search sweep rounds (0 = solver default).
-	Rounds int
-	// Starts is the multi-start restart count.
-	Starts int
 	// Capacity is the per-box processing capacity (0 = unlimited).
 	Capacity int
 	// Observer receives solve lifecycle and progress events; nil
-	// disables observation. Not part of the OptionSet contract: every
-	// solver tolerates it, none requires it.
+	// disables observation. Not an option kind: every solver
+	// tolerates it, none requires it.
 	Observer SolveObserver
-
-	// explicit marks options the caller set deliberately; a solver
-	// that does not consume an explicit option rejects the call
-	// (ErrBadOptions) instead of silently ignoring it.
-	explicit OptionSet
-	// provided marks options that carry a usable value — explicit ones
-	// plus ambient fallbacks a Problem supplies (tree view, default
-	// seed). Requirements are checked against provided.
-	provided OptionSet
 }
 
-// Option mutates an Options under construction.
-type Option func(*Options)
+// kinds reports the option kinds o carries.
+func (o Options) kinds() OptionSet {
+	var s OptionSet
+	if o.K != 0 {
+		s |= OptK
+	}
+	if o.Seed != nil {
+		s |= OptSeed
+	}
+	if o.Tree != nil {
+		s |= OptTree
+	}
+	if o.Capacity != 0 {
+		s |= OptCapacity
+	}
+	return s
+}
 
-// NewOptions applies the options to a zero Options value.
-func NewOptions(opts ...Option) Options {
-	var o Options
-	for _, opt := range opts {
-		opt(&o)
+// Ambient fills in the tree view and seed a Problem or a request
+// carries alongside the call, where o leaves them unset and only for
+// a solver whose traits consume them: attaching a tree or a seed to a
+// problem satisfies the solvers that need it without making the
+// others reject the call.
+func (o Options) Ambient(t Traits, tree *graph.Tree, seed *int64) Options {
+	if o.Tree == nil && t.Consumes&OptTree != 0 {
+		o.Tree = tree
+	}
+	if o.Seed == nil && t.Consumes&OptSeed != 0 {
+		o.Seed = seed
 	}
 	return o
-}
-
-// Explicit reports the explicitly-set option kinds.
-func (o Options) Explicit() OptionSet { return o.explicit }
-
-// Provided reports the option kinds carrying a usable value.
-func (o Options) Provided() OptionSet { return o.provided }
-
-func (o *Options) mark(bit OptionSet) { o.explicit |= bit; o.provided |= bit }
-
-// WithK sets the middlebox budget.
-func WithK(k int) Option {
-	return func(o *Options) { o.K = k; o.mark(OptK) }
-}
-
-// WithSeed seeds randomized solvers.
-func WithSeed(seed int64) Option {
-	return func(o *Options) { o.Seed = seed; o.mark(OptSeed) }
-}
-
-// WithTree attaches the rooted tree view tree-only solvers need.
-func WithTree(t *graph.Tree) Option {
-	return func(o *Options) { o.Tree = t; o.mark(OptTree) }
-}
-
-// WithRounds caps local-search sweep rounds.
-func WithRounds(n int) Option {
-	return func(o *Options) { o.Rounds = n; o.mark(OptRounds) }
-}
-
-// WithStarts sets the multi-start restart count.
-func WithStarts(n int) Option {
-	return func(o *Options) { o.Starts = n; o.mark(OptStarts) }
-}
-
-// WithCapacity sets the per-middlebox processing capacity.
-func WithCapacity(c int) Option {
-	return func(o *Options) { o.Capacity = c; o.mark(OptCapacity) }
-}
-
-// WithObserver attaches a SolveObserver. Deliberately outside the
-// OptionSet validation: observation is orthogonal to what a solver
-// consumes.
-func WithObserver(ob SolveObserver) Option {
-	return func(o *Options) { o.Observer = ob }
-}
-
-// FallbackSeed provides a seed without marking it explicit: it
-// satisfies a randomized solver's requirement but is not rejected by
-// deterministic solvers. The tdmd facade uses it for Problem-level
-// seeds.
-func FallbackSeed(seed int64) Option {
-	return func(o *Options) { o.Seed = seed; o.provided |= OptSeed }
-}
-
-// FallbackTree provides a tree view without marking it explicit, so
-// attaching a tree to a Problem does not make general-topology solvers
-// reject the call.
-func FallbackTree(t *graph.Tree) Option {
-	return func(o *Options) {
-		if t != nil {
-			o.Tree = t
-			o.provided |= OptTree
-		}
-	}
 }
 
 // Traits declares a solver's shape: which options it consumes, which
@@ -194,7 +131,7 @@ type Traits struct {
 	// Doc is a one-line description.
 	Doc string
 	// Consumes is the set of options the solver reads; any other
-	// explicit option is rejected.
+	// option the call carries is rejected.
 	Consumes OptionSet
 	// Requires is the subset of Consumes that must be provided.
 	Requires OptionSet
@@ -294,23 +231,20 @@ func badOptions(solver, format string, args ...any) error {
 	return &BadOptionsError{Solver: solver, Reason: fmt.Sprintf(format, args...)}
 }
 
-// ValidateOptions checks opts against a solver's Traits: explicit
-// options the solver would ignore and missing requirements are both
-// ErrBadOptions.
+// ValidateOptions checks opts against a solver's Traits: options the
+// solver would ignore and missing requirements are both ErrBadOptions.
 func ValidateOptions(t Traits, opts Options) error {
-	if extra := opts.explicit &^ t.Consumes; extra != 0 {
+	kinds := opts.kinds()
+	if extra := kinds &^ t.Consumes; extra != 0 {
 		return badOptions(t.Name, "does not accept option(s) %s",
 			strings.Join(extra.Names(), ", "))
 	}
-	if missing := t.Requires &^ opts.provided; missing != 0 {
+	if missing := t.Requires &^ kinds; missing != 0 {
 		return badOptions(t.Name, "requires option(s) %s",
 			strings.Join(missing.Names(), ", "))
 	}
 	if t.Requires&OptK != 0 && opts.K < 1 {
 		return badOptions(t.Name, "requires a middlebox budget k >= 1, got %d", opts.K)
-	}
-	if t.Requires&OptTree != 0 && opts.Tree == nil {
-		return badOptions(t.Name, "requires a rooted tree view")
 	}
 	return nil
 }

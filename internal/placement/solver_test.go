@@ -73,7 +73,7 @@ func TestLookupUnknownSolver(t *testing.T) {
 
 func TestSolveUnknownNameListsCatalogue(t *testing.T) {
 	in := fig1Instance(t)
-	_, err := Solve(context.Background(), "no-such-solver", in, NewOptions())
+	_, err := Solve(context.Background(), "no-such-solver", in, Options{})
 	if err == nil {
 		t.Fatal("unknown solver accepted")
 	}
@@ -88,7 +88,7 @@ func TestValidateOptionsRejectsUnconsumedExplicit(t *testing.T) {
 	// gtp-lazy consumes nothing: the old facade silently dropped an
 	// explicit budget here, now it is a typed error.
 	s, _ := Lookup("gtp-lazy")
-	err := ValidateOptions(s.Traits(), NewOptions(WithK(3)))
+	err := ValidateOptions(s.Traits(), Options{K: 3})
 	if !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("unconsumed explicit k: got %v, want ErrBadOptions", err)
 	}
@@ -102,13 +102,13 @@ func TestValidateOptionsRejectsMissingRequirement(t *testing.T) {
 	// random without any seed: the old facade silently used a global
 	// stream, now it is a typed error.
 	s, _ := Lookup("random")
-	err := ValidateOptions(s.Traits(), NewOptions(WithK(3)))
+	err := ValidateOptions(s.Traits(), Options{K: 3})
 	if !errors.Is(err, ErrBadOptions) || !strings.Contains(err.Error(), "seed") {
 		t.Fatalf("missing seed: got %v", err)
 	}
 	// dp without a tree view.
 	s, _ = Lookup("dp")
-	err = ValidateOptions(s.Traits(), NewOptions(WithK(3)))
+	err = ValidateOptions(s.Traits(), Options{K: 3})
 	if !errors.Is(err, ErrBadOptions) || !strings.Contains(err.Error(), "tree") {
 		t.Fatalf("missing tree: got %v", err)
 	}
@@ -116,49 +116,59 @@ func TestValidateOptionsRejectsMissingRequirement(t *testing.T) {
 
 func TestValidateOptionsRejectsDegenerateValues(t *testing.T) {
 	s, _ := Lookup("exhaustive")
-	if err := ValidateOptions(s.Traits(), NewOptions(WithK(0))); !errors.Is(err, ErrBadOptions) {
+	if err := ValidateOptions(s.Traits(), Options{K: 0}); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("k=0 accepted by a budgeted solver: %v", err)
 	}
-	tree, _ := Lookup("dp")
-	opts := NewOptions(WithK(2), FallbackTree(nil))
-	if err := ValidateOptions(tree.Traits(), opts); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("nil fallback tree satisfied the tree requirement: %v", err)
+	dp, _ := Lookup("dp")
+	opts := Options{K: 2}.Ambient(dp.Traits(), nil, nil)
+	if err := ValidateOptions(dp.Traits(), opts); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("nil ambient tree satisfied the tree requirement: %v", err)
 	}
 }
 
-func TestFallbackOptionsSatisfyWithoutRejecting(t *testing.T) {
-	// A fallback seed satisfies random's requirement...
+func TestAmbientOptionsSatisfyWithoutRejecting(t *testing.T) {
+	// An ambient seed satisfies random's requirement...
 	random, _ := Lookup("random")
-	if err := ValidateOptions(random.Traits(), NewOptions(WithK(2), FallbackSeed(7))); err != nil {
-		t.Fatalf("fallback seed rejected: %v", err)
+	if err := ValidateOptions(random.Traits(), Options{K: 2}.Ambient(random.Traits(), nil, seedOf(7))); err != nil {
+		t.Fatalf("ambient seed rejected: %v", err)
 	}
-	// ...without making seed-free solvers reject the call, which an
-	// explicit WithSeed would.
+	// ...without making seed-free solvers reject the call, which a
+	// seed set on the options would.
 	gtp, _ := Lookup("gtp")
-	if err := ValidateOptions(gtp.Traits(), NewOptions(WithK(2), FallbackSeed(7))); err != nil {
-		t.Fatalf("fallback seed leaked into gtp validation: %v", err)
+	if err := ValidateOptions(gtp.Traits(), Options{K: 2}.Ambient(gtp.Traits(), nil, seedOf(7))); err != nil {
+		t.Fatalf("ambient seed leaked into gtp validation: %v", err)
 	}
-	if err := ValidateOptions(gtp.Traits(), NewOptions(WithK(2), WithSeed(7))); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("explicit seed on gtp not rejected: %v", err)
+	if err := ValidateOptions(gtp.Traits(), Options{K: 2, Seed: seedOf(7)}); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("seed on gtp not rejected: %v", err)
+	}
+	// A seed on the options wins over the ambient one.
+	if o := (Options{Seed: seedOf(1)}).Ambient(random.Traits(), nil, seedOf(7)); *o.Seed != 1 {
+		t.Fatalf("ambient seed overrode the call's: %d", *o.Seed)
 	}
 	// Same asymmetry for the ambient tree view.
 	in := fig1Instance(t)
 	tr := fig1Tree(t)
-	if _, err := Solve(context.Background(), "gtp", in, NewOptions(WithK(3), FallbackTree(tr))); err != nil {
-		t.Fatalf("ambient tree broke a general-topology solve: %v", err)
+	for _, name := range []string{"gtp", "dp"} {
+		s, _ := Lookup(name)
+		if _, err := Solve(context.Background(), name, in, Options{K: 3}.Ambient(s.Traits(), tr, nil)); err != nil {
+			t.Fatalf("ambient tree with %s: %v", name, err)
+		}
 	}
-	if _, err := Solve(context.Background(), "dp", in, NewOptions(WithK(3), FallbackTree(tr))); err != nil {
-		t.Fatalf("ambient tree did not satisfy dp: %v", err)
+	if err := ValidateOptions(gtp.Traits(), Options{K: 3, Tree: tr}); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("tree on gtp not rejected: %v", err)
 	}
 }
 
+// seedOf returns a pointer to a copy of seed, for Options.Seed.
+func seedOf(seed int64) *int64 { return &seed }
+
 func TestOptionMasksAndNames(t *testing.T) {
-	o := NewOptions(WithK(3), WithRounds(2), FallbackSeed(9))
-	if o.Explicit() != OptK|OptRounds {
-		t.Fatalf("explicit mask %v", o.Explicit().Names())
+	o := Options{K: 3, Seed: seedOf(9), Observer: Metrics()}
+	if o.kinds() != OptK|OptSeed {
+		t.Fatalf("kinds %v", o.kinds().Names())
 	}
-	if o.Provided() != OptK|OptRounds|OptSeed {
-		t.Fatalf("provided mask %v", o.Provided().Names())
+	if (Options{}).kinds() != 0 {
+		t.Fatalf("zero Options carries %v", (Options{}).kinds().Names())
 	}
 	names := (OptK | OptSeed | OptCapacity).Names()
 	want := []string{"k", "seed", "capacity"}
@@ -176,11 +186,11 @@ func TestSolveDispatchMatchesDirectCalls(t *testing.T) {
 	// The registry adapters must be thin: dispatching through Solve
 	// yields the same plans as calling the solver functions directly.
 	in := fig1Instance(t)
-	viaRegistry, err := Solve(context.Background(), "gtp-ls", in, NewOptions(WithK(3)))
+	viaRegistry, err := Solve(context.Background(), "gtp-ls", in, Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := GTPWithLocalSearch(context.Background(), in, 3, 0)
+	direct, err := GTPWithLocalSearch(context.Background(), in, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +200,7 @@ func TestSolveDispatchMatchesDirectCalls(t *testing.T) {
 	}
 	seeded := func() Result {
 		r, err := Solve(context.Background(), "random", in,
-			NewOptions(WithK(3), WithSeed(42)))
+			Options{K: 3, Seed: seedOf(42)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +214,7 @@ func TestSolveDispatchMatchesDirectCalls(t *testing.T) {
 func TestExactSolversCertifyOptimal(t *testing.T) {
 	in := fig1Instance(t)
 	for _, name := range []string{"exhaustive", "bnb"} {
-		r, err := Solve(context.Background(), name, in, NewOptions(WithK(3)))
+		r, err := Solve(context.Background(), name, in, Options{K: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -213,7 +223,7 @@ func TestExactSolversCertifyOptimal(t *testing.T) {
 		}
 	}
 	// Heuristics never claim optimality.
-	r, err := Solve(context.Background(), "gtp", in, NewOptions(WithK(3)))
+	r, err := Solve(context.Background(), "gtp", in, Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

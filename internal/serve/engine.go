@@ -248,10 +248,10 @@ func (fl *flight) run() {
 	// The recorder tees lifecycle events to the process metrics
 	// observer (so served solves keep landing in tdmd_solve_*) and
 	// captures incumbent snapshots for the job API. Seeds ride on the
-	// Problem with fallback semantics (set at submission build time),
-	// so the observer tee is the only per-call option.
+	// Problem as ambient values (set at submission build time), so the
+	// observer tee is the only per-call option.
 	res, err := fl.sub.Problem.Solve(ctx, fl.sub.Algorithm, fl.sub.K,
-		placement.WithObserver(&incumbentRecorder{fl: fl, next: placement.Metrics()}))
+		tdmd.WithSolveObserver(&incumbentRecorder{fl: fl, next: placement.Metrics()}))
 	solvesTotal.Inc()
 	fl.finish(res, err)
 }

@@ -509,14 +509,8 @@ func resolveAlgorithm(name string, k int, seed *int64) (tdmd.Algorithm, error) {
 	if !ok {
 		return "", fmt.Errorf("unknown algorithm %q", name)
 	}
-	opts := []placement.Option{placement.FallbackTree(wireTree)}
-	if k != 0 {
-		opts = append(opts, placement.WithK(k))
-	}
-	if seed != nil {
-		opts = append(opts, placement.FallbackSeed(*seed))
-	}
-	if err := placement.ValidateOptions(s.Traits(), placement.NewOptions(opts...)); err != nil {
+	t := s.Traits()
+	if err := placement.ValidateOptions(t, placement.Options{K: k}.Ambient(t, wireTree, seed)); err != nil {
 		return "", err
 	}
 	return tdmd.Algorithm(name), nil
@@ -542,7 +536,7 @@ func buildSubmission(req solveRequest) (Submission, int, error) {
 		return Submission{}, http.StatusBadRequest, fmt.Errorf("algorithm %s needs a spec with a root", alg)
 	}
 	if req.Seed != nil {
-		// Fallback semantics: satisfies randomized solvers, ignored —
+		// Ambient semantics: satisfies randomized solvers, ignored —
 		// not rejected — by deterministic ones, matching the CLI.
 		problem.WithSeed(*req.Seed)
 	}

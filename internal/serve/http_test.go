@@ -355,17 +355,33 @@ func TestServeDeadlineMSEveryRoute(t *testing.T) {
 	}
 }
 
-// TestServeSolveWithSeedAndOptimal: a seeded random solve works, and
+// TestServeSolveWithSeedAndOptimal: seeded randomized solves work
+// (multistart-ls reaches Fig. 1's k=3 optimum of 8 from seed 3), and
 // an exact algorithm reports optimal=true on an uninterrupted run.
 func TestServeSolveWithSeedAndOptimal(t *testing.T) {
 	_, srv := testServer(t, Config{})
-	seed := int64(7)
-	resp := post(t, srv, "/api/solve", solveRequest{
-		Spec: fig1Spec(t), Algorithm: "random", K: 3, Seed: &seed,
-	})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("seeded random: status = %d", resp.StatusCode)
+	for _, tc := range []struct {
+		alg       string
+		seed      int64
+		bandwidth float64
+	}{
+		{"random", 7, 0},
+		{"multistart-ls", 3, 8},
+	} {
+		resp := post(t, srv, "/api/solve", solveRequest{
+			Spec: fig1Spec(t), Algorithm: tc.alg, K: 3, Seed: &tc.seed,
+		})
+		var out solveResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !out.Feasible {
+			t.Fatalf("seeded %s: status = %d, %+v", tc.alg, resp.StatusCode, out)
+		}
+		if tc.bandwidth != 0 && out.Bandwidth != tc.bandwidth {
+			t.Fatalf("seeded %s: bandwidth %v, want %v", tc.alg, out.Bandwidth, tc.bandwidth)
+		}
 	}
 	opt := post(t, srv, "/api/solve", solveRequest{
 		Spec: fig1Spec(t), Algorithm: "exhaustive", K: 3,
@@ -792,14 +808,13 @@ func TestServeRootOutOfRange400(t *testing.T) {
 }
 
 // TestServeUnrunnableSolver400BeforeAdmission: a request whose solver
-// cannot run with what the wire carries — multistart-ls needs a starts
-// count no request can send, gtp-lazy takes no budget — is a 400
+// cannot run with what the wire carries — multistart-ls without a
+// seed, gtp-lazy with a budget — is a 400
 // decided before admission, on /api/solve and on both /v1/jobs bodies
 // (the NDJSON one before its body is read). It takes no queue slot,
 // leaves no solve sample and adds no cache entry.
 func TestServeUnrunnableSolver400BeforeAdmission(t *testing.T) {
 	s, srv := testServer(t, Config{})
-	seed := int64(1)
 	misses, solves, jobs := cacheMissesTotal.Value(), solvesTotal.Value(), jobsCreatedTotal.Value()
 	const samples = `tdmd_solve_duration_seconds_count{algorithm="multistart-ls"}`
 	before := countSeries(t, samples)
@@ -815,7 +830,7 @@ func TestServeUnrunnableSolver400BeforeAdmission(t *testing.T) {
 			req  solveRequest
 			want string
 		}{
-			{solveRequest{Spec: fig1Spec(t), Algorithm: "multistart-ls", K: 3, Seed: &seed}, "requires option(s) starts"},
+			{solveRequest{Spec: fig1Spec(t), Algorithm: "multistart-ls", K: 3}, "requires option(s) seed"},
 			{solveRequest{Spec: fig1Spec(t), Algorithm: "gtp-lazy", K: 3}, "does not accept option(s) k"},
 		} {
 			resp := post(t, srv, path, tc.req)
@@ -827,8 +842,8 @@ func TestServeUnrunnableSolver400BeforeAdmission(t *testing.T) {
 			check(path+" "+tc.req.Algorithm, resp.StatusCode, env.Error, tc.want)
 		}
 	}
-	code, msg := postNDJSON(t, s, "algorithm=multistart-ls&k=3&seed=1", []byte("not json"))
-	check("NDJSON multistart-ls", code, msg, "requires option(s) starts")
+	code, msg := postNDJSON(t, s, "algorithm=multistart-ls&k=3", []byte("not json"))
+	check("NDJSON multistart-ls", code, msg, "requires option(s) seed")
 
 	if got := cacheMissesTotal.Value(); got != misses {
 		t.Errorf("cache misses %d -> %d: a request took a queue slot", misses, got)
@@ -847,5 +862,30 @@ func TestServeUnrunnableSolver400BeforeAdmission(t *testing.T) {
 	}
 	if n := s.eng.CacheLen(); n != 0 {
 		t.Errorf("CacheLen = %d, want 0", n)
+	}
+}
+
+// TestResolveAlgorithmAllocatesNothing: resolving an accepted
+// request's algorithm runs on every /api/solve and /v1/jobs request,
+// cache hits included, so it must not touch the heap.
+func TestResolveAlgorithmAllocatesNothing(t *testing.T) {
+	seed := int64(3)
+	for _, tc := range []struct {
+		alg  string
+		k    int
+		seed *int64
+	}{
+		{"gtp-lazy", 0, nil},
+		{"gtp", 10, nil},
+		{"random", 3, &seed},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := resolveAlgorithm(tc.alg, tc.k, tc.seed); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("resolveAlgorithm(%q, %d, %v): %v allocs, want 0", tc.alg, tc.k, tc.seed != nil, allocs)
+		}
 	}
 }

@@ -59,7 +59,7 @@ func SolveMetricsObserver() SolveObserver { return placement.Metrics() }
 // Solve. It replaces the default metrics observer for that call, so
 // wrap SolveMetricsObserver if both are wanted.
 func WithSolveObserver(ob SolveObserver) SolveOption {
-	return placement.WithObserver(ob)
+	return func(o *placement.Options) { o.Observer = ob }
 }
 
 // MetricsHandler serves the default registry as Prometheus text

@@ -84,24 +84,21 @@ var ErrInfeasible = placement.ErrInfeasible
 // options were silently ignored.
 var ErrBadOptions = placement.ErrBadOptions
 
-// SolveOption tunes a single Solve call beyond the budget: seed,
-// local-search rounds, multi-start count, and so on.
-type SolveOption = placement.Option
-
-// WithRounds caps AlgGTPLS's local-search sweep rounds (0 = until a
-// local optimum).
-func WithRounds(n int) SolveOption { return placement.WithRounds(n) }
-
-// WithStarts sets the multi-start restart count for AlgMultiStartLS.
-func WithStarts(n int) SolveOption { return placement.WithStarts(n) }
+// SolveOption tunes a single Solve call beyond the budget: its seed,
+// a box capacity, or an observer.
+type SolveOption func(*placement.Options)
 
 // WithCapacity sets AlgCapacitated's per-middlebox processing capacity:
 // the most total initial rate one box may serve (0 = unlimited).
-func WithCapacity(c int) SolveOption { return placement.WithCapacity(c) }
+func WithCapacity(c int) SolveOption {
+	return func(o *placement.Options) { o.Capacity = c }
+}
 
 // WithSolveSeed seeds this one Solve call's randomized algorithm,
 // overriding the Problem seed.
-func WithSolveSeed(seed int64) SolveOption { return placement.WithSeed(seed) }
+func WithSolveSeed(seed int64) SolveOption {
+	return func(o *placement.Options) { o.Seed = &seed }
+}
 
 // Algorithm names a placement strategy.
 type Algorithm string
@@ -136,9 +133,9 @@ const (
 	// WithCapacity total initial rate (the paper assumes unlimited
 	// capacity), scored under netsim's first-fit-decreasing assignment.
 	AlgCapacitated Algorithm = "capacitated"
-	// AlgMultiStartLS runs the greedy + 1-swap pipeline from WithStarts
-	// seeds (greedy plus starts−1 random restarts) and keeps the best
-	// local optimum. Needs a seed.
+	// AlgMultiStartLS runs the greedy + 1-swap pipeline from the greedy
+	// plan and a fixed number of seeded random restarts and keeps the
+	// best local optimum. Needs a seed.
 	AlgMultiStartLS Algorithm = "multistart-ls"
 	// AlgBnB is the exact branch-and-bound with the submodular pruning
 	// bound: certified optima well beyond AlgExhaustive's reach.
@@ -148,10 +145,10 @@ const (
 )
 
 // Algorithms lists the algorithms cmd/tdmd -compare runs, tree-only
-// ones included. AlgCapacitated, AlgMultiStartLS and AlgBnB are not in
-// it; Solve reaches them like any other.
+// ones included. AlgCapacitated and AlgBnB are not in it; Solve
+// reaches them like any other.
 func Algorithms() []Algorithm {
-	return []Algorithm{AlgGTP, AlgGTPLazy, AlgGTPLS, AlgDP, AlgHAT, AlgRandom, AlgBestEffort, AlgExhaustive, AlgMinBoxes}
+	return []Algorithm{AlgGTP, AlgGTPLazy, AlgGTPLS, AlgMultiStartLS, AlgDP, AlgHAT, AlgRandom, AlgBestEffort, AlgExhaustive, AlgMinBoxes}
 }
 
 // traits returns the registry traits for a (zero Traits for unknown
@@ -194,7 +191,7 @@ func NewProblem(g *Graph, flows []Flow, lambda float64) (*Problem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Problem{inst: inst, seed: 1}, nil
+	return &Problem{inst: inst}, nil
 }
 
 // Instance exposes the validated instance for direct model queries
@@ -221,26 +218,22 @@ func (p *Problem) WithSeed(seed int64) *Problem {
 func (p *Problem) Tree() *Tree { return p.tree }
 
 // options assembles the one Options value a registry solver receives:
-// the Problem-level tree and seed ride along as fallbacks (they
-// satisfy requirements without being rejected by algorithms that do
-// not consume them), a non-zero k is an explicit budget, and the
-// per-call options apply last so they can override the Problem seed.
-func (p *Problem) options(k int, opts []SolveOption) placement.Options {
-	all := make([]placement.Option, 0, len(opts)+4)
+// a non-zero k is the budget, the per-call options apply next, and
+// the Problem-level tree and seed fill in last, only for an algorithm
+// that consumes them (so they satisfy requirements without being
+// rejected by algorithms that do not).
+func (p *Problem) options(alg Algorithm, k int, opts []SolveOption) placement.Options {
 	// Every facade solve reports to the process metrics by default; a
-	// per-call WithSolveObserver applies later and overrides it.
-	all = append(all, placement.WithObserver(placement.Metrics()))
-	if p.tree != nil {
-		all = append(all, placement.FallbackTree(p.tree))
+	// per-call WithSolveObserver overrides it.
+	o := placement.Options{K: k, Observer: placement.Metrics()}
+	for _, opt := range opts {
+		opt(&o)
 	}
+	var seed *int64
 	if p.seedSet {
-		all = append(all, placement.FallbackSeed(p.seed))
+		seed = &p.seed
 	}
-	if k != 0 {
-		all = append(all, placement.WithK(k))
-	}
-	all = append(all, opts...)
-	return placement.NewOptions(all...)
+	return o.Ambient(alg.traits(), p.tree, seed)
 }
 
 // Solve runs the named algorithm with a budget of k middleboxes,
@@ -253,7 +246,7 @@ func (p *Problem) options(k int, opts []SolveOption) placement.Options {
 // those is ErrBadOptions. ctx cancellation/deadline interrupts the
 // solve per the package contract (see Result.Interrupted).
 func (p *Problem) Solve(ctx context.Context, alg Algorithm, k int, opts ...SolveOption) (Result, error) {
-	return placement.Solve(ctx, string(alg), p.inst, p.options(k, opts))
+	return placement.Solve(ctx, string(alg), p.inst, p.options(alg, k, opts))
 }
 
 // Evaluate scores an externally chosen plan under the model: optimal
