@@ -2,10 +2,7 @@
 
 package invariant
 
-import "os"
-
 // Enabled reports whether assertions run. Without the tdmdinvariant
-// build tag it is a variable initialised from the TDMD_INVARIANTS
-// environment variable, so assertion coverage can be turned on for a
-// single run without recompiling.
-var Enabled = os.Getenv("TDMD_INVARIANTS") != ""
+// build tag it is false; it stays a variable so tests can flip it to
+// exercise both sides of an assertion.
+var Enabled bool

@@ -3,14 +3,10 @@
 // served exactly once, plan size within budget, the closed-form
 // objective agreeing with the hop-by-hop link-load recomputation of
 // Eq. 1). The checks are off by default so hot paths pay nothing
-// beyond a predictable branch; they are switched on either
-//
-//   - at compile time with `-tags tdmdinvariant` (Enabled becomes a
-//     true constant and the guards compile away in the opposite
-//     direction: the checks are always in), or
-//   - at run time by setting the TDMD_INVARIANTS environment variable
-//     to any non-empty value before the process starts (default
-//     build only).
+// beyond a predictable branch; they are switched on at compile time
+// with `-tags tdmdinvariant` (Enabled becomes a true constant and the
+// guards compile away in the opposite direction: the checks are
+// always in).
 //
 // Callers guard expensive recomputations with `if invariant.Enabled`
 // so a disabled build does no assertion work at all:

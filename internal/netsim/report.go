@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tdmd/internal/graph"
@@ -89,7 +88,6 @@ func (in *Instance) Report(p Plan) Report {
 	for _, v := range p.Vertices() {
 		rep.Boxes = append(rep.Boxes, *perBox[v])
 	}
-	sort.Slice(rep.Boxes, func(i, j int) bool { return rep.Boxes[i].Vertex < rep.Boxes[j].Vertex })
 	return rep
 }
 

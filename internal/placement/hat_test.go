@@ -4,8 +4,10 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"tdmd/internal/graph"
 	"tdmd/internal/netsim"
 	"tdmd/internal/paperfix"
 )
@@ -92,27 +94,87 @@ func TestHATFig5K1(t *testing.T) {
 	}
 }
 
+// refHAT is HAT's rescan reference: the same initial plan and merge
+// cost expression, but each round it prices every deployed pair afresh
+// (LCA by parent walking) and merges the minimum by (cost, A, B). It
+// keeps no heap, so it costs O(|P|²·depth) per merge.
+func refHAT(in *netsim.Instance, tree *graph.Tree, k int) (Result, []MergeTrace) {
+	served := make([]float64, in.G.NumNodes())
+	var plan netsim.Plan
+	for _, f := range in.Flows() {
+		served[f.Src()] += float64(f.Rate)
+		plan.Add(f.Src())
+	}
+	var trace []MergeTrace
+	for plan.Size() > k {
+		vs := plan.Vertices()
+		best := MergeTrace{Cost: math.Inf(1)}
+		for i, x := range vs {
+			for _, y := range vs[i+1:] {
+				l := tree.NaiveLCA(x, y)
+				up := float64(tree.Depth(x)-tree.Depth(l))*served[x] + float64(tree.Depth(y)-tree.Depth(l))*served[y]
+				c := (1 - in.Lambda) * up
+				// vs ascends, so pairs arrive in (A, B) order and a strict
+				// < keeps the smallest pair among exact cost ties.
+				if c < best.Cost {
+					best = MergeTrace{A: x, B: y, LCA: l, Cost: c}
+				}
+			}
+		}
+		trace = append(trace, best)
+		merged := served[best.A] + served[best.B]
+		served[best.A], served[best.B] = 0, 0
+		plan.Remove(best.A)
+		plan.Remove(best.B)
+		served[best.LCA] += merged
+		plan.Add(best.LCA)
+	}
+	return finishBudget(in, plan, k), trace
+}
+
+// HAT's heap path matches the rescan reference bit for bit: the same
+// plans, bandwidth bits and merge trace (pairs, LCAs, cost bits), and
+// HAT agrees with HATWithTrace.
 func TestHATHeapMatchesBruteForceTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 25; trial++ {
-		in, tree := randomTreeInstance(rng, 3+rng.Intn(15))
+	checked := 0
+	for trial := 0; trial < 240; trial++ {
+		in, tree := randomTreeInstance(rng, 3+rng.Intn(30))
 		if in.NumFlows() == 0 {
 			continue
 		}
-		for k := 1; k <= 4; k++ {
-			fast, err1 := HAT(context.Background(), in, tree, k)
-			slow, _, err2 := HATWithTrace(context.Background(), in, tree, k)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("trial %d k=%d: error mismatch %v vs %v", trial, k, err1, err2)
+		checked++
+		for k := 1; k <= 6; k++ {
+			fast, err := HAT(context.Background(), in, tree, k)
+			if err != nil {
+				t.Fatalf("trial %d k=%d: %v", trial, k, err)
 			}
-			if err1 != nil {
-				continue
+			traced, trace, err := HATWithTrace(context.Background(), in, tree, k)
+			if err != nil {
+				t.Fatalf("trial %d k=%d: %v", trial, k, err)
 			}
-			if math.Abs(fast.Bandwidth-slow.Bandwidth) > 1e-9 {
-				t.Fatalf("trial %d k=%d: heap HAT %v (plan %v) != brute HAT %v (plan %v)",
-					trial, k, fast.Bandwidth, fast.Plan, slow.Bandwidth, slow.Plan)
+			ref, refTrace := refHAT(in, tree, k)
+			for _, got := range []Result{fast, traced} {
+				if !slices.Equal(got.Plan.Vertices(), ref.Plan.Vertices()) ||
+					math.Float64bits(got.Bandwidth) != math.Float64bits(ref.Bandwidth) ||
+					got.Feasible != ref.Feasible {
+					t.Fatalf("trial %d k=%d: HAT plan %v bandwidth %v, reference plan %v bandwidth %v",
+						trial, k, got.Plan, got.Bandwidth, ref.Plan, ref.Bandwidth)
+				}
+			}
+			if len(trace) != len(refTrace) {
+				t.Fatalf("trial %d k=%d: %d merges, reference %d", trial, k, len(trace), len(refTrace))
+			}
+			for i, m := range trace {
+				r := refTrace[i]
+				if m.A != r.A || m.B != r.B || m.LCA != r.LCA || math.Float64bits(m.Cost) != math.Float64bits(r.Cost) {
+					t.Fatalf("trial %d k=%d merge %d: HAT %+v, reference %+v", trial, k, i, m, r)
+				}
 			}
 		}
+	}
+	if checked < 200 {
+		t.Fatalf("only %d trees carried flows, want at least 200", checked)
 	}
 }
 

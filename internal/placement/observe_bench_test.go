@@ -19,7 +19,7 @@ func (c *countingObserver) Count(string, string, int64)              { c.counts+
 // BenchmarkObserverOverhead is the paired guard for the ≤2% hot-path
 // budget (DESIGN.md "Observability"): the same budgeted-greedy solve
 // with no observer, with a minimal observer, and with the production
-// metrics observer. scripts/check.sh compares off vs metrics.
+// metrics observer. `make obs` runs it.
 func BenchmarkObserverOverhead(b *testing.B) {
 	in := benchGeneralInstance(b, 150, 600)
 	base := Options{K: 8}

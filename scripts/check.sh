@@ -85,11 +85,6 @@ if ! cmp -s "$LOCKGRAPH" lockgraph.dot; then
     exit 1
 fi
 
-echo "==> observability (observer identity + exposition, race)"
-go test -race ./internal/obs/
-go test -race -run 'Observer|Metrics|Cache' \
-    ./internal/placement/ ./internal/netsim/ ./internal/serve/
-
 echo "==> request-path allocation gate (BENCH_serve.json)"
 # Two single-request rows (a plan-cache hit and a fresh solve) that run
 # in seconds, so every change is checked against the snapshot's
